@@ -34,9 +34,10 @@ from .pfn import (
     to_truth_table,
 )
 from .solver import (
+    DegenerateGridError,
     SolverConfig,
-    Status,
     constraint_levels,
+    on_chart_edge,
     solve_collapse,
     solve_collapse_closed_form,
     trace_level_sets,
@@ -46,6 +47,9 @@ log = logging.getLogger("spincollapse")
 
 AXIS_AGREE_TOL = 1e-4
 S_UP_AGREE_TOL = 1e-6
+# method spellings of the --method flag and the run config -> SolverConfig
+METHODS = {"grid": "grid", "closed": "closed_form", "closed_form": "closed_form",
+           "both": "both"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,9 +74,7 @@ def _instance(args) -> tuple:
 
 
 def _config(args) -> SolverConfig:
-    method = {"grid": "grid", "closed": "closed_form",
-              "both": "both"}[args.method]
-    return SolverConfig(grid_n=args.grid, method=method)
+    return SolverConfig(grid_n=args.grid, method=METHODS[args.method])
 
 
 def _solution_dict(sol) -> dict:
@@ -136,15 +138,12 @@ def cmd_trace(args) -> int:
                     "writing header only")
         print("warning: trivial instance, no level curves", file=sys.stderr)
     else:
-        edge = 1e-12
         curves = trace_level_sets(state, (p_same, p_flip), cfg, axis_i=axis)
         for cv in curves:
             for th, ph, overlap, s_up in cv.vertices:
-                on_edge = (th < edge or th > math.pi - edge
-                           or ph < edge or ph > math.pi - edge)
                 rows.append([f"{th:.12g}", f"{ph:.12g}", f"{cv.level:.12g}",
                              cv.component_id, f"{overlap:.12g}",
-                             f"{s_up:.12g}", int(on_edge)])
+                             f"{s_up:.12g}", int(on_chart_edge(th, ph))])
     try:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -192,8 +191,7 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 1
 
-    method = {"grid": "grid", "closed": "closed_form", "both": "both",
-              "closed_form": "closed_form"}.get(cfgd["method"])
+    method = METHODS.get(cfgd["method"])
     if method is None:
         print(f"error: config field 'method' must be grid|closed|both",
               file=sys.stderr)
@@ -205,8 +203,12 @@ def cmd_run(args) -> int:
                               method="grid" if method == "both" else method)
     machine = ObserverAutomaton(axis, pfn, cfgd["memory_depth"], solver_cfg)
     result = machine.run(state, cfgd["max_steps"])
-    with open(cfgd["out"], "w") as fh:
-        fh.write(result.to_jsonl())
+    try:
+        with open(cfgd["out"], "w") as fh:
+            fh.write(result.to_jsonl())
+    except OSError as exc:
+        print(f"error: cannot write {cfgd['out']}: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps({
         "steps": len(result.records),
         "halted": result.halted,
@@ -277,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one collapse instance")
     _add_instance_flags(p_solve)
-    p_solve.add_argument("--json", action="store_true",
-                         help="accepted for compatibility; output is JSON")
     p_solve.set_defaults(func=cmd_solve)
 
     p_trace = sub.add_parser("trace", help="write level-set polylines as CSV")
@@ -325,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except (ValueError, ExprSyntaxError, ExprArityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except DegenerateGridError as exc:
+        print(f"error: grid route failed: {exc}", file=sys.stderr)
         return 1
 
 

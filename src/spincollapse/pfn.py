@@ -255,6 +255,8 @@ class TruthTable:
     def from_hex(cls, text: str, n: int) -> "TruthTable":
         length = 1 << (2 + 3 * n)
         value = int(text, 16)
+        if value < 0:
+            raise ValueError(f"hex table must not be negative: {text!r}")
         if value >= 1 << length:
             raise ValueError(f"hex table too long for memory depth {n}")
         bits = tuple((value >> (length - 1 - k)) & 1 for k in range(length))

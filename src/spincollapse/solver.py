@@ -4,18 +4,19 @@ The admissible final axes form the level sets of the up-overlap probability at
 the two values allowed by entropy conservation.  The final axis extremizes the
 eigenbasis overlap on those curves, excluding the zero-entropy points (overlap
 0 or 1).  Two independent routes are provided: a grid solver (marching-squares
-tracing plus golden-section refinement along the curve) and a closed-form
-solver working directly on the Bloch sphere.
+tracing, then a Brent root of the tangency condition between the polyline
+vertices that bracket each extremum) and a closed-form solver working
+directly on the Bloch sphere.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bloch import (
     Axis,
@@ -30,7 +31,10 @@ from .bloch import (
 from .contour import marching_squares
 from .entropy import binary_entropy
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+CHART_EDGE = 1e-12  # angles this close to 0 or pi lie on the chart edge
+DEDUP_RADIUS = 1e-6  # refined extrema closer than this are one extremum
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
+BRENT_MAXITER = 100
 
 
 class Status(enum.Enum):
@@ -44,14 +48,12 @@ class SolverConfig:
     grid_n: int = 1024
     eps_trivial: float = 1e-9
     eps_z: float = 1e-6
-    refine_tol: float = 1e-7
     method: str = "both"  # grid | closed_form | both
-    identify_boundary: bool = False
 
     def __post_init__(self):
         if self.grid_n < 64:
             raise ValueError("grid_n must be >= 64")
-        if min(self.eps_trivial, self.eps_z, self.refine_tol) <= 0.0:
+        if min(self.eps_trivial, self.eps_z) <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.method not in ("grid", "closed_form", "both"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -113,6 +115,12 @@ def _axes_overlap_at(theta: float, phi: float, ni: tuple[float, float, float]) -
     return min(1.0, max(0.0, 0.5 * (1.0 + dot)))
 
 
+def on_chart_edge(theta: float, phi: float) -> bool:
+    """Whether a chart point lies on the edge of [0, pi] x [0, pi]."""
+    return (theta < CHART_EDGE or theta > math.pi - CHART_EDGE
+            or phi < CHART_EDGE or phi > math.pi - CHART_EDGE)
+
+
 def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
                      axis_i: Axis | None = None) -> list[LevelSetCurve]:
     """Extract the chart-restricted level curves of the up-overlap field.
@@ -123,7 +131,6 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     """
     thetas, phis, p = _overlap_grid(s, cfg.grid_n)
     ni = axis_to_bloch(axis_i) if axis_i is not None else None
-    edge = 1e-12
     curves: list[LevelSetCurve] = []
     cid = 0
     for level in levels:
@@ -145,9 +152,7 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
                     zero = zero or su <= cfg.eps_z
                 else:
                     q = su = float("nan")
-                if (th < edge or th > math.pi - edge
-                        or ph < edge or ph > math.pi - edge):
-                    touches = True
+                touches = touches or on_chart_edge(th, ph)
                 verts.append((float(th), float(ph), q, su))
             curves.append(LevelSetCurve(level, verts, cid, touches, zero))
             cid += 1
@@ -160,6 +165,59 @@ def _grad_overlap(theta: float, phi: float, s: SpinState) -> tuple[float, float]
         + r * math.cos(theta) * math.cos(phi - s.tau)
     dph = -r * math.sin(theta) * math.sin(phi - s.tau)
     return dth, dph
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    Inverse quadratic or secant steps are taken while they stay short, else
+    the bracket is bisected; converged when half the bracket is below
+    (xtol + 4 eps |x|) / 2.  Raises ValueError when f(xa) and f(xb) have the
+    same sign and RuntimeError after BRENT_MAXITER iterations.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end as xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(
+        f"no convergence after {BRENT_MAXITER} iterations, value is {xcur}")
 
 
 def _project_to_level(theta: float, phi: float, s: SpinState, level: float,
@@ -183,7 +241,7 @@ def _project_to_level(theta: float, phi: float, s: SpinState, level: float,
         hi *= 2.0
     else:
         return theta, phi
-    t = brentq(res, lo, hi, xtol=1e-14)
+    t = _brentq(res, lo, hi, 1e-14)
     return theta + t * gth / norm, phi + t * gph / norm
 
 
@@ -207,14 +265,15 @@ def _tangency(theta: float, phi: float, s: SpinState,
 
 def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
                     s: SpinState, level: float,
-                    ni: tuple[float, float, float], cfg: SolverConfig
+                    ni: tuple[float, float, float]
                     ) -> tuple[float, float, float]:
     """Locate the overlap extremum on the curve between two polyline vertices.
 
-    Golden-section search over the re-projected chord narrows the bracket,
-    then the tangency root is polished by Brent's method; the overlap can be
-    extremely flat in chart coordinates (near a pole), where only the tangency
-    condition pins the position.
+    The extremum is the root of the tangency condition along the chord,
+    re-projected onto the exact level set at every probe, found by Brent's
+    method.  The overlap itself can be extremely flat in chart coordinates
+    (near a pole), where only the tangency condition pins the position.  When
+    the projected ends do not change sign, the end nearer tangency is taken.
     """
     total = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
     h = max(total, 1e-6)
@@ -229,33 +288,8 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
         return _tangency(th, ph, s, ni)
 
     ta, tb = tang(0.0), tang(total)
-    sign = -1.0 if ta > 0.0 else 1.0  # overlap rises toward the extremum
-
-    def objective(t: float) -> float:
-        th, ph = point_at(t)
-        return sign * _axes_overlap_at(th, ph, ni)
-
-    a, b = 0.0, total
     if ta * tb < 0.0:
-        c = b - INV_PHI * (b - a)
-        d = a + INV_PHI * (b - a)
-        fc, fd = objective(c), objective(d)
-        while b - a > cfg.refine_tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - INV_PHI * (b - a)
-                fc = objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + INV_PHI * (b - a)
-                fd = objective(d)
-        # the tangency sign change survives inside [a, b] only when the
-        # narrowed bracket still straddles the root; polish on the widest
-        # bracket that does
-        lo, hi = a, b
-        if tang(lo) * tang(hi) > 0.0:
-            lo, hi = 0.0, total
-        t_best = brentq(tang, lo, hi, xtol=1e-13)
+        t_best = _brentq(tang, 0.0, total, 1e-13)
     else:
         t_best = 0.0 if abs(ta) <= abs(tb) else total
     th, ph = point_at(t_best)
@@ -291,12 +325,11 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis,
     for k in segs:
         kp = (k + 1) % n
         if tangs[k] * tangs[kp] < 0.0 or (tangs[k] == 0.0 and tangs[kp] != 0.0):
-            found.append(_refine_between(pts[k], pts[kp], s, curve.level,
-                                         ni, cfg))
+            found.append(_refine_between(pts[k], pts[kp], s, curve.level, ni))
     # adjacent segments can both straddle the same root through vertex noise
     uniq: list[tuple[float, float, float]] = []
     for th, ph, q in found:
-        if all(math.hypot(th - a, ph - b) > 10 * cfg.refine_tol
+        if all(math.hypot(th - a, ph - b) > DEDUP_RADIUS
                for a, b, _ in uniq):
             uniq.append((th, ph, q))
     for th, ph, q in uniq:

@@ -7,7 +7,9 @@ import math
 
 import pytest
 
+from spincollapse import cli
 from spincollapse.cli import main
+from spincollapse.solver import DegenerateGridError
 
 PI = math.pi
 
@@ -88,6 +90,20 @@ class TestSolve:
                                "--phi-i", "0.5", "--rho", "2.0", "--tau", "0")
         assert code == 1
         assert "error" in err
+
+    def test_json_flag_is_usage_error(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", *GENERIC, "--json")
+        assert code == 1
+        assert out == ""
+
+    def test_degenerate_grid_is_exit_1(self, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateGridError("no admissible extremum on any component")
+        monkeypatch.setattr(cli, "solve_collapse", degenerate)
+        code, out, err = run_cli(capsys, "solve", *GENERIC, "--grid", "256")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "solve", *GENERIC, "--grid", "256")
@@ -192,6 +208,14 @@ class TestRun:
         assert code == 1
         assert "line" in err
 
+    def test_unwritable_out_is_exit_1(self, capsys, tmp_path):
+        cfg_path, out_path = self.config(
+            tmp_path, out=str(tmp_path / "missing" / "trace.jsonl"))
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_unknown_field_diagnostic(self, capsys, tmp_path):
         cfg_path, _ = self.config(tmp_path)
         raw = json.loads(cfg_path.read_text())
@@ -215,6 +239,13 @@ class TestPfn:
         code, out, _ = run_cli(capsys, "pfn", "cnf", "--table", "7")
         assert code == 0
         assert out.strip() == "x|y"
+
+    @pytest.mark.parametrize("form", ["dnf", "cnf"])
+    def test_negative_table_is_exit_1(self, capsys, form):
+        code, out, err = run_cli(capsys, "pfn", form, "--table=-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_prob_analytic(self, capsys):
         code, out, _ = run_cli(capsys, "pfn", "prob", "--expr", "x|y")

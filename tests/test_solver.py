@@ -2,6 +2,9 @@
 closed-form agreement, and the pinned worked instances."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -14,8 +17,11 @@ from spincollapse.bloch import (
     eigenstate_as_state,
     up_overlap_prob,
 )
+import spincollapse
+from spincollapse import solver
 from spincollapse.entropy import binary_entropy
 from spincollapse.solver import (
+    _brentq,
     SolverConfig,
     Status,
     constraint_levels,
@@ -218,3 +224,47 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.grid_n == 1024
         assert cfg.method == "both"
+
+
+class TestBrentq:
+    def test_analytic_root(self):
+        root = _brentq(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14)
+        assert root == pytest.approx(0.7390851332151607, abs=1e-14)
+
+    def test_root_at_bracket_end(self):
+        assert _brentq(lambda x: x - 2.0, 0.0, 2.0, 1e-14) == 2.0
+        assert _brentq(lambda x: x * x - 4.0, -2.0, 0.0, 1e-14) == -2.0
+
+    def test_no_sign_change_is_value_error(self):
+        with pytest.raises(ValueError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+
+    @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 1e-13])
+    def test_converges_within_xtol(self, xtol):
+        for f, lo, hi, root in (
+                (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
+                (lambda x: math.exp(x) - 3.0, -5.0, 5.0, math.log(3.0)),
+                (lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 4.0, 0.3)):
+            x = _brentq(f, lo, hi, xtol)
+            assert abs(x - root) <= xtol + 4.0 * sys.float_info.epsilon * abs(root)
+
+    def test_iteration_cap_is_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "BRENT_MAXITER", 2)
+        with pytest.raises(RuntimeError):
+            _brentq(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14)
+
+
+def test_solving_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spincollapse.__file__)))
+    code = ("import math, sys\n"
+            "import spincollapse\n"
+            "from spincollapse import SpinState, canonicalize_axis, solve_collapse\n"
+            "sol = solve_collapse(canonicalize_axis(math.pi / 4, math.pi / 2),\n"
+            "                     SpinState(0.4, 0.0))\n"
+            "assert sol.status.value == 'Normal'\n"
+            "print('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
