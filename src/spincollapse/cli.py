@@ -37,6 +37,7 @@ from .solver import (
     DegenerateGridError,
     SolverConfig,
     constraint_levels,
+    is_trivial,
     on_chart_edge,
     solve_collapse,
     solve_collapse_closed_form,
@@ -133,7 +134,7 @@ def cmd_trace(args) -> int:
     cfg = _config(args)
     p_same, p_flip = constraint_levels(axis, state)
     rows = []
-    if min(p_same, p_flip) <= cfg.eps_trivial:
+    if is_trivial(p_same):
         log.warning("trivial instance: level sets are degenerate, "
                     "writing header only")
         print("warning: trivial instance, no level curves", file=sys.stderr)
@@ -199,8 +200,7 @@ def cmd_run(args) -> int:
     axis = canonicalize_axis(cfgd["theta_i"], cfgd["phi_i"])
     state = SpinState(cfgd["rho"], cfgd["tau"])
     pfn = parse_expr(cfgd["pfn"], cfgd["memory_depth"])
-    solver_cfg = SolverConfig(grid_n=cfgd["grid_n"],
-                              method="grid" if method == "both" else method)
+    solver_cfg = SolverConfig(grid_n=cfgd["grid_n"], method=method)
     machine = ObserverAutomaton(axis, pfn, cfgd["memory_depth"], solver_cfg)
     result = machine.run(state, cfgd["max_steps"])
     try:

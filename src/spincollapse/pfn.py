@@ -206,6 +206,11 @@ class _Parser:
         self.error(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
 
+def _check_memory_depth(n: int) -> None:
+    if not 0 <= n <= MAX_MEMORY_DEPTH:
+        raise ValueError(f"memory depth must be in [0, {MAX_MEMORY_DEPTH}]")
+
+
 def parse_expr(text: str, n: int = 0) -> BoolExpr:
     """Parse an outcome-policy expression.
 
@@ -214,8 +219,7 @@ def parse_expr(text: str, n: int = 0) -> BoolExpr:
     """
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    if not 0 <= n <= MAX_MEMORY_DEPTH:
-        raise ValueError(f"memory depth must be in [0, {MAX_MEMORY_DEPTH}]")
+    _check_memory_depth(n)
     return _Parser(text, n).parse()
 
 
@@ -236,8 +240,7 @@ class TruthTable:
 
     def __post_init__(self):
         n = self.memory_depth
-        if not 0 <= n <= MAX_MEMORY_DEPTH:
-            raise ValueError(f"memory depth must be in [0, {MAX_MEMORY_DEPTH}]")
+        _check_memory_depth(n)
         if len(self.bits) != 1 << (2 + 3 * n):
             raise ValueError(
                 f"table for depth {n} needs {1 << (2 + 3 * n)} rows, "
@@ -253,6 +256,7 @@ class TruthTable:
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "TruthTable":
+        _check_memory_depth(n)  # before the shift below can fail on it
         length = 1 << (2 + 3 * n)
         value = int(text, 16)
         if value < 0:
@@ -269,8 +273,7 @@ def _row_env(row: int, names: list[str]) -> dict[str, int]:
 
 
 def to_truth_table(e: BoolExpr, n: int = 0) -> TruthTable:
-    if n > MAX_MEMORY_DEPTH:
-        raise ValueError(f"memory depth {n} exceeds cap {MAX_MEMORY_DEPTH}")
+    _check_memory_depth(n)
     names = variable_order(n)
     try:
         bits = tuple(e(_row_env(row, names)) for row in range(1 << len(names)))

@@ -32,6 +32,8 @@ from .contour import marching_squares
 from .entropy import binary_entropy
 
 CHART_EDGE = 1e-12  # angles this close to 0 or pi lie on the chart edge
+EPS_TRIVIAL = 1e-9  # an outcome this improbable makes the state an eigenstate
+EPS_Z = 1e-6  # eigenbasis entropy at or below this is a zero-entropy point
 DEDUP_RADIUS = 1e-6  # refined extrema closer than this are one extremum
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
@@ -46,15 +48,11 @@ class Status(enum.Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     grid_n: int = 1024
-    eps_trivial: float = 1e-9
-    eps_z: float = 1e-6
     method: str = "both"  # grid | closed_form | both
 
     def __post_init__(self):
         if self.grid_n < 64:
             raise ValueError("grid_n must be >= 64")
-        if min(self.eps_trivial, self.eps_z) <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.method not in ("grid", "closed_form", "both"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -62,8 +60,8 @@ class SolverConfig:
 @dataclass
 class LevelSetCurve:
     level: float
-    # vertex tuples (theta, phi, overlap, s_up); overlap/s_up are nan until
-    # the initial axis is known
+    # vertex tuples (theta, phi, eigenbasis overlap with the initial axis,
+    # its entropy s_up)
     vertices: list[tuple[float, float, float, float]]
     component_id: int
     touches_boundary: bool
@@ -99,6 +97,12 @@ def constraint_levels(i: Axis, s: SpinState) -> tuple[float, float]:
     return p_same, 1.0 - p_same
 
 
+def is_trivial(p_same: float) -> bool:
+    """Whether the state is an eigenstate of the initial axis: one of the two
+    outcomes has probability at most EPS_TRIVIAL, so nothing can change."""
+    return min(p_same, 1.0 - p_same) <= EPS_TRIVIAL
+
+
 def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     thetas = np.linspace(0.0, math.pi, n + 1)
     phis = np.linspace(0.0, math.pi, n + 1)
@@ -122,15 +126,16 @@ def on_chart_edge(theta: float, phi: float) -> bool:
 
 
 def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
-                     axis_i: Axis | None = None) -> list[LevelSetCurve]:
+                     axis_i: Axis) -> list[LevelSetCurve]:
     """Extract the chart-restricted level curves of the up-overlap field.
 
     An empty result for a level is allowed: the level may be unattained on the
-    chart.  When axis_i is given, vertices carry the eigenbasis overlap and
-    its entropy.
+    chart.  The initial axis axis_i is required: every vertex carries its
+    eigenbasis overlap with it and that overlap's entropy, and a curve with a
+    vertex at entropy <= EPS_Z is marked as containing a zero-entropy point.
     """
     thetas, phis, p = _overlap_grid(s, cfg.grid_n)
-    ni = axis_to_bloch(axis_i) if axis_i is not None else None
+    ni = axis_to_bloch(axis_i)
     curves: list[LevelSetCurve] = []
     cid = 0
     for level in levels:
@@ -146,12 +151,9 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
             zero = False
             touches = False
             for th, ph in poly:
-                if ni is not None:
-                    q = _axes_overlap_at(th, ph, ni)
-                    su = binary_entropy(q)
-                    zero = zero or su <= cfg.eps_z
-                else:
-                    q = su = float("nan")
+                q = _axes_overlap_at(th, ph, ni)
+                su = binary_entropy(q)
+                zero = zero or su <= EPS_Z
                 touches = touches or on_chart_edge(th, ph)
                 verts.append((float(th), float(ph), q, su))
             curves.append(LevelSetCurve(level, verts, cid, touches, zero))
@@ -167,16 +169,18 @@ def _grad_overlap(theta: float, phi: float, s: SpinState) -> tuple[float, float]
     return dth, dph
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float
+            ) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
-    Inverse quadratic or secant steps are taken while they stay short, else
-    the bracket is bisected; converged when half the bracket is below
-    (xtol + 4 eps |x|) / 2.  Raises ValueError when f(xa) and f(xb) have the
-    same sign and RuntimeError after BRENT_MAXITER iterations.
+    fa and fb are f(xa) and f(xb), which every caller has already computed to
+    find the bracket.  Inverse quadratic or secant steps are taken while they
+    stay short, else the bracket is bisected; converged when half the bracket
+    is below (xtol + 4 eps |x|) / 2.  Raises ValueError when fa and fb have
+    the same sign and RuntimeError after BRENT_MAXITER iterations.
     """
     xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = fa, fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -235,13 +239,14 @@ def _project_to_level(theta: float, phi: float, s: SpinState, level: float,
 
     lo, hi = -h, h
     for _ in range(6):
-        if res(lo) * res(hi) <= 0.0:
+        rlo, rhi = res(lo), res(hi)
+        if rlo * rhi <= 0.0:
             break
         lo *= 2.0
         hi *= 2.0
     else:
         return theta, phi
-    t = _brentq(res, lo, hi, 1e-14)
+    t = _brentq(res, lo, hi, rlo, rhi, 1e-14)
     return theta + t * gth / norm, phi + t * gph / norm
 
 
@@ -289,15 +294,15 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
 
     ta, tb = tang(0.0), tang(total)
     if ta * tb < 0.0:
-        t_best = _brentq(tang, 0.0, total, 1e-13)
+        t_best = _brentq(tang, 0.0, total, ta, tb, 1e-13)
     else:
         t_best = 0.0 if abs(ta) <= abs(tb) else total
     th, ph = point_at(t_best)
     return th, ph, _axes_overlap_at(th, ph, ni)
 
 
-def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis,
-                      cfg: SolverConfig) -> tuple[list[Candidate], bool]:
+def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
+                      ) -> tuple[list[Candidate], bool]:
     """Refined interior extrema of the eigenbasis overlap along one curve plus
     its boundary endpoints.  Returns (candidates, has_zero_entropy).
 
@@ -334,7 +339,7 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis,
             uniq.append((th, ph, q))
     for th, ph, q in uniq:
         su = binary_entropy(q)
-        if su <= cfg.eps_z:
+        if su <= EPS_Z:
             zero = True
         cands.append(Candidate(canonicalize_axis(th, ph), q, su,
                                curve.component_id, False))
@@ -362,14 +367,14 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     cfg = cfg or SolverConfig()
     p_same, p_flip = constraint_levels(i, s)
     s_i = binary_entropy(p_same)
-    if min(p_same, p_flip) <= cfg.eps_trivial:
+    if is_trivial(p_same):
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
 
     curves = trace_level_sets(s, (p_same, p_flip), cfg, axis_i=i)
     all_cands: list[Candidate] = []
     zero_ids: set[int] = set()
     for curve in curves:
-        cands, zero = _curve_candidates(curve, s, i, cfg)
+        cands, zero = _curve_candidates(curve, s, i)
         curve.contains_zero_entropy = zero
         if zero:
             zero_ids.add(curve.component_id)
@@ -381,7 +386,7 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
                                 all_cands, curves)
 
     def admissible(c: Candidate) -> bool:
-        return c.s_up > cfg.eps_z
+        return c.s_up > EPS_Z
 
     tiers = (
         [c for c in all_cands if not c.is_boundary
@@ -411,20 +416,26 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     constraint circle is {n : n . m = -c}; the overlap-maximizing direction on
     it is the reflection n* = n_i - 2 c m, with eigenbasis overlap 1 - c^2.
     The configuration is a death point when that circle has no chart
-    representative, i.e. when its maximal y-component is negative.
+    representative, i.e. when its maximal y-component is negative, or when
+    the extremum is itself a zero-entropy point (f(c^2) <= EPS_Z), as the
+    grid route finds one on both of its components there.  The Trivial and
+    zero-entropy rules are the grid route's: is_trivial and EPS_Z.
+
+    cfg is accepted so that one SolverConfig can be passed to either route;
+    the closed form reads none of its fields.
     """
-    cfg = cfg or SolverConfig()
     m = state_to_bloch(s)
     ni = axis_to_bloch(i)
     c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
-    s_i = binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + c))))
-    if abs(c) >= 1.0 - cfg.eps_trivial:
+    p_same = min(1.0, max(0.0, 0.5 * (1.0 + c)))
+    s_i = binary_entropy(p_same)
+    if is_trivial(p_same):
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
 
     root = math.sqrt(max(0.0, 1.0 - c * c))
     flip_max_y = -c * m[1] + root * math.sqrt(max(0.0, 1.0 - m[1] * m[1]))
     s_up = binary_entropy(min(1.0, max(0.0, c * c)))
-    if flip_max_y < 0.0:
+    if flip_max_y < 0.0 or s_up <= EPS_Z:
         return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i)
 
     nstar = (ni[0] - 2.0 * c * m[0],

@@ -59,6 +59,16 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["status"] == "Trivial"
 
+    def test_near_trivial_routes_agree(self, capsys):
+        # p_flip = 7.5e-10 is within EPS_TRIVIAL, so both routes say Trivial
+        code, out, _ = run_cli(capsys, "solve", "--theta-i", "0", "--phi-i",
+                               "0", "--rho", "0.99999999925", "--tau", "0",
+                               "--grid", "256")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "Trivial"
+        assert payload["method_agreement"]["status_match"]
+
     def test_method_single_routes(self, capsys):
         for method in ("grid", "closed"):
             code, out, _ = run_cli(capsys, "solve", *GENERIC, "--grid", "256",
@@ -240,12 +250,20 @@ class TestPfn:
         assert code == 0
         assert out.strip() == "x|y"
 
-    @pytest.mark.parametrize("form", ["dnf", "cnf"])
-    def test_negative_table_is_exit_1(self, capsys, form):
-        code, out, err = run_cli(capsys, "pfn", form, "--table=-1")
+    @pytest.mark.parametrize("form, flags, message", [
+        ("dnf", ["--table=-1"], "must not be negative"),
+        ("cnf", ["--table=-1"], "must not be negative"),
+        ("dnf", ["--table", "7", "--n", "-1"], "memory depth must be in [0, 4]"),
+        ("cnf", ["--table", "7", "--n", "-1"], "memory depth must be in [0, 4]"),
+        ("dnf", ["--table", "7", "--n", "99"], "memory depth must be in [0, 4]"),
+        ("cnf", ["--table", "7", "--n", "99"], "memory depth must be in [0, 4]"),
+    ], ids=["dnf", "cnf", "dnf-n-1", "cnf-n-1", "dnf-n99", "cnf-n99"])
+    def test_negative_table_is_exit_1(self, capsys, form, flags, message):
+        code, out, err = run_cli(capsys, "pfn", form, *flags)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
     def test_prob_analytic(self, capsys):
         code, out, _ = run_cli(capsys, "pfn", "prob", "--expr", "x|y")

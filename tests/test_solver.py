@@ -1,6 +1,7 @@
 """Collapse solver: level-set tracing, status classification, grid vs
 closed-form agreement, and the pinned worked instances."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from spincollapse.bloch import (
     SpinState,
     axes_up_overlap,
+    axis_to_bloch,
     canonicalize_axis,
     eigenstate_as_state,
     up_overlap_prob,
@@ -22,9 +24,12 @@ from spincollapse import solver
 from spincollapse.entropy import binary_entropy
 from spincollapse.solver import (
     _brentq,
+    EPS_TRIVIAL,
+    EPS_Z,
     SolverConfig,
     Status,
     constraint_levels,
+    is_trivial,
     solve_collapse,
     solve_collapse_closed_form,
     trace_level_sets,
@@ -78,7 +83,8 @@ class TestTraceLevelSets:
         assert len({c.component_id for c in curves}) == 1
 
     def test_polar_state_level_half_is_the_equator(self):
-        curves = trace_level_sets(SpinState(1.0, 0.0), (0.5,), self.CFG)
+        curves = trace_level_sets(SpinState(1.0, 0.0), (0.5,), self.CFG,
+                                  axis_i=GENERIC_AXIS)
         assert len(curves) == 1
         cv = curves[0]
         assert cv.touches_boundary
@@ -97,9 +103,9 @@ class TestTraceLevelSets:
 
     def test_out_of_range_level_rejected(self):
         with pytest.raises(ValueError):
-            trace_level_sets(GENERIC_STATE, (0.0,), self.CFG)
+            trace_level_sets(GENERIC_STATE, (0.0,), self.CFG, GENERIC_AXIS)
         with pytest.raises(ValueError):
-            trace_level_sets(GENERIC_STATE, (1.0,), self.CFG)
+            trace_level_sets(GENERIC_STATE, (1.0,), self.CFG, GENERIC_AXIS)
 
     def test_empty_level_is_allowed(self):
         # the flip level of the death instance has no chart representative
@@ -211,12 +217,67 @@ class TestSolutionInvariants:
                 assert abs(g.s_up - c.s_up) <= 1e-6
 
 
+def instance_at_overlap(rng, c: float):
+    """An (axis, state) pair whose Bloch vectors have dot product c.
+
+    The state vector is m = c n_i + sqrt(1 - c^2) u, with u a random unit
+    vector orthogonal to the axis vector n_i.  Axes grazing the chart edge
+    (n_i . y <= 1e-3) are redrawn: the routes can disagree there whatever c
+    is, which is not what the callers test.
+    """
+    while True:
+        axis = canonicalize_axis(rng.uniform(0.0, PI), rng.uniform(0.0, PI))
+        ni = np.array(axis_to_bloch(axis))
+        if ni[1] > 1e-3:
+            break
+    u = rng.normal(size=3)
+    u -= u.dot(ni) * ni
+    u /= np.linalg.norm(u)
+    m = c * ni + math.sqrt(1.0 - c * c) * u
+    tau = math.atan2(m[1], m[0]) % (2.0 * PI)
+    return axis, SpinState(0.5 * (1.0 + m[2]), tau)
+
+
+class TestStatusThresholds:
+    """Both routes apply the same Trivial and zero-entropy rules, so they
+    agree on status on either side of each threshold."""
+
+    def statuses(self, seed, draw_c, count=100):
+        rng = np.random.default_rng(seed)
+        cfg = SolverConfig(grid_n=256)
+        out = []
+        for _ in range(count):
+            c = draw_c(rng) * rng.choice((-1.0, 1.0))
+            axis, state = instance_at_overlap(rng, c)
+            g = solve_collapse(axis, state, cfg)
+            f = solve_collapse_closed_form(axis, state, cfg)
+            out.append((g.status, f.status, c))
+        return out
+
+    def test_zero_entropy_threshold(self):
+        # f(c^2) crosses EPS_Z at |c| = 2.38e-4, inside this range
+        out = self.statuses(31, lambda rng: 10.0 ** rng.uniform(-6.0, -2.5))
+        assert [(g, c) for g, f, c in out if g != f] == []
+        zero = [binary_entropy(c * c) <= EPS_Z for _, _, c in out]
+        assert [g is Status.DEATH_POINT for g, _, _ in out] == zero
+        assert any(zero) and not all(zero)
+
+    def test_trivial_threshold(self):
+        # one outcome has probability (1 - |c|) / 2, just below EPS_TRIVIAL
+        out = self.statuses(32, lambda rng: 1.0 - rng.uniform(1.1e-9, 1.9e-9))
+        assert all(g is f is Status.TRIVIAL for g, f, _ in out)
+
+    def test_is_trivial(self):
+        assert is_trivial(0.0) and is_trivial(1.0)
+        assert is_trivial(EPS_TRIVIAL) and is_trivial(1.0 - 0.5 * EPS_TRIVIAL)
+        assert not is_trivial(2.0 * EPS_TRIVIAL)
+        assert not is_trivial(0.5)
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(grid_n=32)
-        with pytest.raises(ValueError):
-            SolverConfig(eps_z=0.0)
         with pytest.raises(ValueError):
             SolverConfig(method="newton")
 
@@ -224,20 +285,35 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.grid_n == 1024
         assert cfg.method == "both"
+        assert [f.name for f in dataclasses.fields(cfg)] == ["grid_n", "method"]
+
+
+def brent(f, xa, xb, xtol):
+    return _brentq(f, xa, xb, f(xa), f(xb), xtol)
 
 
 class TestBrentq:
     def test_analytic_root(self):
-        root = _brentq(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14)
+        root = brent(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14)
         assert root == pytest.approx(0.7390851332151607, abs=1e-14)
 
+    def test_bracket_ends_are_not_evaluated_again(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return math.cos(x) - x
+
+        _brentq(f, 0.0, 1.0, 1.0, math.cos(1.0) - 1.0, 1e-14)
+        assert probes and 0.0 not in probes and 1.0 not in probes
+
     def test_root_at_bracket_end(self):
-        assert _brentq(lambda x: x - 2.0, 0.0, 2.0, 1e-14) == 2.0
-        assert _brentq(lambda x: x * x - 4.0, -2.0, 0.0, 1e-14) == -2.0
+        assert brent(lambda x: x - 2.0, 0.0, 2.0, 1e-14) == 2.0
+        assert brent(lambda x: x * x - 4.0, -2.0, 0.0, 1e-14) == -2.0
 
     def test_no_sign_change_is_value_error(self):
         with pytest.raises(ValueError):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+            brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
 
     @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 1e-13])
     def test_converges_within_xtol(self, xtol):
@@ -245,13 +321,13 @@ class TestBrentq:
                 (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
                 (lambda x: math.exp(x) - 3.0, -5.0, 5.0, math.log(3.0)),
                 (lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 4.0, 0.3)):
-            x = _brentq(f, lo, hi, xtol)
+            x = brent(f, lo, hi, xtol)
             assert abs(x - root) <= xtol + 4.0 * sys.float_info.epsilon * abs(root)
 
     def test_iteration_cap_is_runtime_error(self, monkeypatch):
         monkeypatch.setattr(solver, "BRENT_MAXITER", 2)
         with pytest.raises(RuntimeError):
-            _brentq(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14)
+            brent(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14)
 
 
 def test_solving_does_not_import_scipy():
