@@ -37,6 +37,7 @@ EPS_Z = 1e-6  # eigenbasis entropy at or below this is a zero-entropy point
 DEDUP_RADIUS = 1e-6  # refined extrema closer than this are one extremum
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
+GRID_N_MAX = 8192  # a (GRID_N_MAX + 1)^2 float64 field is 537 MB
 
 
 class Status(enum.Enum):
@@ -51,8 +52,8 @@ class SolverConfig:
     method: str = "both"  # grid | closed_form | both
 
     def __post_init__(self):
-        if self.grid_n < 64:
-            raise ValueError("grid_n must be >= 64")
+        if not 64 <= self.grid_n <= GRID_N_MAX:
+            raise ValueError(f"grid_n must be in [64, {GRID_N_MAX}]")
         if self.method not in ("grid", "closed_form", "both"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -109,20 +110,27 @@ def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     rho, tau = s.rho, s.tau
     a = rho * np.cos(thetas / 2.0) ** 2 + (1.0 - rho) * np.sin(thetas / 2.0) ** 2
     b = math.sqrt(rho * (1.0 - rho)) * np.sin(thetas)
-    p = a[:, None] + b[:, None] * np.cos(phis - tau)[None, :]
+    p = b[:, None] * np.cos(phis - tau)[None, :]
+    p += a[:, None]
     return thetas, phis, p
 
 
+def _axes_dot(theta, phi, ni: tuple[float, float, float], xp=math):
+    """n(theta, phi) . ni; with xp=np, elementwise over arrays, with the
+    same operations in the same order as the scalar form."""
+    st = xp.sin(theta)
+    return st * xp.cos(phi) * ni[0] + st * xp.sin(phi) * ni[1] + xp.cos(theta) * ni[2]
+
+
 def _axes_overlap_at(theta: float, phi: float, ni: tuple[float, float, float]) -> float:
-    st = math.sin(theta)
-    dot = st * math.cos(phi) * ni[0] + st * math.sin(phi) * ni[1] + math.cos(theta) * ni[2]
-    return min(1.0, max(0.0, 0.5 * (1.0 + dot)))
+    return min(1.0, max(0.0, 0.5 * (1.0 + _axes_dot(theta, phi, ni))))
 
 
-def on_chart_edge(theta: float, phi: float) -> bool:
-    """Whether a chart point lies on the edge of [0, pi] x [0, pi]."""
-    return (theta < CHART_EDGE or theta > math.pi - CHART_EDGE
-            or phi < CHART_EDGE or phi > math.pi - CHART_EDGE)
+def on_chart_edge(theta, phi):
+    """Whether a chart point lies on the edge of [0, pi] x [0, pi];
+    elementwise for arrays."""
+    return ((theta < CHART_EDGE) | (theta > math.pi - CHART_EDGE)
+            | (phi < CHART_EDGE) | (phi > math.pi - CHART_EDGE))
 
 
 def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
@@ -141,31 +149,38 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0,1): {level}")
-        polys = marching_squares(p - level, thetas, phis)
-        if not polys and p.min() + 1e-9 < level < p.max() - 1e-9:
-            raise DegenerateGridError(
-                f"level {level} lies in the field range "
-                f"[{p.min()}, {p.max()}] but no contour was found")
+        polys = marching_squares(p, thetas, phis, level)
+        if not polys:
+            if p.min() + 1e-9 < level < p.max() - 1e-9:
+                raise DegenerateGridError(
+                    f"level {level} lies in the field range "
+                    f"[{p.min()}, {p.max()}] but no contour was found")
+            continue
+        # the overlap and chart-edge flag of every vertex of the level at once;
+        # the entropy stays scalar, as np.log and math.log can differ in the
+        # last bit
+        th, ph = np.array([v for poly in polys for v in poly]).T
+        qs = np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + _axes_dot(th, ph, ni, np))))
+        edge = on_chart_edge(th, ph)
+        ths, phs, qs = th.tolist(), ph.tolist(), qs.tolist()
+        start = 0
         for poly in polys:
-            verts = []
-            zero = False
-            touches = False
-            for th, ph in poly:
-                q = _axes_overlap_at(th, ph, ni)
-                su = binary_entropy(q)
-                zero = zero or su <= EPS_Z
-                touches = touches or on_chart_edge(th, ph)
-                verts.append((float(th), float(ph), q, su))
-            curves.append(LevelSetCurve(level, verts, cid, touches, zero))
+            end = start + len(poly)
+            sus = [binary_entropy(q) for q in qs[start:end]]
+            verts = list(zip(ths[start:end], phs[start:end], qs[start:end], sus))
+            curves.append(LevelSetCurve(level, verts, cid,
+                                        bool(edge[start:end].any()),
+                                        min(sus) <= EPS_Z))
             cid += 1
+            start = end
     return curves
 
 
-def _grad_overlap(theta: float, phi: float, s: SpinState) -> tuple[float, float]:
+def _grad_overlap(theta, phi, s: SpinState, xp=math):
     r = math.sqrt(s.rho * (1.0 - s.rho))
-    dth = 0.5 * (1.0 - 2.0 * s.rho) * math.sin(theta) \
-        + r * math.cos(theta) * math.cos(phi - s.tau)
-    dph = -r * math.sin(theta) * math.sin(phi - s.tau)
+    dth = 0.5 * (1.0 - 2.0 * s.rho) * xp.sin(theta) \
+        + r * xp.cos(theta) * xp.cos(phi - s.tau)
+    dph = -r * xp.sin(theta) * xp.sin(phi - s.tau)
     return dth, dph
 
 
@@ -250,21 +265,22 @@ def _project_to_level(theta: float, phi: float, s: SpinState, level: float,
     return theta + t * gth / norm, phi + t * gph / norm
 
 
-def _grad_axes_overlap(theta: float, phi: float, ni: tuple[float, float, float]
-                       ) -> tuple[float, float]:
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
+def _grad_axes_overlap(theta, phi, ni: tuple[float, float, float], xp=math):
+    ct, st = xp.cos(theta), xp.sin(theta)
+    cp, sp = xp.cos(phi), xp.sin(phi)
     dth = 0.5 * (ct * cp * ni[0] + ct * sp * ni[1] - st * ni[2])
     dph = 0.5 * (-st * sp * ni[0] + st * cp * ni[1])
     return dth, dph
 
 
-def _tangency(theta: float, phi: float, s: SpinState,
-              ni: tuple[float, float, float]) -> float:
+def _tangency(theta, phi, s: SpinState, ni: tuple[float, float, float],
+              xp=math):
     """Cross product of the overlap and constraint gradients; zero exactly at
-    an extremum of the overlap along the level curve."""
-    gth, gph = _grad_overlap(theta, phi, s)
-    hth, hph = _grad_axes_overlap(theta, phi, ni)
+    an extremum of the overlap along the level curve.  With xp=np it is
+    evaluated elementwise over arrays of angles by the same operations in the
+    same order as the scalar form."""
+    gth, gph = _grad_overlap(theta, phi, s, xp)
+    hth, hph = _grad_axes_overlap(theta, phi, ni, xp)
     return hth * gph - hph * gth
 
 
@@ -324,7 +340,8 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
     cands: list[Candidate] = []
     zero = curve.contains_zero_entropy
 
-    tangs = [_tangency(th, ph, s, ni) for th, ph in pts]
+    th, ph = np.array(pts).T
+    tangs = _tangency(th, ph, s, ni, np).tolist()
     found: list[tuple[float, float, float]] = []
     segs = range(n) if closed else range(n - 1)
     for k in segs:

@@ -101,6 +101,13 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
+    def test_huge_grid_is_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "solve", *GENERIC,
+                                 "--grid", "100000000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: grid_n must be in [64, 8192]\n"
+
     def test_json_flag_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "solve", *GENERIC, "--json")
         assert code == 1
@@ -225,6 +232,13 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_huge_grid_n_is_exit_1(self, capsys, tmp_path):
+        cfg_path, out_path = self.config(tmp_path, grid_n=100_000_000)
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: grid_n must be in [64, 8192]\n"
 
     def test_unknown_field_diagnostic(self, capsys, tmp_path):
         cfg_path, _ = self.config(tmp_path)

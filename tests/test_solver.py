@@ -281,6 +281,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(method="newton")
 
+    def test_grid_n_upper_bound(self):
+        # validated before any field is allocated
+        assert SolverConfig(grid_n=solver.GRID_N_MAX).grid_n == 8192
+        with pytest.raises(ValueError, match=r"grid_n must be in \[64, 8192\]"):
+            SolverConfig(grid_n=solver.GRID_N_MAX + 1)
+
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.grid_n == 1024
