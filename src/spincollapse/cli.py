@@ -164,6 +164,24 @@ RUN_FIELDS = {
 }
 
 
+def _config_value(typ: type, value: object):
+    """value as a typ config field, or None when it is not one: a str field
+    takes a string, a float field a number and an int field an integral
+    number; a boolean is not a number."""
+    if typ is str:
+        return value if isinstance(value, str) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if typ is int:
+        if isinstance(value, float) and not value.is_integer():
+            return None
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -175,17 +193,20 @@ def cmd_run(args) -> int:
         print(f"error: config parse error at line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 1
+    if not isinstance(raw, dict):
+        print("error: config must be a JSON object", file=sys.stderr)
+        return 1
     cfgd = {}
     for name, typ in RUN_FIELDS.items():
         if name not in raw:
             print(f"error: config missing field {name!r}", file=sys.stderr)
             return 1
-        try:
-            cfgd[name] = typ(raw[name])
-        except (TypeError, ValueError):
+        value = _config_value(typ, raw[name])
+        if value is None:
             print(f"error: config field {name!r} must be {typ.__name__}",
                   file=sys.stderr)
             return 1
+        cfgd[name] = value
     unknown = set(raw) - set(RUN_FIELDS)
     if unknown:
         print(f"error: unknown config fields: {sorted(unknown)}",

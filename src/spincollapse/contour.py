@@ -1,19 +1,33 @@
-"""Marching-squares contour extraction with deterministic polyline chaining.
+"""Matrix-free marching squares on a separable field, with deterministic
+polyline chaining.
 
-Extracts the level set values == level of a scalar field sampled on a
-rectangular grid (Lorensen & Cline 1987) and chains the per-cell segments
-into connected polylines.  Everything but the final walk along the chains
-is whole-array numpy work over the crossed edges and cells only:
+Extracts the level set values == level of the field values[i, j] =
+b[i] * c[j] + a[i], sampled at (xs[i], ys[j]) and evaluated as numpy does
+it elementwise (the product, then the sum, each rounded once), without ever
+building the (len(xs), len(ys)) array (Lorensen & Cline 1987):
 
-- A node is positive when values >= level, so a node exactly at the level
-  counts as positive; the input array is neither copied nor changed.
+- A node is positive when its value >= level, so a node exactly at the
+  level counts as positive.
+- Rounding is monotone, so along a row the value is a monotone function of
+  c[j]: non-decreasing when b[i] > 0, non-increasing when b[i] < 0 and
+  constant when b[i] == 0.  c splits into runs of consecutive nodes along
+  which it never decreases (or never increases); on the run's nodes taken
+  in ascending order of c, a row's nodes are negative up to a split rank
+  and positive from it on (mirrored when b[i] < 0).  The split rank is
+  looked up at the analytic root (level - a[i]) / b[i] by one searchsorted
+  per run and confirmed by evaluating the node predicate at the two ranks
+  around it; a row where the root is off is bisected on the predicate.
 - Grid edges carry integer ids: H edge (i, j), joining nodes (i, j) and
   (i+1, j), is i*m + j; V edge (i, j), joining (i, j) and (i, j+1), is
-  (n-1)*m + i*(m-1) + j.  The crossed edges (ends of opposite sign) come out
-  of np.flatnonzero already sorted, all H ids before all V ids.
-- A cell is crossed when one of its edges is; a 16-entry table maps its four
-  corner signs to its segment.  A saddle cell (four crossed edges) is split
-  by the sign of its centre, the mean of its four corner offsets.
+  (n-1)*m + i*(m-1) + j.  In each run a row has at most one crossed V edge,
+  at its split rank, and rows i and i+1 have crossed H edges at the nodes
+  between their two split ranks (outside them when b changes sign), which
+  is one interval of j per run.  The crossed edges are listed in id order,
+  all H ids before all V ids.
+- The crossed cells are the cells next to a crossed edge, sorted.  A
+  16-entry table maps a cell's four corner signs to its segment.  A saddle
+  cell (four crossed edges) is split by the sign of its centre, the mean of
+  its four corner offsets.
 - A crossing lies where the linear interpolation of values - level along its
   edge is zero; an offset of exactly zero is taken as 1e-30.
 - Each crossed edge borders at most two cells and has one neighbour edge in
@@ -21,6 +35,11 @@ is whole-array numpy work over the crossed edges and cells only:
   steps to the first neighbour not yet visited.  Open chains start from the
   edges of degree one, then closed loops, each in edge id order, so the
   output is bit-reproducible.
+
+Node values are computed only where they are read: at the probed split
+ranks, at the ends of the crossed edges and at the corners of the crossed
+cells.  The cost per level is O(n log m) for the split ranks plus
+O(crossings) for the rest, against O(n m) for a scan of the whole field.
 """
 
 from __future__ import annotations
@@ -29,6 +48,9 @@ import numpy as np
 
 # cell sides, in the order a cell lists its crossed edges
 BOTTOM, RIGHT, TOP, LEFT = range(4)
+_LOW = np.array([-np.inf])
+_HIGH = np.array([np.inf])
+_BELOW_AT = np.array([1, 0])  # base + k minus these: ranks k - 1 and k
 
 
 def _segment_table() -> np.ndarray:
@@ -48,10 +70,10 @@ def _segment_table() -> np.ndarray:
 SEGMENT_TABLE = _segment_table()
 
 
-def _offset(values: np.ndarray, i: np.ndarray, j: np.ndarray,
-            level: float) -> np.ndarray:
+def _offset(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: np.ndarray,
+            j: np.ndarray, level: float) -> np.ndarray:
     """values[i, j] - level, with an exact zero taken as 1e-30."""
-    d = values[i, j] - level
+    d = b[i] * c[j] + a[i] - level
     d[d == 0.0] = 1e-30
     return d
 
@@ -64,24 +86,118 @@ def _interpolate(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     return coords[k] + t * (coords[k + 1] - coords[k])
 
 
-def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                     level: float = 0.0) -> list[list[tuple[float, float]]]:
-    """Polylines of the level set values == level, with values[i, j] =
-    F(xs[i], ys[j]).
+def _runs(c: np.ndarray) -> list[tuple[int, int, bool]]:
+    """(s, e, rising) of each maximal run of nodes s..e along which c never
+    decreases (rising) or never increases; consecutive runs share a node."""
+    steps = np.flatnonzero(c[1:] != c[:-1])
+    rising = c[steps + 1] > c[steps]
+    turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
+    bounds = [0, *steps[turns].tolist(), c.size - 1]
+    ups = rising[:1].tolist() + rising[turns].tolist() or [True]
+    return list(zip(bounds, bounds[1:], ups))
+
+
+def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ids of the crossed H edges and of the crossed V edges (the
+    latter counted from 0, not from the first V id)."""
+    n, m = a.size, c.size
+    runs = _runs(c)
+    # every run in ascending order between -inf and +inf: rank t of run r is
+    # at base[r] + t, so rank -1 reads -inf and rank size[r] reads +inf.
+    # Rank t is node origin[r] + step[r] * t on a rising run and that minus
+    # 1 on a falling one.  The run owns the nodes first[r] .. end[r] - 1:
+    # its last node is the next run's first
+    views, meta, offset = [], [], 1
+    for s, e, rising in runs:
+        views.append(c[s:e + 1] if rising else c[s:e + 1][::-1])
+        meta.append((offset, e - s + 1, s if rising else e + 1,
+                     1 if rising else -1, s, e + 1 if e == m - 1 else e))
+        offset += e - s + 3
+    base, size, origin, step, first, end = np.array(meta).T[:, :, None]
+    pad = np.concatenate([x for v in views for x in (_LOW, v, _HIGH)])
+
+    # along every run the predicate (value >= level) != (b < 0) is false,
+    # then true; a row's split rank k is its first true rank.  It is looked
+    # up at the analytic root and confirmed at ranks k - 1 and k.  Flat rows
+    # (b == 0) are searched as if b were 1, then set to all true or false
+    neg = b < 0.0
+    has_neg = bool(neg.any())
+    flat = np.flatnonzero(b == 0.0)
+    b1 = b.copy()
+    b1[flat] = 1.0
+    root = (level - a) / b1
+    k = np.array([np.searchsorted(pad[o:o + v.size], root)
+                  for o, v in zip(base[:, 0].tolist(), views)])
+    q = b1[:, None] * pad[(k + base)[..., None] - _BELOW_AT] + a[:, None] >= level
+    if has_neg:
+        q ^= neg[:, None]
+    below, above = q[..., 0], q[..., 1]
+    ok = above > below
+    if not ok.all():
+        # true at rank k - 1: k is in [0, k - 1]; else false at rank k: k is
+        # in [k + 1, size]
+        rb, ib = np.nonzero(~ok)
+        kb, low = k[rb, ib], below[rb, ib]
+        lo = np.where(low, 0, kb + 1)
+        hi = np.where(low, kb - 1, size[rb, 0])
+        at, ab, bb, nb = base[rb, 0], a[ib], b1[ib], neg[ib]
+        while True:
+            open_ = lo < hi
+            if not open_.any():
+                break
+            mid = (lo + hi) // 2
+            true = (bb * pad[at + mid] + ab >= level) != nb
+            hi = np.where(open_ & true, mid, hi)
+            lo = np.where(open_ & ~true, mid + 1, lo)
+        k[rb, ib] = lo
+    if flat.size:
+        k[:, flat] = np.where(a[flat] >= level, 0, size)
+
+    # split[r, i]: the later node of the two around row i's split in run r
+    split = origin + step * k
+    # V: in each run, the edge between the two nodes around the split
+    inner = (k > 0) & (k < size)
+    v_ids = (split + np.arange(-1, n * (m - 1) - 1, m - 1)).T[inner.T]
+
+    # H: rows i and i+1 differ on the nodes between their splits, or, when
+    # exactly one of them has b < 0, on the rest of the run
+    j0 = np.minimum(split[:, :-1], split[:, 1:])
+    j1 = np.maximum(split[:, :-1], split[:, 1:])
+    if has_neg:
+        turned = neg[:-1] != neg[1:]
+        j0, j1 = (np.stack((np.where(turned, first, j0), j1)),
+                  np.stack((np.where(turned, j0, j1), np.where(turned, m, j1))))
+    else:
+        j0, j1 = j0[None], j1[None]
+    # clip to the nodes each run owns; list the intervals by pair, then
+    # run, then piece
+    lens = np.maximum(np.minimum(j1, end) - j0, 0).transpose(2, 1, 0).ravel()
+    starts = (j0 + np.arange(0, (n - 1) * m, m)).transpose(2, 1, 0).ravel()
+    h_ids = (np.repeat(starts - np.cumsum(lens) + lens, lens)
+             + np.arange(lens.sum()))
+    return h_ids, v_ids
+
+
+def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                     xs: np.ndarray, ys: np.ndarray, level: float = 0.0
+                     ) -> list[list[tuple[float, float]]]:
+    """Polylines of the level set values == level of the separable field
+    values[i, j] = b[i] * c[j] + a[i] = F(xs[i], ys[j]).
 
     Returns a list of polylines, each a list of (x, y) vertices.  Open
     polylines end on the grid boundary; a closed loop of more than two
     vertices repeats its first vertex at the end.
     """
-    values = np.asarray(values, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    n, m = values.shape
+    n, m = a.size, c.size
     if n < 2 or m < 2:
         return []
-    pos = values >= level
-    h_ids = np.flatnonzero(pos[:-1, :] != pos[1:, :])
-    v_ids = np.flatnonzero(pos[:, :-1] != pos[:, 1:])
+    h_ids, v_ids = _crossed_edges(a, b, c, level)
     n_h = (n - 1) * m
     edges = np.concatenate((h_ids, v_ids + n_h))
 
@@ -89,24 +205,28 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     hi, hj = np.divmod(h_ids, m)
     vi, vj = np.divmod(v_ids, m - 1)
     px = np.concatenate((
-        _interpolate(_offset(values, hi, hj, level),
-                     _offset(values, hi + 1, hj, level), hi, xs),
+        _interpolate(_offset(a, b, c, hi, hj, level),
+                     _offset(a, b, c, hi + 1, hj, level), hi, xs),
         xs[vi]))
     py = np.concatenate((
         ys[hj],
-        _interpolate(_offset(values, vi, vj, level),
-                     _offset(values, vi, vj + 1, level), vj, ys)))
+        _interpolate(_offset(a, b, c, vi, vj, level),
+                     _offset(a, b, c, vi, vj + 1, level), vj, ys)))
 
-    # crossed cells, row-major; cell (i, j) has id i*(m-1) + j
-    marked = np.zeros((n - 1) * (m - 1), dtype=bool)
-    marked[(hi * (m - 1) + hj - 1)[hj > 0]] = True
-    marked[(hi * (m - 1) + hj)[hj < m - 1]] = True
-    marked[(v_ids - (m - 1))[vi > 0]] = True
-    marked[v_ids[vi < n - 1]] = True
-    ci, cj = np.divmod(np.flatnonzero(marked), m - 1)
-    c00 = pos[ci, cj]
-    case = (c00 + 2 * pos[ci + 1, cj] + 4 * pos[ci, cj + 1]
-            + 8 * pos[ci + 1, cj + 1])
+    # crossed cells, the cells next to a crossed edge; cell (i, j) has id
+    # i*(m-1) + j.  Sorted, a repeated id follows its first copy
+    h_cell = hi * (m - 1) + hj
+    cell_ids = np.sort(np.concatenate((
+        h_cell[hj > 0] - 1, h_cell[hj < m - 1],
+        v_ids[vi > 0] - (m - 1), v_ids[vi < n - 1])))
+    first_copy = np.concatenate(([True], cell_ids[1:] != cell_ids[:-1]))
+    ci, cj = np.divmod(cell_ids[first_copy[:cell_ids.size]], m - 1)
+    b0, a0, b1, a1 = b[ci], a[ci], b[ci + 1], a[ci + 1]
+    y0, y1 = c[cj], c[cj + 1]
+    corners = (b0 * y0 + a0, b1 * y0 + a1, b0 * y1 + a0, b1 * y1 + a1)
+    c00 = corners[0] >= level
+    case = (c00 + 2 * (corners[1] >= level) + 4 * (corners[2] >= level)
+            + 8 * (corners[3] >= level))
 
     # per side of each crossed cell: its edge id, and its neighbour slot
     # (1 when the edge's other cell comes earlier in row-major order)
@@ -119,11 +239,12 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
     sides = SEGMENT_TABLE[case]
     saddle = np.flatnonzero((case == 6) | (case == 9))
-    si, sj = ci[saddle], cj[saddle]
-    centre = 0.25 * (_offset(values, si, sj, level)
-                     + _offset(values, si + 1, sj, level)
-                     + _offset(values, si, sj + 1, level)
-                     + _offset(values, si + 1, sj + 1, level))
+    centre = 0.0
+    for corner in corners:
+        d = corner[saddle] - level
+        d[d == 0.0] = 1e-30
+        centre = centre + d
+    centre = 0.25 * centre
     # the corner pair sharing c00's sign is joined through the centre when
     # the centre has that sign too; a saddle cell has a second segment
     joined = ((centre > 0.0) == c00[saddle])[:, None]

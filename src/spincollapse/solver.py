@@ -15,6 +15,8 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,9 +37,10 @@ CHART_EDGE = 1e-12  # angles this close to 0 or pi lie on the chart edge
 EPS_TRIVIAL = 1e-9  # an outcome this improbable makes the state an eigenstate
 EPS_Z = 1e-6  # eigenbasis entropy at or below this is a zero-entropy point
 DEDUP_RADIUS = 1e-6  # refined extrema closer than this are one extremum
+SAME_VERTEX = 1e-12  # consecutive curve vertices closer than this are one
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
-GRID_N_MAX = 8192  # a (GRID_N_MAX + 1)^2 float64 field is 537 MB
+GRID_N_MAX = 8192  # time, grid factors and vertex lists grow with grid_n
 
 
 class Status(enum.Enum):
@@ -104,15 +107,16 @@ def is_trivial(p_same: float) -> bool:
     return min(p_same, 1.0 - p_same) <= EPS_TRIVIAL
 
 
-def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, ...]:
+    """(thetas, phis, a, b, c) of the (n + 1)^2 chart grid, where the
+    up-overlap field is p[i, j] = b[i] * c[j] + a[i], each operation rounded
+    once; the field itself is never built."""
     thetas = np.linspace(0.0, math.pi, n + 1)
     phis = np.linspace(0.0, math.pi, n + 1)
     rho, tau = s.rho, s.tau
     a = rho * np.cos(thetas / 2.0) ** 2 + (1.0 - rho) * np.sin(thetas / 2.0) ** 2
     b = math.sqrt(rho * (1.0 - rho)) * np.sin(thetas)
-    p = b[:, None] * np.cos(phis - tau)[None, :]
-    p += a[:, None]
-    return thetas, phis, p
+    return thetas, phis, a, b, np.cos(phis - tau)
 
 
 def _axes_dot(theta, phi, ni: tuple[float, float, float], xp=math):
@@ -124,6 +128,11 @@ def _axes_dot(theta, phi, ni: tuple[float, float, float], xp=math):
 
 def _axes_overlap_at(theta: float, phi: float, ni: tuple[float, float, float]) -> float:
     return min(1.0, max(0.0, 0.5 * (1.0 + _axes_dot(theta, phi, ni))))
+
+
+def _column(points: list[tuple], k: int) -> np.ndarray:
+    """Entry k of every point, as a float array."""
+    return np.fromiter(map(itemgetter(k), points), float, len(points))
 
 
 def on_chart_edge(theta, phi):
@@ -142,24 +151,29 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     eigenbasis overlap with it and that overlap's entropy, and a curve with a
     vertex at entropy <= EPS_Z is marked as containing a zero-entropy point.
     """
-    thetas, phis, p = _overlap_grid(s, cfg.grid_n)
+    thetas, phis, a, b, c = _overlap_grid(s, cfg.grid_n)
     ni = axis_to_bloch(axis_i)
     curves: list[LevelSetCurve] = []
     cid = 0
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0,1): {level}")
-        polys = marching_squares(p, thetas, phis, level)
+        polys = marching_squares(a, b, c, thetas, phis, level)
         if not polys:
-            if p.min() + 1e-9 < level < p.max() - 1e-9:
+            # each row is monotone in c, so its extremes lie at min(c), max(c)
+            ends = (b * c.min() + a, b * c.max() + a)
+            lo = min(end.min() for end in ends)
+            hi = max(end.max() for end in ends)
+            if lo + 1e-9 < level < hi - 1e-9:
                 raise DegenerateGridError(
                     f"level {level} lies in the field range "
-                    f"[{p.min()}, {p.max()}] but no contour was found")
+                    f"[{lo}, {hi}] but no contour was found")
             continue
         # the overlap and chart-edge flag of every vertex of the level at once;
         # the entropy stays scalar, as np.log and math.log can differ in the
         # last bit
-        th, ph = np.array([v for poly in polys for v in poly]).T
+        points = list(chain.from_iterable(polys))
+        th, ph = _column(points, 0), _column(points, 1)
         qs = np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + _axes_dot(th, ph, ni, np))))
         edge = on_chart_edge(th, ph)
         ths, phs, qs = th.tolist(), ph.tolist(), qs.tolist()
@@ -317,6 +331,30 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
     return th, ph, _axes_overlap_at(th, ph, ni)
 
 
+def _drop_repeats(th: np.ndarray, ph: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices left when every vertex within SAME_VERTEX of the last
+    vertex kept before it is dropped (crossings collapsing onto a grid node).
+
+    A vertex more than 3 SAME_VERTEX from its predecessor is always kept:
+    the predecessor is either kept or within SAME_VERTEX of the last kept
+    vertex, so the last kept vertex is more than 2 SAME_VERTEX away.  The
+    scalar comparison with the last kept vertex therefore runs only on the
+    vertices close to their predecessor.
+    """
+    dth, dph = th[1:] - th[:-1], ph[1:] - ph[:-1]
+    close = np.flatnonzero(dth * dth + dph * dph <= (3.0 * SAME_VERTEX) ** 2)
+    if not close.size:
+        return th, ph
+    keep = [True] * th.size
+    last = 0
+    for k in (close + 1).tolist():
+        if keep[k - 1]:
+            last = k - 1
+        keep[k] = math.hypot(th[k] - th[last], ph[k] - ph[last]) > SAME_VERTEX
+    return th[keep], ph[keep]
+
+
 def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
                       ) -> tuple[list[Candidate], bool]:
     """Refined interior extrema of the eigenbasis overlap along one curve plus
@@ -327,20 +365,16 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
     bracket an extremum where the overlap is flat along the curve.
     """
     ni = axis_to_bloch(i)
-    raw = [(v[0], v[1]) for v in curve.vertices]
-    closed = len(raw) > 2 and raw[0] == raw[-1]
+    th, ph = _column(curve.vertices, 0), _column(curve.vertices, 1)
+    closed = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
     if closed:
-        raw = raw[:-1]
-    # drop consecutive duplicates (crossings collapsing onto a grid node)
-    pts = [raw[0]]
-    for p in raw[1:]:
-        if math.hypot(p[0] - pts[-1][0], p[1] - pts[-1][1]) > 1e-12:
-            pts.append(p)
+        th, ph = th[:-1], ph[:-1]
+    th, ph = _drop_repeats(th, ph)
+    pts = list(zip(th.tolist(), ph.tolist()))
     n = len(pts)
     cands: list[Candidate] = []
     zero = curve.contains_zero_entropy
 
-    th, ph = np.array(pts).T
     tangs = _tangency(th, ph, s, ni, np).tolist()
     found: list[tuple[float, float, float]] = []
     segs = range(n) if closed else range(n - 1)

@@ -240,6 +240,52 @@ class TestRun:
         assert out == ""
         assert err == "error: grid_n must be in [64, 8192]\n"
 
+    @pytest.mark.parametrize("root", [5, "theta_i", ["theta_i", 0.5]],
+                             ids=["number", "string", "list"])
+    def test_non_object_root_is_exit_1(self, capsys, tmp_path, root):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(root))
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: config must be a JSON object\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("memory_depth", 1.9), ("grid_n", 256.7), ("max_steps", True),
+        ("seed", False), ("grid_n", "256")])
+    def test_int_fields_take_integral_numbers_only(self, capsys, tmp_path,
+                                                   field, value):
+        cfg_path, _ = self.config(tmp_path, **{field: value})
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: config field {field!r} must be int\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho", "0.4"), ("theta_i", True)])
+    def test_float_fields_take_numbers_only(self, capsys, tmp_path, field,
+                                            value):
+        cfg_path, _ = self.config(tmp_path, **{field: value})
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: config field {field!r} must be float\n"
+
+    @pytest.mark.parametrize("field, value", [("pfn", 1), ("method", ["grid"])])
+    def test_str_fields_take_strings_only(self, capsys, tmp_path, field,
+                                          value):
+        cfg_path, _ = self.config(tmp_path, **{field: value})
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: config field {field!r} must be str\n"
+
+    def test_integral_numbers_are_accepted(self, capsys, tmp_path):
+        cfg_path, _ = self.config(tmp_path, grid_n=256.0, tau=0, max_steps=1e1)
+        code, out, _ = run_cli(capsys, "run", str(cfg_path))
+        assert code == 0
+        assert json.loads(out)["steps"] == 2
+
     def test_unknown_field_diagnostic(self, capsys, tmp_path):
         cfg_path, _ = self.config(tmp_path)
         raw = json.loads(cfg_path.read_text())

@@ -1,14 +1,21 @@
-"""Marching-squares contour extraction on analytic fields with known level
-sets, and bit-for-bit agreement with a per-cell reference loop."""
+"""Marching-squares contour extraction on separable analytic fields with
+known level sets, and bit-for-bit agreement with a per-cell reference loop
+over the dense field."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spincollapse.bloch import SpinState, canonicalize_axis
 from spincollapse.contour import marching_squares
-from spincollapse.solver import _overlap_grid, constraint_levels
+from spincollapse.solver import (
+    SolverConfig,
+    _overlap_grid,
+    constraint_levels,
+    trace_level_sets,
+)
 
 from conftest import random_instance
 
@@ -87,17 +94,29 @@ def _reference_marching_squares(values, xs, ys):
     return polylines
 
 
-def _grid(f, n=128, lo=-2.0, hi=2.0):
+def _dense(a, b, c):
+    """The dense field the triple (a, b, c) stands for, each node rounded
+    as marching_squares rounds it: the product, then the sum."""
+    return b[:, None] * c[None, :] + a[:, None]
+
+
+def _triple(fa, fb, fc, n=128, lo=-2.0, hi=2.0):
+    """(a, b, c, xs, ys) of the field fb(x) * fc(y) + fa(x) on an
+    (n + 1)^2 grid."""
     xs = np.linspace(lo, hi, n + 1)
     ys = np.linspace(lo, hi, n + 1)
-    vals = f(xs[:, None], ys[None, :])
-    return vals, xs, ys
+    zero = np.zeros(n + 1)
+    return fa(xs) + zero, fb(xs) + zero, fc(ys) + zero, xs, ys
+
+
+def _one(x):
+    return 1.0
 
 
 class TestMarchingSquares:
     def test_circle_is_one_closed_loop(self):
-        vals, xs, ys = _grid(lambda x, y: x * x + y * y - 1.0)
-        polys = marching_squares(vals, xs, ys)
+        a, b, c, xs, ys = _triple(lambda x: x * x - 1.0, _one, lambda y: y * y)
+        polys = marching_squares(a, b, c, xs, ys)
         assert len(polys) == 1
         poly = polys[0]
         assert poly[0] == poly[-1]  # closed
@@ -105,8 +124,10 @@ class TestMarchingSquares:
             assert math.hypot(x, y) == pytest.approx(1.0, abs=2e-3)
 
     def test_line_is_one_open_polyline(self):
-        vals, xs, ys = _grid(lambda x, y: x - 0.25 + 0.0 * y)
-        polys = marching_squares(vals, xs, ys)
+        # b == 0 on every row: each row is constant
+        a, b, c, xs, ys = _triple(lambda x: x - 0.25, lambda x: 0.0,
+                                  lambda y: y)
+        polys = marching_squares(a, b, c, xs, ys)
         assert len(polys) == 1
         poly = polys[0]
         assert poly[0] != poly[-1]
@@ -114,113 +135,195 @@ class TestMarchingSquares:
             assert x == pytest.approx(0.25, abs=1e-9)
 
     def test_two_components(self):
-        vals, xs, ys = _grid(
-            lambda x, y: ((x - 1.0) ** 2 + y ** 2 - 0.16)
-            * ((x + 1.0) ** 2 + y ** 2 - 0.16) / 4.0)
-        # product of two circle fields is positive outside both and inside
-        # both; its zero set is the union of the two circles
-        polys = marching_squares(vals, xs, ys)
+        # y^2 + min((x - 1)^2, (x + 1)^2) - 0.16: two circles of radius 0.4
+        a, b, c, xs, ys = _triple(
+            lambda x: np.minimum((x - 1.0) ** 2, (x + 1.0) ** 2) - 0.16,
+            _one, lambda y: y * y)
+        polys = marching_squares(a, b, c, xs, ys)
         assert len(polys) == 2
 
     def test_empty_level_set(self):
-        vals, xs, ys = _grid(lambda x, y: x * x + y * y + 1.0)
-        assert marching_squares(vals, xs, ys) == []
+        a, b, c, xs, ys = _triple(lambda x: x * x + 1.0, _one, lambda y: y * y)
+        assert marching_squares(a, b, c, xs, ys) == []
 
     def test_vertices_interpolate_the_zero(self):
-        vals, xs, ys = _grid(lambda x, y: np.sin(x) + np.cos(y) - 0.3,
-                             n=256)
-        polys = marching_squares(vals, xs, ys)
+        a, b, c, xs, ys = _triple(lambda x: np.sin(x) - 0.3, _one, np.cos,
+                                  n=256)
+        polys = marching_squares(a, b, c, xs, ys)
         assert polys
         for poly in polys:
             for x, y in poly:
                 assert abs(math.sin(x) + math.cos(y) - 0.3) < 5e-4
 
     def test_deterministic(self):
-        vals, xs, ys = _grid(lambda x, y: np.sin(3 * x) * np.cos(2 * y) - 0.1)
-        a = marching_squares(vals, xs, ys)
-        b = marching_squares(vals.copy(), xs.copy(), ys.copy())
-        assert a == b
+        a, b, c, xs, ys = _triple(lambda x: -0.1, lambda x: np.sin(3 * x),
+                                  lambda y: np.cos(2 * y))
+        first = marching_squares(a, b, c, xs, ys)
+        again = marching_squares(a.copy(), b.copy(), c.copy(), xs.copy(),
+                                 ys.copy())
+        assert first == again
+
+
+PINNED = [(canonicalize_axis(math.pi / 4, math.pi / 2), SpinState(0.4, 0.0)),
+          (canonicalize_axis(0.862, 1.197),
+           SpinState(math.cos(math.pi / 8) ** 2, math.pi / 2))]
 
 
 def _solver_fields():
-    """(id, field, thetas, phis, level) for both levels of the two pinned
+    """(id, (a, b, c), thetas, phis, level) for both levels of the two pinned
     instances and 20 seeded unfiltered ones, at grids 64 and 256."""
     rng = np.random.default_rng(11)
-    instances = [(canonicalize_axis(math.pi / 4, math.pi / 2), SpinState(0.4, 0.0)),
-                 (canonicalize_axis(0.862, 1.197),
-                  SpinState(math.cos(math.pi / 8) ** 2, math.pi / 2))]
-    instances += [random_instance(rng) for _ in range(20)]
+    instances = PINNED + [random_instance(rng) for _ in range(20)]
     for k, (axis, state) in enumerate(instances):
         for n in (64, 256):
-            thetas, phis, p = _overlap_grid(state, n)
+            thetas, phis, a, b, c = _overlap_grid(state, n)
             for level in constraint_levels(axis, state):
-                yield f"{k}-{n}-{level:.6f}", p, thetas, phis, level
+                yield f"{k}-{n}-{level:.6f}", (a, b, c), thetas, phis, level
+
+
+def _agrees_with_reference(a, b, c, xs, ys, level=0.0):
+    polys = marching_squares(a, b, c, xs, ys, level)
+    assert polys == _reference_marching_squares(_dense(a, b, c) - level, xs, ys)
+    return polys
 
 
 class TestReferenceOracle:
     def test_solver_fields(self):
         count = 0
-        for case, p, thetas, phis, level in _solver_fields():
-            assert marching_squares(p, thetas, phis, level) == \
-                _reference_marching_squares(p - level, thetas, phis), case
+        for case, abc, thetas, phis, level in _solver_fields():
+            assert marching_squares(*abc, thetas, phis, level) == \
+                _reference_marching_squares(_dense(*abc) - level, thetas,
+                                            phis), case
             count += 1
         assert count == 22 * 2 * 2
 
-    @pytest.mark.parametrize("f", [
-        lambda x, y: np.sin(3 * x) * np.cos(2 * y) - 0.1,  # many saddles
-        lambda x, y: np.round(4 * x * y) / 4,  # many exact-zero nodes
-        lambda x, y: x * y,  # a saddle on a node
-        lambda x, y: x * x + y * y + 1.0,  # no crossing
-    ], ids=["saddles", "zero-nodes", "node-saddle", "empty"])
-    def test_analytic_fields(self, f):
-        vals, xs, ys = _grid(f)
-        polys = marching_squares(vals, xs, ys)
-        assert polys == _reference_marching_squares(vals, xs, ys)
+    def test_solver_field_at_1024(self):
+        axis, state = random_instance(np.random.default_rng(12))
+        thetas, phis, a, b, c = _overlap_grid(state, 1024)
+        for level in constraint_levels(axis, state):
+            assert _agrees_with_reference(a, b, c, thetas, phis, level)
+
+    @pytest.mark.parametrize("fa, fb, fc", [
+        # b < 0 on some rows, and many saddles
+        (lambda x: -0.1, lambda x: np.sin(3 * x), lambda y: np.cos(2 * y)),
+        # exact-zero plateaus and nodes; b == 0 and b < 0 rows
+        (lambda x: 0.0, lambda x: np.round(2 * x), lambda y: np.round(2 * y)),
+        (lambda x: 0.0, lambda x: x, lambda y: y),  # a saddle on a node
+        (lambda x: x * x + 1.0, _one, lambda y: y * y),  # no crossing
+        # c in six monotone runs
+        (lambda x: 0.3 * x, lambda x: np.sin(2 * x) + 0.2,
+         lambda y: np.cos(5 * y)),
+        # b == 0 on the middle rows only
+        (lambda x: 0.2 - x * x, lambda x: np.where(abs(x) < 0.7, 0.0, 1.0),
+         np.sin),
+        # b so small against a that only a few rows' values differ at all
+        (lambda x: 0.6 + 0.0 * x, lambda x: 1e-16 * x, lambda y: y),
+    ], ids=["saddles", "zero-nodes", "node-saddle", "empty", "runs",
+            "flat-rows", "tiny-b"])
+    def test_analytic_fields(self, fa, fb, fc):
+        a, b, c, xs, ys = _triple(fa, fb, fc)
+        _agrees_with_reference(a, b, c, xs, ys)
+        for level in (-0.3, 0.45, float(_dense(a, b, c)[40, 70])):
+            _agrees_with_reference(a, b, c, xs, ys, level)
+
+    def test_tiny_b_levels_between_roundings(self):
+        a, b, c, xs, ys = _triple(lambda x: 0.6 + 0.0 * x,
+                                  lambda x: 1e-16 * x, lambda y: y)
+        values = np.unique(_dense(a, b, c))
+        assert values.size > 2
+        for level in values[1:]:  # at the minimum every node is positive
+            assert _agrees_with_reference(a, b, c, xs, ys, float(level))
+
+    def test_noisy_c(self):
+        # c goes up and down at random: a run of one or two nodes each
+        rng = np.random.default_rng(5)
+        a, b, c, xs, ys = _triple(lambda x: 0.1 * x, lambda x: np.cos(2 * x),
+                                  lambda y: rng.standard_normal(y.size), n=64)
+        assert _agrees_with_reference(a, b, c, xs, ys)
 
 
 class TestEdgeCases:
     XS = np.array([0.0, 1.0])
+    C = np.array([0.0, 1.0])  # values[:, 0] = a, values[:, 1] = a + b
 
     def test_saddle_centre_positive_joins_through_the_centre(self):
         # corners (0,0) and (1,1) positive, centre 0.25 > 0: each negative
         # corner is cut off on its own
-        vals = np.array([[1.0, -1.0], [-1.0, 2.0]])
+        a, b = np.array([1.0, -1.0]), np.array([-2.0, 3.0])
+        assert np.array_equal(_dense(a, b, self.C), [[1.0, -1.0], [-1.0, 2.0]])
         third = -1.0 / (-1.0 - 2.0)
         expected = [[(0.5, 0.0), (1.0, third)], [(third, 1.0), (0.0, 0.5)]]
-        assert marching_squares(vals, self.XS, self.XS) == expected
-        assert _reference_marching_squares(vals, self.XS, self.XS) == expected
+        assert marching_squares(a, b, self.C, self.XS, self.XS) == expected
+        assert _reference_marching_squares(
+            _dense(a, b, self.C), self.XS, self.XS) == expected
 
     def test_saddle_centre_negative_cuts_off_the_positive_corners(self):
-        vals = np.array([[1.0, -1.0], [-1.0, 0.5]])
+        a, b = np.array([1.0, -1.0]), np.array([-2.0, 1.5])
+        assert np.array_equal(_dense(a, b, self.C), [[1.0, -1.0], [-1.0, 0.5]])
         two_thirds = -1.0 / (-1.0 - 0.5)
         expected = [[(0.5, 0.0), (0.0, 0.5)], [(two_thirds, 1.0), (1.0, two_thirds)]]
-        assert marching_squares(vals, self.XS, self.XS) == expected
-        assert _reference_marching_squares(vals, self.XS, self.XS) == expected
+        assert marching_squares(a, b, self.C, self.XS, self.XS) == expected
+        assert _reference_marching_squares(
+            _dense(a, b, self.C), self.XS, self.XS) == expected
 
     def test_saddle_centre_zero_is_negative(self):
-        vals = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        a, b = np.array([1.0, -1.0]), np.array([-2.0, 2.0])
+        assert np.array_equal(_dense(a, b, self.C), [[1.0, -1.0], [-1.0, 1.0]])
         expected = [[(0.5, 0.0), (0.0, 0.5)], [(0.5, 1.0), (1.0, 0.5)]]
-        assert marching_squares(vals, self.XS, self.XS) == expected
-        assert _reference_marching_squares(vals, self.XS, self.XS) == expected
+        assert marching_squares(a, b, self.C, self.XS, self.XS) == expected
+        assert _reference_marching_squares(
+            _dense(a, b, self.C), self.XS, self.XS) == expected
+
+    def test_saddle_with_a_corner_at_the_level(self):
+        # corner (0, 0) is exactly at the level: it counts as positive, and
+        # as 1e-30 in the centre, which is then positive rather than zero,
+        # so the positive corners are joined through it
+        u = 2.0 ** -100
+        a, b = np.array([0.0, -u]), np.array([-u, 3 * u])
+        assert np.array_equal(_dense(a, b, self.C), [[0.0, -u], [-u, 2 * u]])
+        polys = _agrees_with_reference(a, b, self.C, self.XS, self.XS)
+        assert polys[0] == [(1e-30 / (1e-30 + u), 0.0), (1.0, 1.0 / 3.0)]
 
     def test_level_equals_shifted_field(self):
-        vals, xs, ys = _grid(lambda x, y: np.sin(3 * x) * np.cos(2 * y))
-        for level in (0.3, -0.45, float(vals[40, 70]), float(vals[64, 64])):
-            polys = marching_squares(vals, xs, ys, level)
-            assert polys
-            assert polys == marching_squares(vals - level, xs, ys)
+        # tracing at a level is tracing the field minus the level at 0,
+        # also at levels equal to node values
+        a, b, c, xs, ys = _triple(lambda x: 0.0, lambda x: np.sin(3 * x),
+                                  lambda y: np.cos(2 * y))
+        values = _dense(a, b, c)
+        for level in (0.3, -0.45, float(values[40, 70]), float(values[64, 64])):
+            assert _agrees_with_reference(a, b, c, xs, ys, level)
 
     def test_input_is_not_changed(self):
-        vals, xs, ys = _grid(lambda x, y: np.round(4 * x * y) / 4)
-        before = vals.copy()
-        vals.flags.writeable = False
-        marching_squares(vals, xs, ys)
-        marching_squares(vals, xs, ys, 0.25)
-        assert np.array_equal(vals, before)
+        a, b, c, xs, ys = _triple(lambda x: 0.0, lambda x: np.round(2 * x),
+                                  lambda y: np.round(2 * y))
+        before = [arr.copy() for arr in (a, b, c)]
+        for arr in (a, b, c):
+            arr.flags.writeable = False
+        marching_squares(a, b, c, xs, ys)
+        marching_squares(a, b, c, xs, ys, 0.25)
+        assert all(np.array_equal(x, y) for x, y in zip((a, b, c), before))
 
-    def test_fortran_order_and_int_input(self):
-        vals, xs, ys = _grid(lambda x, y: np.round(4 * x * y) - 1.0)
-        expected = marching_squares(vals, xs, ys)
+    def test_strided_and_int_input(self):
+        a, b, c, xs, ys = _triple(lambda x: -1.0, lambda x: np.round(2 * x),
+                                  lambda y: np.round(2 * y))
+        expected = marching_squares(a, b, c, xs, ys)
         assert expected
-        assert marching_squares(np.asfortranarray(vals), xs, ys) == expected
-        assert marching_squares(vals.astype(np.int64), xs, ys) == expected
+        assert marching_squares(*(np.repeat(v, 2)[::2] for v in (a, b, c)),
+                                xs, ys) == expected
+        assert marching_squares(*(v.astype(np.int64) for v in (a, b, c)),
+                                xs, ys) == expected
+
+
+def test_fine_grid_tracing_builds_no_field():
+    # a (4096 + 1)^2 float64 field alone would be 134 MB
+    axis, state = PINNED[0]
+    levels = constraint_levels(axis, state)
+    cfg = SolverConfig(grid_n=4096)
+    tracemalloc.start()
+    try:
+        curves = trace_level_sets(state, levels, cfg, axis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curves
+    assert peak < 16 * 2 ** 20

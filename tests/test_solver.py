@@ -114,6 +114,58 @@ class TestTraceLevelSets:
                                   axis_i=DEATH_AXIS)
         assert curves == []
 
+    def test_missed_level_reports_the_exact_field_range(self, monkeypatch):
+        # the range comes from each row's ends in c; it must be the dense
+        # field's minimum and maximum
+        _, _, a, b, c = solver._overlap_grid(GENERIC_STATE, self.CFG.grid_n)
+        dense = b[:, None] * c[None, :] + a[:, None]
+        monkeypatch.setattr(solver, "marching_squares", lambda *args: [])
+        with pytest.raises(solver.DegenerateGridError) as info:
+            trace_level_sets(GENERIC_STATE, (0.5,), self.CFG, GENERIC_AXIS)
+        assert f"[{dense.min()}, {dense.max()}]" in str(info.value)
+
+
+def _drop_repeats_loop(th, ph):
+    """The per-vertex loop that _drop_repeats replaced."""
+    pts = [(th[0], ph[0])]
+    for p in zip(th[1:], ph[1:]):
+        if math.hypot(p[0] - pts[-1][0], p[1] - pts[-1][1]) > 1e-12:
+            pts.append(p)
+    return pts
+
+
+class TestDropRepeats:
+    @staticmethod
+    def kept(th, ph):
+        th, ph = solver._drop_repeats(np.array(th), np.array(ph))
+        return list(zip(th.tolist(), ph.tolist()))
+
+    def test_chain_of_sub_threshold_steps(self):
+        # each step is 0.6e-12: a vertex is dropped against the last kept
+        # one, not against its predecessor, so every other vertex stays
+        th = (0.5 + 0.6e-12 * np.arange(21)).tolist()
+        ph = [1.0] * 21
+        assert self.kept(th, ph) == _drop_repeats_loop(th, ph)
+        assert len(self.kept(th, ph)) == 11
+
+    def test_random_walks_with_near_repeats(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            steps = rng.choice([0.0, 3e-13, 9e-13, 1.1e-12, 2.9e-12, 3.1e-12,
+                                1e-3], size=(40, 2))
+            th, ph = (0.5 + np.cumsum(steps * rng.choice([-1, 1], (40, 2)),
+                                      axis=0)).T.tolist()
+            assert self.kept(th, ph) == _drop_repeats_loop(th, ph)
+
+    def test_solver_curves(self):
+        for axis, state in nondegenerate_instances(seed=9, count=10):
+            levels = constraint_levels(axis, state)
+            for curve in trace_level_sets(state, levels, SolverConfig(grid_n=256),
+                                          axis):
+                th = [v[0] for v in curve.vertices]
+                ph = [v[1] for v in curve.vertices]
+                assert self.kept(th, ph) == _drop_repeats_loop(th, ph)
+
 
 class TestWorkedInstances:
     def test_generic_instance_solution(self):
