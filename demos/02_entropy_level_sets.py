@@ -44,12 +44,12 @@ def main():
         w = csv.writer(fh)
         w.writerow(["theta", "phi", "level", "component"])
         for cv in curves:
-            for th, ph, _, _ in cv.vertices:
+            for th, ph in zip(cv.theta.tolist(), cv.phi.tolist()):
                 w.writerow([f"{th:.6f}", f"{ph:.6f}", f"{cv.level:.6f}",
                             cv.component_id])
     for cv in curves:
         print(f"component {cv.component_id}: level {cv.level:.4f}, "
-              f"{len(cv.vertices)} vertices, "
+              f"{cv.theta.size} vertices, "
               f"boundary={cv.touches_boundary}, "
               f"zero-entropy point={cv.contains_zero_entropy}")
     print(f"wrote {out} (plot theta vs phi, colored by component)")

@@ -35,6 +35,8 @@ building the (len(xs), len(ys)) array (Lorensen & Cline 1987):
   steps to the first neighbour not yet visited.  Open chains start from the
   edges of degree one, then closed loops, each in edge id order, so the
   output is bit-reproducible.
+- The polylines come back as (k, 2) arrays of (x, y) vertices, gathered
+  from the crossing points in one pass after the walk.
 
 Node values are computed only where they are read: at the probed split
 ranks, at the ends of the crossed edges and at the corners of the crossed
@@ -181,13 +183,14 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
 
 def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                      xs: np.ndarray, ys: np.ndarray, level: float = 0.0
-                     ) -> list[list[tuple[float, float]]]:
+                     ) -> list[np.ndarray]:
     """Polylines of the level set values == level of the separable field
     values[i, j] = b[i] * c[j] + a[i] = F(xs[i], ys[j]).
 
-    Returns a list of polylines, each a list of (x, y) vertices.  Open
-    polylines end on the grid boundary; a closed loop of more than two
-    vertices repeats its first vertex at the end.
+    Returns a list of polylines, each a (k, 2) float array of (x, y)
+    vertices; the polylines are views into one array.  Open polylines end
+    on the grid boundary; a closed loop of more than two vertices repeats
+    its first vertex at the end.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -262,35 +265,40 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     nb[slots[1], ends[1]] = ends[0]
 
     first, second = nb.tolist()
-    xl, yl = px.tolist(), py.tolist()
     visited = bytearray(k + 1)
     visited[k] = 1
+    # the walked edges of every polyline, one after another; stops[p] is
+    # one past the last position of polyline p
+    order: list[int] = []
+    stops: list[int] = []
 
-    def walk(start: int) -> list[int]:
-        chain = [start]
-        visited[start] = 1
-        node = start
+    def walk(node: int) -> None:
+        order.append(node)
+        visited[node] = 1
         while True:
             if not visited[first[node]]:
                 node = first[node]
             elif not visited[second[node]]:
                 node = second[node]
             else:
-                return chain
-            chain.append(node)
+                return
+            order.append(node)
             visited[node] = 1
 
-    polylines: list[list[tuple[float, float]]] = []
     # open chains first: start from degree-1 edges
     for e in np.flatnonzero(nb[1] == k).tolist():
         if not visited[e]:
-            polylines.append([(xl[c], yl[c]) for c in walk(e)])
+            walk(e)
+            stops.append(len(order))
     # remaining are closed loops
-    for e in range(k):
-        if not visited[e]:
-            chain = walk(e)
-            poly = [(xl[c], yl[c]) for c in chain]
-            if len(chain) > 2:
-                poly.append(poly[0])  # close the loop
-            polylines.append(poly)
-    return polylines
+    e = visited.find(0)
+    while e >= 0:
+        start = len(order)
+        walk(e)
+        if len(order) - start > 2:
+            order.append(e)  # close the loop
+        stops.append(len(order))
+        e = visited.find(0, e + 1)
+
+    xy = np.column_stack((px, py))[order]
+    return [xy[lo:hi] for lo, hi in zip([0, *stops], stops)]

@@ -18,6 +18,7 @@ import numpy as np
 from .bloch import Axis
 
 MAX_MEMORY_DEPTH = 4
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +259,14 @@ class TruthTable:
     def from_hex(cls, text: str, n: int) -> "TruthTable":
         _check_memory_depth(n)  # before the shift below can fail on it
         length = 1 << (2 + 3 * n)
-        value = int(text, 16)
-        if value < 0:
+        if text.startswith("-"):
             raise ValueError(f"hex table must not be negative: {text!r}")
+        # int(text, 16) alone would also take "0x3", " 3", "1_0" and non-ASCII
+        # digits
+        if not text or not _HEX_DIGITS.issuperset(text):
+            raise ValueError(
+                f"hex table must be ASCII hex digits [0-9a-fA-F]: {text!r}")
+        value = int(text, 16)
         if value >= 1 << length:
             raise ValueError(f"hex table too long for memory depth {n}")
         bits = tuple((value >> (length - 1 - k)) & 1 for k in range(length))

@@ -15,8 +15,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -36,6 +34,10 @@ from .entropy import binary_entropy
 CHART_EDGE = 1e-12  # angles this close to 0 or pi lie on the chart edge
 EPS_TRIVIAL = 1e-9  # an outcome this improbable makes the state an eigenstate
 EPS_Z = 1e-6  # eigenbasis entropy at or below this is a zero-entropy point
+# f = binary_entropy increases on [0, 1/2] and f(q) = f(1 - q), and
+# f(NEAR_POLE) ~ 1.5e-5 > 14 EPS_Z: an overlap q can reach f(q) <= EPS_Z only
+# when min(q, 1 - q) <= NEAR_POLE, so f is evaluated on those overlaps alone
+NEAR_POLE = 1e-6
 DEDUP_RADIUS = 1e-6  # refined extrema closer than this are one extremum
 SAME_VERTEX = 1e-12  # consecutive curve vertices closer than this are one
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -61,15 +63,27 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class LevelSetCurve:
+    """One polyline of a level set, as three float arrays over its vertices:
+    the chart angles theta and phi and the eigenbasis overlap with the
+    initial axis.  A closed loop repeats its first vertex at the end."""
+
     level: float
-    # vertex tuples (theta, phi, eigenbasis overlap with the initial axis,
-    # its entropy s_up)
-    vertices: list[tuple[float, float, float, float]]
+    theta: np.ndarray
+    phi: np.ndarray
+    overlap: np.ndarray
     component_id: int
     touches_boundary: bool
     contains_zero_entropy: bool
+
+    @property
+    def vertices(self) -> list[tuple[float, float, float, float]]:
+        """The vertex tuples (theta, phi, overlap, s_up), with s_up the
+        entropy of the overlap; built anew on every access."""
+        qs = self.overlap.tolist()
+        return list(zip(self.theta.tolist(), self.phi.tolist(), qs,
+                        map(binary_entropy, qs)))
 
 
 @dataclass(frozen=True)
@@ -130,16 +144,18 @@ def _axes_overlap_at(theta: float, phi: float, ni: tuple[float, float, float]) -
     return min(1.0, max(0.0, 0.5 * (1.0 + _axes_dot(theta, phi, ni))))
 
 
-def _column(points: list[tuple], k: int) -> np.ndarray:
-    """Entry k of every point, as a float array."""
-    return np.fromiter(map(itemgetter(k), points), float, len(points))
-
-
 def on_chart_edge(theta, phi):
     """Whether a chart point lies on the edge of [0, pi] x [0, pi];
     elementwise for arrays."""
     return ((theta < CHART_EDGE) | (theta > math.pi - CHART_EDGE)
             | (phi < CHART_EDGE) | (phi > math.pi - CHART_EDGE))
+
+
+def _has_zero_entropy(overlap: np.ndarray) -> bool:
+    """Whether binary_entropy(q) <= EPS_Z for some overlap q; the entropy is
+    evaluated only where min(q, 1 - q) <= NEAR_POLE (see NEAR_POLE)."""
+    near = overlap[np.minimum(overlap, 1.0 - overlap) <= NEAR_POLE]
+    return any(binary_entropy(q) <= EPS_Z for q in near.tolist())
 
 
 def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
@@ -148,8 +164,8 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
 
     An empty result for a level is allowed: the level may be unattained on the
     chart.  The initial axis axis_i is required: every vertex carries its
-    eigenbasis overlap with it and that overlap's entropy, and a curve with a
-    vertex at entropy <= EPS_Z is marked as containing a zero-entropy point.
+    eigenbasis overlap with it, and a curve with a vertex whose overlap has
+    entropy <= EPS_Z is marked as containing a zero-entropy point.
     """
     thetas, phis, a, b, c = _overlap_grid(s, cfg.grid_n)
     ni = axis_to_bloch(axis_i)
@@ -169,22 +185,18 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
                     f"level {level} lies in the field range "
                     f"[{lo}, {hi}] but no contour was found")
             continue
-        # the overlap and chart-edge flag of every vertex of the level at once;
-        # the entropy stays scalar, as np.log and math.log can differ in the
-        # last bit
-        points = list(chain.from_iterable(polys))
-        th, ph = _column(points, 0), _column(points, 1)
+        # the overlap and chart-edge flag of every vertex of the level at
+        # once; each curve holds contiguous slices of the level's arrays
+        th, ph = np.concatenate(polys).T.copy()
         qs = np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + _axes_dot(th, ph, ni, np))))
         edge = on_chart_edge(th, ph)
-        ths, phs, qs = th.tolist(), ph.tolist(), qs.tolist()
         start = 0
         for poly in polys:
             end = start + len(poly)
-            sus = [binary_entropy(q) for q in qs[start:end]]
-            verts = list(zip(ths[start:end], phs[start:end], qs[start:end], sus))
-            curves.append(LevelSetCurve(level, verts, cid,
+            curves.append(LevelSetCurve(level, th[start:end], ph[start:end],
+                                        qs[start:end], cid,
                                         bool(edge[start:end].any()),
-                                        min(sus) <= EPS_Z))
+                                        _has_zero_entropy(qs[start:end])))
             cid += 1
             start = end
     return curves
@@ -365,40 +377,42 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
     bracket an extremum where the overlap is flat along the curve.
     """
     ni = axis_to_bloch(i)
-    th, ph = _column(curve.vertices, 0), _column(curve.vertices, 1)
+    th, ph = curve.theta, curve.phi
     closed = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
     if closed:
         th, ph = th[:-1], ph[:-1]
     th, ph = _drop_repeats(th, ph)
-    pts = list(zip(th.tolist(), ph.tolist()))
-    n = len(pts)
+    n = th.size
     cands: list[Candidate] = []
     zero = curve.contains_zero_entropy
 
-    tangs = _tangency(th, ph, s, ni, np).tolist()
-    found: list[tuple[float, float, float]] = []
-    segs = range(n) if closed else range(n - 1)
-    for k in segs:
-        kp = (k + 1) % n
-        if tangs[k] * tangs[kp] < 0.0 or (tangs[k] == 0.0 and tangs[kp] != 0.0):
-            found.append(_refine_between(pts[k], pts[kp], s, curve.level, ni))
+    # segment k joins vertices k and k + 1 (vertex 0 after the last one on a
+    # closed curve) and brackets an extremum when the tangency changes sign
+    # along it, or leaves zero
+    tangs = _tangency(th, ph, s, ni, np)
+    cur, nxt = (tangs, np.roll(tangs, -1)) if closed else (tangs[:-1], tangs[1:])
+    k = np.flatnonzero((cur * nxt < 0.0) | ((cur == 0.0) & (nxt != 0.0)))
+    kp = (k + 1) % n
+    found = [_refine_between(p0, p1, s, curve.level, ni)
+             for p0, p1 in zip(zip(th[k].tolist(), ph[k].tolist()),
+                               zip(th[kp].tolist(), ph[kp].tolist()))]
     # adjacent segments can both straddle the same root through vertex noise
     uniq: list[tuple[float, float, float]] = []
-    for th, ph, q in found:
-        if all(math.hypot(th - a, ph - b) > DEDUP_RADIUS
+    for theta, phi, q in found:
+        if all(math.hypot(theta - a, phi - b) > DEDUP_RADIUS
                for a, b, _ in uniq):
-            uniq.append((th, ph, q))
-    for th, ph, q in uniq:
+            uniq.append((theta, phi, q))
+    for theta, phi, q in uniq:
         su = binary_entropy(q)
         if su <= EPS_Z:
             zero = True
-        cands.append(Candidate(canonicalize_axis(th, ph), q, su,
+        cands.append(Candidate(canonicalize_axis(theta, phi), q, su,
                                curve.component_id, False))
     if not closed:
-        for k in ((0,) if n == 1 else (0, n - 1)):
-            th, ph = pts[k]
-            q = _axes_overlap_at(th, ph, ni)
-            cands.append(Candidate(canonicalize_axis(th, ph), q,
+        ends = [0] if n == 1 else [0, n - 1]
+        for theta, phi in zip(th[ends].tolist(), ph[ends].tolist()):
+            q = _axes_overlap_at(theta, phi, ni)
+            cands.append(Candidate(canonicalize_axis(theta, phi), q,
                                    binary_entropy(q), curve.component_id, True))
     return cands, zero
 

@@ -317,7 +317,15 @@ class TestPfn:
         ("cnf", ["--table", "7", "--n", "-1"], "memory depth must be in [0, 4]"),
         ("dnf", ["--table", "7", "--n", "99"], "memory depth must be in [0, 4]"),
         ("cnf", ["--table", "7", "--n", "99"], "memory depth must be in [0, 4]"),
-    ], ids=["dnf", "cnf", "dnf-n-1", "cnf-n-1", "dnf-n99", "cnf-n99"])
+        ("dnf", ["--table=-0"], "must not be negative: '-0'"),
+        ("dnf", ["--table", "0x3"], "hex digits [0-9a-fA-F]: '0x3'"),
+        ("cnf", ["--table", " 3"], "hex digits [0-9a-fA-F]: ' 3'"),
+        ("dnf", ["--table", "1_0", "--n", "1"], "hex digits [0-9a-fA-F]: '1_0'"),
+        ("cnf", ["--table", "\uff18"], "hex digits [0-9a-fA-F]: '\uff18'"),
+        ("dnf", ["--table", ""], "hex digits [0-9a-fA-F]: ''"),
+    ], ids=["dnf", "cnf", "dnf-n-1", "cnf-n-1", "dnf-n99", "cnf-n99",
+            "minus-zero", "0x-prefix", "space", "underscore", "fullwidth",
+            "empty"])
     def test_negative_table_is_exit_1(self, capsys, form, flags, message):
         code, out, err = run_cli(capsys, "pfn", form, *flags)
         assert code == 1

@@ -94,6 +94,14 @@ def _reference_marching_squares(values, xs, ys):
     return polylines
 
 
+def _as_tuples(polys):
+    """marching_squares' polylines, each a (k, 2) float array, as lists of
+    (x, y) tuples for exact comparison."""
+    assert all(p.dtype == np.float64 and p.ndim == 2 and p.shape[1] == 2
+               for p in polys)
+    return [list(map(tuple, p.tolist())) for p in polys]
+
+
 def _dense(a, b, c):
     """The dense field the triple (a, b, c) stands for, each node rounded
     as marching_squares rounds it: the product, then the sum."""
@@ -116,7 +124,7 @@ def _one(x):
 class TestMarchingSquares:
     def test_circle_is_one_closed_loop(self):
         a, b, c, xs, ys = _triple(lambda x: x * x - 1.0, _one, lambda y: y * y)
-        polys = marching_squares(a, b, c, xs, ys)
+        polys = _as_tuples(marching_squares(a, b, c, xs, ys))
         assert len(polys) == 1
         poly = polys[0]
         assert poly[0] == poly[-1]  # closed
@@ -127,7 +135,7 @@ class TestMarchingSquares:
         # b == 0 on every row: each row is constant
         a, b, c, xs, ys = _triple(lambda x: x - 0.25, lambda x: 0.0,
                                   lambda y: y)
-        polys = marching_squares(a, b, c, xs, ys)
+        polys = _as_tuples(marching_squares(a, b, c, xs, ys))
         assert len(polys) == 1
         poly = polys[0]
         assert poly[0] != poly[-1]
@@ -161,7 +169,7 @@ class TestMarchingSquares:
         first = marching_squares(a, b, c, xs, ys)
         again = marching_squares(a.copy(), b.copy(), c.copy(), xs.copy(),
                                  ys.copy())
-        assert first == again
+        assert _as_tuples(first) == _as_tuples(again)
 
 
 PINNED = [(canonicalize_axis(math.pi / 4, math.pi / 2), SpinState(0.4, 0.0)),
@@ -182,7 +190,7 @@ def _solver_fields():
 
 
 def _agrees_with_reference(a, b, c, xs, ys, level=0.0):
-    polys = marching_squares(a, b, c, xs, ys, level)
+    polys = _as_tuples(marching_squares(a, b, c, xs, ys, level))
     assert polys == _reference_marching_squares(_dense(a, b, c) - level, xs, ys)
     return polys
 
@@ -191,9 +199,9 @@ class TestReferenceOracle:
     def test_solver_fields(self):
         count = 0
         for case, abc, thetas, phis, level in _solver_fields():
-            assert marching_squares(*abc, thetas, phis, level) == \
-                _reference_marching_squares(_dense(*abc) - level, thetas,
-                                            phis), case
+            assert _as_tuples(marching_squares(*abc, thetas, phis, level)) \
+                == _reference_marching_squares(_dense(*abc) - level, thetas,
+                                               phis), case
             count += 1
         assert count == 22 * 2 * 2
 
@@ -234,6 +242,18 @@ class TestReferenceOracle:
         for level in values[1:]:  # at the minimum every node is positive
             assert _agrees_with_reference(a, b, c, xs, ys, float(level))
 
+    def test_coarse_random_fields(self):
+        # many short chains and loops, some loops starting at adjacent edge
+        # ids, so the scan for the next unvisited edge must not skip one
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n, m = rng.integers(3, 9, size=2)
+            a = rng.choice([-1.0, -0.5, 0.0, 0.5], n)
+            b = rng.choice([-1.0, 1.0, 2.0], n)
+            c = rng.choice([-1.0, -0.4, 0.3, 1.0], m)
+            _agrees_with_reference(a, b, c, np.arange(n, dtype=float),
+                                   np.arange(m, dtype=float))
+
     def test_noisy_c(self):
         # c goes up and down at random: a run of one or two nodes each
         rng = np.random.default_rng(5)
@@ -253,7 +273,8 @@ class TestEdgeCases:
         assert np.array_equal(_dense(a, b, self.C), [[1.0, -1.0], [-1.0, 2.0]])
         third = -1.0 / (-1.0 - 2.0)
         expected = [[(0.5, 0.0), (1.0, third)], [(third, 1.0), (0.0, 0.5)]]
-        assert marching_squares(a, b, self.C, self.XS, self.XS) == expected
+        assert _as_tuples(marching_squares(a, b, self.C, self.XS, self.XS)) \
+            == expected
         assert _reference_marching_squares(
             _dense(a, b, self.C), self.XS, self.XS) == expected
 
@@ -262,7 +283,8 @@ class TestEdgeCases:
         assert np.array_equal(_dense(a, b, self.C), [[1.0, -1.0], [-1.0, 0.5]])
         two_thirds = -1.0 / (-1.0 - 0.5)
         expected = [[(0.5, 0.0), (0.0, 0.5)], [(two_thirds, 1.0), (1.0, two_thirds)]]
-        assert marching_squares(a, b, self.C, self.XS, self.XS) == expected
+        assert _as_tuples(marching_squares(a, b, self.C, self.XS, self.XS)) \
+            == expected
         assert _reference_marching_squares(
             _dense(a, b, self.C), self.XS, self.XS) == expected
 
@@ -270,7 +292,8 @@ class TestEdgeCases:
         a, b = np.array([1.0, -1.0]), np.array([-2.0, 2.0])
         assert np.array_equal(_dense(a, b, self.C), [[1.0, -1.0], [-1.0, 1.0]])
         expected = [[(0.5, 0.0), (0.0, 0.5)], [(0.5, 1.0), (1.0, 0.5)]]
-        assert marching_squares(a, b, self.C, self.XS, self.XS) == expected
+        assert _as_tuples(marching_squares(a, b, self.C, self.XS, self.XS)) \
+            == expected
         assert _reference_marching_squares(
             _dense(a, b, self.C), self.XS, self.XS) == expected
 
@@ -306,12 +329,12 @@ class TestEdgeCases:
     def test_strided_and_int_input(self):
         a, b, c, xs, ys = _triple(lambda x: -1.0, lambda x: np.round(2 * x),
                                   lambda y: np.round(2 * y))
-        expected = marching_squares(a, b, c, xs, ys)
+        expected = _as_tuples(marching_squares(a, b, c, xs, ys))
         assert expected
-        assert marching_squares(*(np.repeat(v, 2)[::2] for v in (a, b, c)),
-                                xs, ys) == expected
-        assert marching_squares(*(v.astype(np.int64) for v in (a, b, c)),
-                                xs, ys) == expected
+        assert _as_tuples(marching_squares(
+            *(np.repeat(v, 2)[::2] for v in (a, b, c)), xs, ys)) == expected
+        assert _as_tuples(marching_squares(
+            *(v.astype(np.int64) for v in (a, b, c)), xs, ys)) == expected
 
 
 def test_fine_grid_tracing_builds_no_field():

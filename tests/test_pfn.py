@@ -135,6 +135,22 @@ class TestTruthTable:
         with pytest.raises(ValueError):
             TruthTable.from_hex("1ff", 0)  # too long for depth
 
+    @pytest.mark.parametrize("text, n", [
+        ("0x3", 0), (" 3", 0), ("3 ", 0), ("1_0", 1), ("+3", 0),
+        ("\uff18", 0), ("", 0)])
+    def test_hex_rejects_what_is_not_hex_digits(self, text, n):
+        # int(text, 16) reads each of these as a number
+        with pytest.raises(ValueError, match=r"must be ASCII hex digits"):
+            TruthTable.from_hex(text, n)
+
+    def test_hex_rejects_any_leading_minus(self):
+        for text in ("-0", "-1", "-"):
+            with pytest.raises(ValueError, match="must not be negative"):
+                TruthTable.from_hex(text, 0)
+
+    def test_hex_takes_both_cases(self):
+        assert TruthTable.from_hex("A", 0) == TruthTable.from_hex("a", 0)
+
 
 class TestNormalForms:
     def test_pinned_dnf(self):

@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincollapse.bloch import (
     SpinState,
@@ -123,6 +125,82 @@ class TestTraceLevelSets:
         with pytest.raises(solver.DegenerateGridError) as info:
             trace_level_sets(GENERIC_STATE, (0.5,), self.CFG, GENERIC_AXIS)
         assert f"[{dense.min()}, {dense.max()}]" in str(info.value)
+
+
+def _float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _entropy_crossing(zero: float, far: float) -> list[float]:
+    """The floats around where binary_entropy crosses EPS_Z between zero (a
+    pole, f = 0) and far (f > EPS_Z): the two adjacent floats that straddle
+    it, by bisection over the bit patterns, and two more on either side."""
+    lo, hi = _float_bits(zero), _float_bits(far)
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        if binary_entropy(float(np.int64(mid).view(np.float64))) <= EPS_Z:
+            lo = mid
+        else:
+            hi = mid
+    step = 1 if hi > lo else -1
+    return [float(np.int64(lo + step * k).view(np.float64))
+            for k in range(-2, 4)]
+
+
+NEAR = solver.NEAR_POLE
+# f = EPS_Z near 0 and near 1, and the prefilter's cut-off at NEAR_POLE
+THRESHOLD_OVERLAPS = (_entropy_crossing(0.0, NEAR)
+                      + _entropy_crossing(1.0, 1.0 - NEAR)
+                      + [0.0, 1.0, NEAR, np.nextafter(NEAR, 1.0),
+                         1.0 - NEAR, np.nextafter(1.0 - NEAR, 0.0)])
+
+
+class TestArrayCurves:
+    """Curves hold numpy arrays; the entropy of a vertex is evaluated only
+    where it is read."""
+
+    def test_solve_evaluates_few_entropies(self, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return binary_entropy(q)
+
+        monkeypatch.setattr(solver, "binary_entropy", counted)
+        sol = solve_collapse(GENERIC_AXIS, GENERIC_STATE,
+                             SolverConfig(grid_n=1024))
+        assert sol.status is Status.NORMAL
+        vertices = sum(cv.theta.size for cv in sol.curves)
+        assert vertices > 3000
+        assert len(calls) < 50
+
+    def test_vertices_are_a_view_of_the_arrays(self):
+        instances = [(GENERIC_AXIS, GENERIC_STATE), (DEATH_AXIS, DEATH_STATE),
+                     *nondegenerate_instances(seed=5, count=5)]
+        for axis, state in instances:
+            levels = constraint_levels(axis, state)
+            for cv in trace_level_sets(state, levels, SolverConfig(grid_n=256),
+                                       axis):
+                expected = list(zip(cv.theta, cv.phi, cv.overlap,
+                                    map(binary_entropy, cv.overlap)))
+                assert cv.vertices == expected
+                assert all(type(x) is float for v in cv.vertices for x in v)
+
+    def test_threshold_seeds_straddle_eps_z(self):
+        assert binary_entropy(NEAR) > 10 * EPS_Z
+        assert binary_entropy(1.0 - NEAR) > 10 * EPS_Z
+        flags = [binary_entropy(q) <= EPS_Z for q in THRESHOLD_OVERLAPS[:12]]
+        assert flags == [True] * 3 + [False] * 3 + [True] * 3 + [False] * 3
+
+    @given(st.lists(st.sampled_from(THRESHOLD_OVERLAPS)
+                    | st.floats(0.0, 1.0)
+                    | st.floats(0.0, 2.0 * NEAR)
+                    | st.floats(1.0 - 2.0 * NEAR, 1.0),
+                    min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_zero_entropy_flag_is_exact(self, overlaps):
+        assert solver._has_zero_entropy(np.array(overlaps)) == \
+            (min(map(binary_entropy, overlaps)) <= EPS_Z)
 
 
 def _drop_repeats_loop(th, ph):

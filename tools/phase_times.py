@@ -1,0 +1,130 @@
+"""Per-phase wall time of grid solves of the generic instance.
+
+    PYTHONPATH=src python tools/phase_times.py --grids 256,1024,4096 --solves 5 --rounds 3
+
+The generic instance is the worked example of the README: initial axis
+(pi/4, pi/2), state rho = 0.4, tau = 0.  Each solve is
+`solve_collapse(axis, state, SolverConfig(grid_n=G))` of whichever
+`spincollapse` is first on `PYTHONPATH`.  The phases are timed by wrapping
+the bindings in `spincollapse.solver` that the solve calls through; the
+originals are put back when the measurement ends:
+
+    total            solve_collapse
+    field            _overlap_grid (the row and column factors)
+    marching squares marching_squares, both levels
+    rest of tracing  trace_level_sets minus the field and marching squares
+    candidates       _curve_candidates over all curves (refinement included)
+
+Each round solves every grid --solves times, grid after grid, and keeps
+each phase's minimum over those solves; the table gives the median of each
+phase over --rounds rounds.  Phases are minimised separately, so they need
+not add up to the total.  The first line names the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+MS, CANDIDATES = "marching squares (both levels)", "candidates and refinement"
+PHASES = ("total", "field", MS, "rest of tracing", CANDIDATES)
+# solver binding -> the phase its time is added to
+WRAPPED = {"solve_collapse": "total", "_overlap_grid": "field",
+           "marching_squares": MS, "trace_level_sets": "tracing",
+           "_curve_candidates": CANDIDATES}
+
+
+@contextlib.contextmanager
+def timed_bindings(module, phases: dict[str, str], sink: dict[str, float]):
+    """Replace module.<name> for each name in phases by a wrapper that adds
+    the call's wall time to sink[phases[name]]; restore them on exit."""
+    originals = {name: getattr(module, name) for name in phases}
+
+    def wrap(fn, phase):
+        def timed_call(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sink[phase] += time.perf_counter() - start
+        return timed_call
+
+    try:
+        for name, fn in originals.items():
+            setattr(module, name, wrap(fn, phases[name]))
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(module, name, fn)
+
+
+def solve_phases(solver, axis, state, cfg) -> dict[str, float]:
+    """Seconds spent in each phase by one solve."""
+    sink = dict.fromkeys(WRAPPED.values(), 0.0)
+    with timed_bindings(solver, WRAPPED, sink):
+        solver.solve_collapse(axis, state, cfg)
+    sink["rest of tracing"] = sink.pop("tracing") - sink["field"] - sink[MS]
+    return sink
+
+
+def measure(grids: list[int], solves: int, rounds: int
+            ) -> dict[int, dict[str, float]]:
+    """grid -> phase -> median over rounds of the best of solves, in s."""
+    from spincollapse import solver
+    from spincollapse.bloch import SpinState, canonicalize_axis
+
+    axis = canonicalize_axis(math.pi / 4, math.pi / 2)
+    state = SpinState(0.4, 0.0)
+    best: dict[int, dict[str, list[float]]] = {
+        g: {p: [] for p in PHASES} for g in grids}
+    for _ in range(rounds):
+        for grid in grids:
+            cfg = solver.SolverConfig(grid_n=grid)
+            runs = [solve_phases(solver, axis, state, cfg)
+                    for _ in range(solves)]
+            for phase in PHASES:
+                best[grid][phase].append(min(r[phase] for r in runs))
+    return {g: {p: statistics.median(v) for p, v in phases.items()}
+            for g, phases in best.items()}
+
+
+def fmt_ms(seconds: float) -> str:
+    ms = seconds * 1e3
+    return f"{ms:.{2 if ms < 1 else 1 if ms < 100 else 0}f} ms"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--grids", default="256,1024,4096",
+                        help="comma-separated grid_n values")
+    parser.add_argument("--solves", type=int, default=5,
+                        help="solves per grid and round; the best is kept")
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="rounds; the median of their bests is printed")
+    args = parser.parse_args(argv)
+    grids = [int(g) for g in args.grids.split(",")]
+    if args.solves < 1 or args.rounds < 1:
+        parser.error("--solves and --rounds must be at least 1")
+
+    table = measure(grids, args.solves, args.rounds)
+    print(f"# {os.cpu_count()} CPUs, Python {platform.python_version()}, "
+          f"numpy {np.__version__}; generic instance; best of "
+          f"{args.solves} solves, median of {args.rounds} rounds")
+    print("| `grid_n` | " + " | ".join(PHASES) + " |")
+    print("|---" * (len(PHASES) + 1) + "|")
+    for grid, phases in table.items():
+        print(f"| {grid} | "
+              + " | ".join(fmt_ms(phases[p]) for p in PHASES) + " |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

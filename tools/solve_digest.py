@@ -65,12 +65,13 @@ def add_solution(digest: Digest, sol, counts: dict) -> None:
         digest.text((c.component_id, c.is_boundary))
     digest.text(len(sol.curves))
     for curve in sol.curves:
+        vertices = curve.vertices  # built anew on each access
         digest.floats(curve.level)
-        digest.text((len(curve.vertices), curve.component_id,
+        digest.text((len(vertices), curve.component_id,
                      curve.touches_boundary, curve.contains_zero_entropy))
-        for vertex in curve.vertices:
+        for vertex in vertices:
             digest.floats(*vertex)
-        counts["vertices"] += len(curve.vertices)
+        counts["vertices"] += len(vertices)
     counts["curves"] += len(sol.curves)
     counts["candidates"] += len(sol.candidates)
 
