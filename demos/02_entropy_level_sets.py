@@ -50,7 +50,6 @@ def main():
     for cv in curves:
         print(f"component {cv.component_id}: level {cv.level:.4f}, "
               f"{cv.theta.size} vertices, "
-              f"boundary={cv.touches_boundary}, "
               f"zero-entropy point={cv.contains_zero_entropy}")
     print(f"wrote {out} (plot theta vs phi, colored by component)")
 

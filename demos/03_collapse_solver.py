@@ -35,8 +35,7 @@ def show(name, axis, state):
     if g.candidates:
         print("grid candidates (extrema on the level curves):")
         for cand in g.candidates:
-            tag = "boundary" if cand.is_boundary else "interior"
-            print(f"  component {cand.component_id} {tag}: "
+            print(f"  component {cand.component_id}: "
                   f"({cand.axis.theta:.4f}, {cand.axis.phi:.4f}) "
                   f"overlap={cand.overlap:.4f} s_up={cand.s_up:.4f}")
 

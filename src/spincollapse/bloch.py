@@ -112,11 +112,6 @@ def spin_operator(a: Axis) -> tuple[tuple[complex, complex], tuple[complex, comp
     return ((complex(ct), st / ph), (st * ph, complex(-ct)))
 
 
-def state_vector(s: SpinState) -> tuple[complex, complex]:
-    """The normalized amplitude pair (sqrt(rho) e^{-i tau}, sqrt(1-rho))."""
-    return (math.sqrt(s.rho) * cmath.exp(-1j * s.tau), complex(math.sqrt(1.0 - s.rho)))
-
-
 def state_to_bloch(s: SpinState) -> tuple[float, float, float]:
     """Unit Bloch vector of a state: (2r cos tau, 2r sin tau, 2 rho - 1)."""
     r = math.sqrt(s.rho * (1.0 - s.rho))

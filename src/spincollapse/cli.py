@@ -87,8 +87,7 @@ def _solution_dict(sol) -> dict:
         "s_i": sol.s_i,
         "candidates": [
             {"theta": c.axis.theta, "phi": c.axis.phi, "overlap": c.overlap,
-             "s_up": c.s_up, "component": c.component_id,
-             "is_boundary": c.is_boundary}
+             "s_up": c.s_up, "component": c.component_id}
             for c in sol.candidates
         ],
     }

@@ -74,7 +74,6 @@ class LevelSetCurve:
     phi: np.ndarray
     overlap: np.ndarray
     component_id: int
-    touches_boundary: bool
     contains_zero_entropy: bool
 
     @property
@@ -92,7 +91,6 @@ class Candidate:
     overlap: float
     s_up: float
     component_id: int
-    is_boundary: bool
 
 
 @dataclass
@@ -185,17 +183,15 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
                     f"level {level} lies in the field range "
                     f"[{lo}, {hi}] but no contour was found")
             continue
-        # the overlap and chart-edge flag of every vertex of the level at
-        # once; each curve holds contiguous slices of the level's arrays
+        # the overlap of every vertex of the level at once; each curve holds
+        # contiguous slices of the level's arrays
         th, ph = np.concatenate(polys).T.copy()
         qs = np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + _axes_dot(th, ph, ni, np))))
-        edge = on_chart_edge(th, ph)
         start = 0
         for poly in polys:
             end = start + len(poly)
             curves.append(LevelSetCurve(level, th[start:end], ph[start:end],
                                         qs[start:end], cid,
-                                        bool(edge[start:end].any()),
                                         _has_zero_entropy(qs[start:end])))
             cid += 1
             start = end
@@ -358,7 +354,7 @@ def _drop_repeats(th: np.ndarray, ph: np.ndarray
     close = np.flatnonzero(dth * dth + dph * dph <= (3.0 * SAME_VERTEX) ** 2)
     if not close.size:
         return th, ph
-    keep = [True] * th.size
+    keep = np.ones(th.size, dtype=bool)
     last = 0
     for k in (close + 1).tolist():
         if keep[k - 1]:
@@ -369,8 +365,8 @@ def _drop_repeats(th: np.ndarray, ph: np.ndarray
 
 def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
                       ) -> tuple[list[Candidate], bool]:
-    """Refined interior extrema of the eigenbasis overlap along one curve plus
-    its boundary endpoints.  Returns (candidates, has_zero_entropy).
+    """Refined interior extrema of the eigenbasis overlap along one curve.
+    Returns (candidates, has_zero_entropy).
 
     Interior extrema are detected as sign changes of the tangency condition
     between consecutive vertices; vertex overlap values alone are too noisy to
@@ -407,13 +403,7 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
         if su <= EPS_Z:
             zero = True
         cands.append(Candidate(canonicalize_axis(theta, phi), q, su,
-                               curve.component_id, False))
-    if not closed:
-        ends = [0] if n == 1 else [0, n - 1]
-        for theta, phi in zip(th[ends].tolist(), ph[ends].tolist()):
-            q = _axes_overlap_at(theta, phi, ni)
-            cands.append(Candidate(canonicalize_axis(theta, phi), q,
-                                   binary_entropy(q), curve.component_id, True))
+                               curve.component_id))
     return cands, zero
 
 
@@ -423,11 +413,14 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     a zero-entropy point, and return the overlap extremum with minimal
     eigenbasis entropy.
 
-    Interior extrema are preferred; interior extrema on dropped components
-    (the chart representative of an extremum whose raw direction falls outside
-    the chart) are used when the kept components have none; boundary endpoints
-    are a last resort.  If no component survives the drop, the configuration
-    is a death point and the axis cannot move.
+    The candidates are the refined interior extrema of every curve, and only
+    those with s_up > EPS_Z are admissible.  The answer is chosen in two
+    tiers: admissible candidates on kept components first, then those on
+    dropped components, which hold the chart representative -n* when the
+    reflection n* of the closed form lies off the chart.  A curve's open ends
+    on the chart edge are never candidates.  If no component survives the
+    drop, the configuration is a death point and the axis cannot move; if
+    neither tier has a candidate, DegenerateGridError is raised.
     """
     cfg = cfg or SolverConfig()
     p_same, p_flip = constraint_levels(i, s)
@@ -450,24 +443,12 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
         return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i,
                                 all_cands, curves)
 
-    def admissible(c: Candidate) -> bool:
-        return c.s_up > EPS_Z
-
-    tiers = (
-        [c for c in all_cands if not c.is_boundary
-         and c.component_id in retained_ids and admissible(c)],
-        [c for c in all_cands if not c.is_boundary
-         and c.component_id in zero_ids and admissible(c)],
-        [c for c in all_cands if c.is_boundary
-         and c.component_id in retained_ids and admissible(c)],
-    )
-    chosen = None
-    for tier in tiers:
-        if tier:
-            chosen = min(tier, key=lambda c: (c.s_up, c.axis.theta, c.axis.phi))
-            break
-    if chosen is None:
+    admissible = [c for c in all_cands if c.s_up > EPS_Z]
+    tier = ([c for c in admissible if c.component_id in retained_ids]
+            or [c for c in admissible if c.component_id in zero_ids])
+    if not tier:
         raise DegenerateGridError("no admissible extremum on any component")
+    chosen = min(tier, key=lambda c: (c.s_up, c.axis.theta, c.axis.phi))
     return CollapseSolution(Status.NORMAL, chosen.axis, chosen.s_up, s_i,
                             all_cands, curves)
 
@@ -511,5 +492,5 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     theta, phi = bloch_to_axis_angles(nstar)
     axis_f = canonicalize_axis(theta, phi)
     overlap = 1.0 - c * c
-    cand = Candidate(axis_f, overlap, s_up, 0, False)
+    cand = Candidate(axis_f, overlap, s_up, 0)
     return CollapseSolution(Status.NORMAL, axis_f, s_up, s_i, [cand], [])

@@ -78,6 +78,20 @@ class TestSolve:
             assert payload["status"] == "Normal"
             assert payload["method_agreement"] is None
 
+    def test_grid_candidates_are_refined_extrema(self, capsys):
+        for method in ("grid", "both"):
+            code, out, _ = run_cli(capsys, "solve", *GENERIC, "--grid", "256",
+                                   "--method", method)
+            assert code == 0
+            payload = json.loads(out)
+            cands = payload["candidates"]
+            assert cands
+            for c in cands:
+                assert set(c) == {"theta", "phi", "overlap", "s_up",
+                                  "component"}
+            assert (payload["theta_f"], payload["phi_f"]) in \
+                [(c["theta"], c["phi"]) for c in cands]
+
     def test_coarse_grid_disagreement_is_exit_2(self, capsys):
         code, out, _ = run_cli(capsys, "solve", *COARSE_DISAGREE,
                                "--grid", "64", "--method", "both")

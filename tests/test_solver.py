@@ -17,12 +17,14 @@ from spincollapse.bloch import (
     SpinState,
     axes_up_overlap,
     axis_to_bloch,
+    bloch_to_axis_angles,
     canonicalize_axis,
     eigenstate_as_state,
     up_overlap_prob,
 )
 import spincollapse
 from spincollapse import solver
+from spincollapse.cli import AXIS_AGREE_TOL, S_UP_AGREE_TOL
 from spincollapse.entropy import binary_entropy
 from spincollapse.solver import (
     _brentq,
@@ -89,7 +91,7 @@ class TestTraceLevelSets:
                                   axis_i=GENERIC_AXIS)
         assert len(curves) == 1
         cv = curves[0]
-        assert cv.touches_boundary
+        assert solver.on_chart_edge(cv.theta, cv.phi).any()
         for th, ph, _, _ in cv.vertices:
             assert th == pytest.approx(PI / 2, abs=1e-9)
 
@@ -278,8 +280,7 @@ class TestWorkedInstances:
 
     def test_death_instance_surfaces_the_rejected_extremum(self):
         sol = solve_collapse(DEATH_AXIS, DEATH_STATE, SolverConfig(grid_n=1024))
-        interior = [c for c in sol.candidates if not c.is_boundary]
-        assert any(abs(c.overlap - 0.921) < 2e-3 for c in interior)
+        assert any(abs(c.overlap - 0.921) < 2e-3 for c in sol.candidates)
 
     def test_trivial_instance(self):
         s = eigenstate_as_state(GENERIC_AXIS, 1)
@@ -346,6 +347,22 @@ class TestSolutionInvariants:
                 assert d <= 1e-4
                 assert abs(g.s_up - c.s_up) <= 1e-6
 
+    @pytest.mark.parametrize("delta", [1e-12, -1e-12, 1e-9, -1e-9,
+                                       1e-6, -1e-6])
+    def test_grid_matches_closed_form_next_to_the_seam(self, delta):
+        rng = np.random.default_rng(3)
+        cfg = SolverConfig(grid_n=256)
+        for _ in range(30):
+            axis, state = seam_instance(rng, delta)
+            g = solve_collapse(axis, state, cfg)
+            c = solve_collapse_closed_form(axis, state, cfg)
+            assert g.status == c.status
+            if g.status is Status.NORMAL:
+                d = math.hypot(g.axis_f.theta - c.axis_f.theta,
+                               g.axis_f.phi - c.axis_f.phi)
+                assert d <= AXIS_AGREE_TOL
+                assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
+
 
 def instance_at_overlap(rng, c: float):
     """An (axis, state) pair whose Bloch vectors have dot product c.
@@ -366,6 +383,38 @@ def instance_at_overlap(rng, c: float):
     m = c * ni + math.sqrt(1.0 - c * c) * u
     tau = math.atan2(m[1], m[0]) % (2.0 * PI)
     return axis, SpinState(0.5 * (1.0 + m[2]), tau)
+
+
+def seam_instance(rng, delta: float):
+    """An (axis, state) pair whose reflection n* = n_i - 2 (n_i . m) m, the
+    closed form's answer, has y-component +-delta: it lies next to the chart
+    seam y = 0, which is_nondegenerate rejects.
+
+    n* is drawn with y-component delta and |z| <= 0.99, m uniformly, and the
+    axis is n_i = n* - 2 (n* . m) m, canonicalized (which flips the sign of
+    n* when it flips n_i).  Draws that is_nondegenerate rejects for another
+    reason are redrawn: c = n_i . m near 0 or +-1, an axis grazing the chart
+    edge, a flip circle tangent to it.  So are reflections near a pole, where
+    the chart distance between the routes' answers is stretched by
+    1 / sin(theta).
+    """
+    while True:
+        m = rng.normal(size=3)
+        m /= np.linalg.norm(m)
+        z = rng.uniform(-0.99, 0.99)
+        nstar = np.array([rng.choice([-1.0, 1.0])
+                          * math.sqrt(1.0 - delta * delta - z * z), delta, z])
+        ni = nstar - 2.0 * nstar.dot(m) * m
+        if ni[1] < 0.0:
+            ni = -ni
+        c = float(ni.dot(m))
+        flip_max_y = (-c * m[1] + math.sqrt(max(0.0, 1.0 - c * c))
+                      * math.sqrt(max(0.0, 1.0 - m[1] * m[1])))
+        if 2e-3 < abs(c) < 0.95 and ni[1] > 1e-3 and abs(flip_max_y) > 1e-3:
+            break
+    axis = canonicalize_axis(*bloch_to_axis_angles(tuple(ni.tolist())))
+    tau = math.atan2(m[1], m[0]) % (2.0 * PI)
+    return axis, SpinState(0.5 * (1.0 + float(m[2])), tau)
 
 
 class TestStatusThresholds:

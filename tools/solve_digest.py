@@ -62,13 +62,13 @@ def add_solution(digest: Digest, sol, counts: dict) -> None:
     digest.text(len(sol.candidates))
     for c in sol.candidates:
         digest.floats(c.axis.theta, c.axis.phi, c.overlap, c.s_up)
-        digest.text((c.component_id, c.is_boundary))
+        digest.text(c.component_id)
     digest.text(len(sol.curves))
     for curve in sol.curves:
         vertices = curve.vertices  # built anew on each access
         digest.floats(curve.level)
         digest.text((len(vertices), curve.component_id,
-                     curve.touches_boundary, curve.contains_zero_entropy))
+                     curve.contains_zero_entropy))
         for vertex in vertices:
             digest.floats(*vertex)
         counts["vertices"] += len(vertices)
