@@ -74,10 +74,6 @@ def _instance(args) -> tuple:
     return axis, state
 
 
-def _config(args) -> SolverConfig:
-    return SolverConfig(grid_n=args.grid, method=METHODS[args.method])
-
-
 def _solution_dict(sol) -> dict:
     return {
         "status": sol.status.value,
@@ -95,7 +91,7 @@ def _solution_dict(sol) -> dict:
 
 def cmd_solve(args) -> int:
     axis, state = _instance(args)
-    cfg = _config(args)
+    cfg = SolverConfig(grid_n=args.grid, method=METHODS[args.method])
     out = None
     agreement = None
     exit_code = 0
@@ -130,7 +126,7 @@ def cmd_solve(args) -> int:
 
 def cmd_trace(args) -> int:
     axis, state = _instance(args)
-    cfg = _config(args)
+    cfg = SolverConfig(grid_n=args.grid, method="grid")
     p_same, p_flip = constraint_levels(axis, state)
     rows = []
     if is_trivial(p_same):
@@ -287,8 +283,6 @@ def _add_instance_flags(p):
                    help="state weight of the first amplitude, in [0,1]")
     p.add_argument("--tau", type=float, required=True,
                    help="state phase (radians)")
-    p.add_argument("--method", choices=["grid", "closed", "both"],
-                   default="both")
     p.add_argument("--grid", type=int, default=1024,
                    help="grid samples per chart dimension")
 
@@ -299,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one collapse instance")
     _add_instance_flags(p_solve)
+    p_solve.add_argument("--method", choices=["grid", "closed", "both"],
+                         default="both")
     p_solve.set_defaults(func=cmd_solve)
 
     p_trace = sub.add_parser("trace", help="write level-set polylines as CSV")

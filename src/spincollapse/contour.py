@@ -4,30 +4,33 @@ polyline chaining.
 Extracts the level set values == level of the field values[i, j] =
 b[i] * c[j] + a[i], sampled at (xs[i], ys[j]) and evaluated as numpy does
 it elementwise (the product, then the sum, each rounded once), without ever
-building the (len(xs), len(ys)) array (Lorensen & Cline 1987):
+building the (len(xs), len(ys)) array (Lorensen & Cline 1987).  b must be
+>= 0 on every row, as it is for the solver's overlap field, where b[i] =
+sqrt(rho (1 - rho)) sin(theta_i) with theta_i in [0, pi]:
 
 - A node is positive when its value >= level, so a node exactly at the
   level counts as positive.
-- Rounding is monotone, so along a row the value is a monotone function of
-  c[j]: non-decreasing when b[i] > 0, non-increasing when b[i] < 0 and
-  constant when b[i] == 0.  c splits into runs of consecutive nodes along
-  which it never decreases (or never increases); on the run's nodes taken
-  in ascending order of c, a row's nodes are negative up to a split rank
-  and positive from it on (mirrored when b[i] < 0).  The split rank is
-  looked up at the analytic root (level - a[i]) / b[i] by one searchsorted
-  per run and confirmed by evaluating the node predicate at the two ranks
-  around it; a row where the root is off is bisected on the predicate.
+- Rounding is monotone, so along a row the predicate b[i] * c[j] + a[i]
+  >= level is a non-decreasing function of c[j] (constant when b[i] == 0).
+  c splits into runs of consecutive nodes along which it never decreases
+  (or never increases); on the run's nodes taken in ascending order of c, a
+  row's nodes are negative up to a split rank and positive from it on.  The
+  split rank is looked up at the analytic root (level - a[i]) / b[i] by one
+  searchsorted per run and confirmed by evaluating the node predicate at the
+  two ranks around it; a row where the root is off (tiny b[i] against
+  a[i]) is bisected on the predicate.
 - Grid edges carry integer ids: H edge (i, j), joining nodes (i, j) and
   (i+1, j), is i*m + j; V edge (i, j), joining (i, j) and (i, j+1), is
   (n-1)*m + i*(m-1) + j.  In each run a row has at most one crossed V edge,
   at its split rank, and rows i and i+1 have crossed H edges at the nodes
-  between their two split ranks (outside them when b changes sign), which
-  is one interval of j per run.  The crossed edges are listed in id order,
-  all H ids before all V ids.
+  between their two split ranks, which is one interval of j per run.  The
+  crossed edges are listed in id order, all H ids before all V ids.
 - The crossed cells are the cells next to a crossed edge, sorted.  A
-  16-entry table maps a cell's four corner signs to its segment.  A saddle
-  cell (four crossed edges) is split by the sign of its centre, the mean of
-  its four corner offsets.
+  16-entry table maps a cell's four corner signs to its segment.  Cases 6
+  and 9 (four crossed edges, two segments) cannot occur: between columns j
+  and j+1 both rows of a cell can change sign only in the direction that
+  c[j+1] - c[j] gives them, and cases 6 and 9 need one row to rise and the
+  other to fall.  So every crossed cell has exactly one segment.
 - A crossing lies where the linear interpolation of values - level along its
   edge is zero; an offset of exactly zero is taken as 1e-30.
 - Each crossed edge borders at most two cells and has one neighbour edge in
@@ -57,7 +60,7 @@ _BELOW_AT = np.array([1, 0])  # base + k minus these: ranks k - 1 and k
 
 def _segment_table() -> np.ndarray:
     """The segment (two sides) of a cell for each case index c00 + 2 c10 +
-    4 c01 + 8 c11 of corner signs; the saddles 6 and 9 are split later."""
+    4 c01 + 8 c11 of corner signs; cases 6 and 9 do not occur."""
     table = np.zeros((16, 2), dtype=np.intp)
     for case in range(16):
         c00, c10, c01, c11 = ((case >> k) & 1 for k in range(4))
@@ -108,23 +111,21 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
     # every run in ascending order between -inf and +inf: rank t of run r is
     # at base[r] + t, so rank -1 reads -inf and rank size[r] reads +inf.
     # Rank t is node origin[r] + step[r] * t on a rising run and that minus
-    # 1 on a falling one.  The run owns the nodes first[r] .. end[r] - 1:
-    # its last node is the next run's first
+    # 1 on a falling one.  The run owns the nodes up to end[r] - 1: its last
+    # node is the next run's first
     views, meta, offset = [], [], 1
     for s, e, rising in runs:
         views.append(c[s:e + 1] if rising else c[s:e + 1][::-1])
         meta.append((offset, e - s + 1, s if rising else e + 1,
-                     1 if rising else -1, s, e + 1 if e == m - 1 else e))
+                     1 if rising else -1, e + 1 if e == m - 1 else e))
         offset += e - s + 3
-    base, size, origin, step, first, end = np.array(meta).T[:, :, None]
+    base, size, origin, step, end = np.array(meta).T[:, :, None]
     pad = np.concatenate([x for v in views for x in (_LOW, v, _HIGH)])
 
-    # along every run the predicate (value >= level) != (b < 0) is false,
-    # then true; a row's split rank k is its first true rank.  It is looked
-    # up at the analytic root and confirmed at ranks k - 1 and k.  Flat rows
-    # (b == 0) are searched as if b were 1, then set to all true or false
-    neg = b < 0.0
-    has_neg = bool(neg.any())
+    # along every run the predicate value >= level is false, then true; a
+    # row's split rank k is its first true rank.  It is looked up at the
+    # analytic root and confirmed at ranks k - 1 and k.  Flat rows (b == 0)
+    # are searched as if b were 1, then set to all true or false
     flat = np.flatnonzero(b == 0.0)
     b1 = b.copy()
     b1[flat] = 1.0
@@ -132,8 +133,6 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
     k = np.array([np.searchsorted(pad[o:o + v.size], root)
                   for o, v in zip(base[:, 0].tolist(), views)])
     q = b1[:, None] * pad[(k + base)[..., None] - _BELOW_AT] + a[:, None] >= level
-    if has_neg:
-        q ^= neg[:, None]
     below, above = q[..., 0], q[..., 1]
     ok = above > below
     if not ok.all():
@@ -143,13 +142,13 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
         kb, low = k[rb, ib], below[rb, ib]
         lo = np.where(low, 0, kb + 1)
         hi = np.where(low, kb - 1, size[rb, 0])
-        at, ab, bb, nb = base[rb, 0], a[ib], b1[ib], neg[ib]
+        at, ab, bb = base[rb, 0], a[ib], b1[ib]
         while True:
             open_ = lo < hi
             if not open_.any():
                 break
             mid = (lo + hi) // 2
-            true = (bb * pad[at + mid] + ab >= level) != nb
+            true = bb * pad[at + mid] + ab >= level
             hi = np.where(open_ & true, mid, hi)
             lo = np.where(open_ & ~true, mid + 1, lo)
         k[rb, ib] = lo
@@ -162,20 +161,12 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
     inner = (k > 0) & (k < size)
     v_ids = (split + np.arange(-1, n * (m - 1) - 1, m - 1)).T[inner.T]
 
-    # H: rows i and i+1 differ on the nodes between their splits, or, when
-    # exactly one of them has b < 0, on the rest of the run
+    # H: rows i and i+1 differ on the nodes between their splits, clipped
+    # to the nodes each run owns; the intervals are listed by pair, then run
     j0 = np.minimum(split[:, :-1], split[:, 1:])
-    j1 = np.maximum(split[:, :-1], split[:, 1:])
-    if has_neg:
-        turned = neg[:-1] != neg[1:]
-        j0, j1 = (np.stack((np.where(turned, first, j0), j1)),
-                  np.stack((np.where(turned, j0, j1), np.where(turned, m, j1))))
-    else:
-        j0, j1 = j0[None], j1[None]
-    # clip to the nodes each run owns; list the intervals by pair, then
-    # run, then piece
-    lens = np.maximum(np.minimum(j1, end) - j0, 0).transpose(2, 1, 0).ravel()
-    starts = (j0 + np.arange(0, (n - 1) * m, m)).transpose(2, 1, 0).ravel()
+    j1 = np.minimum(np.maximum(split[:, :-1], split[:, 1:]), end)
+    lens = np.maximum(j1 - j0, 0).T.ravel()
+    starts = (j0 + np.arange(0, (n - 1) * m, m)).T.ravel()
     h_ids = (np.repeat(starts - np.cumsum(lens) + lens, lens)
              + np.arange(lens.sum()))
     return h_ids, v_ids
@@ -190,10 +181,12 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     Returns a list of polylines, each a (k, 2) float array of (x, y)
     vertices; the polylines are views into one array.  Open polylines end
     on the grid boundary; a closed loop of more than two vertices repeats
-    its first vertex at the end.
+    its first vertex at the end.  Raises ValueError when some b[i] < 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if (b < 0.0).any():
+        raise ValueError("marching_squares needs b >= 0 on every row")
     c = np.asarray(c, dtype=float)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -226,10 +219,8 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     ci, cj = np.divmod(cell_ids[first_copy[:cell_ids.size]], m - 1)
     b0, a0, b1, a1 = b[ci], a[ci], b[ci + 1], a[ci + 1]
     y0, y1 = c[cj], c[cj + 1]
-    corners = (b0 * y0 + a0, b1 * y0 + a1, b0 * y1 + a0, b1 * y1 + a1)
-    c00 = corners[0] >= level
-    case = (c00 + 2 * (corners[1] >= level) + 4 * (corners[2] >= level)
-            + 8 * (corners[3] >= level))
+    case = ((b0 * y0 + a0 >= level) + 2 * (b1 * y0 + a1 >= level)
+            + 4 * (b0 * y1 + a0 >= level) + 8 * (b1 * y1 + a1 >= level))
 
     # per side of each crossed cell: its edge id, and its neighbour slot
     # (1 when the edge's other cell comes earlier in row-major order)
@@ -241,19 +232,7 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     side_slot = np.stack((cj > 0, zeros, zeros, ci > 0)).astype(np.intp)
 
     sides = SEGMENT_TABLE[case]
-    saddle = np.flatnonzero((case == 6) | (case == 9))
-    centre = 0.0
-    for corner in corners:
-        d = corner[saddle] - level
-        d[d == 0.0] = 1e-30
-        centre = centre + d
-    centre = 0.25 * centre
-    # the corner pair sharing c00's sign is joined through the centre when
-    # the centre has that sign too; a saddle cell has a second segment
-    joined = ((centre > 0.0) == c00[saddle])[:, None]
-    sides[saddle] = np.where(joined, (BOTTOM, RIGHT), (BOTTOM, LEFT))
-    sides = np.concatenate((sides, np.where(joined, (TOP, LEFT), (TOP, RIGHT))))
-    cells = np.concatenate((np.arange(ci.size), saddle))
+    cells = np.arange(ci.size)
 
     # neighbour lists: slot 0 then slot 1; k (one past the last edge) is
     # "none", and counts as visited

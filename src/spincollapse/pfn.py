@@ -18,6 +18,7 @@ import numpy as np
 from .bloch import Axis
 
 MAX_MEMORY_DEPTH = 4
+MC_SAMPLES_MAX = 10**7  # ten times the default Monte Carlo sample count
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -414,8 +415,8 @@ def outcome_probability(e: BoolExpr, measure: Measure = CHART_UNIFORM,
         return sum(table.bits) / 4.0
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MC_SAMPLES_MAX:
+        raise ValueError(f"samples must be in [1, {MC_SAMPLES_MAX}]")
 
     rng = np.random.default_rng(seed)
     if measure.kind == "chart_uniform":

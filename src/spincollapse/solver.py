@@ -104,7 +104,8 @@ class CollapseSolution:
 
 
 class DegenerateGridError(RuntimeError):
-    """The grid claims a level in the field's range has an empty level set."""
+    """The grid route cannot answer: a level in the field's range has an
+    empty level set, or no component carries an admissible extremum."""
 
 
 def constraint_levels(i: Axis, s: SpinState) -> tuple[float, float]:
@@ -174,10 +175,9 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
             raise ValueError(f"level must be in (0,1): {level}")
         polys = marching_squares(a, b, c, thetas, phis, level)
         if not polys:
-            # each row is monotone in c, so its extremes lie at min(c), max(c)
-            ends = (b * c.min() + a, b * c.max() + a)
-            lo = min(end.min() for end in ends)
-            hi = max(end.max() for end in ends)
+            # b >= 0, so each row is lowest at min(c) and highest at max(c)
+            lo = (b * c.min() + a).min()
+            hi = (b * c.max() + a).max()
             if lo + 1e-9 < level < hi - 1e-9:
                 raise DegenerateGridError(
                     f"level {level} lies in the field range "

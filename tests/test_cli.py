@@ -181,6 +181,16 @@ class TestTrace:
         assert code == 1
         assert "error" in err
 
+    def test_method_flag_is_rejected(self, capsys, tmp_path):
+        # trace always runs the grid route: the closed form has no curves
+        out_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "trace", *GENERIC, "--grid", "256",
+                                 "--method", "closed", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --method closed" in err
+        assert not out_path.exists()
+
 
 class TestRun:
     def config(self, tmp_path, **overrides):
@@ -362,6 +372,15 @@ class TestPfn:
         payload = json.loads(out)
         assert payload["probability"] == pytest.approx(0.25, abs=0.004)
         assert payload["seed"] == 42
+
+    def test_prob_too_many_samples_is_exit_1(self, capsys):
+        # rejected before the 72.8 TiB of draws would be allocated
+        code, out, err = run_cli(capsys, "pfn", "prob", "--expr", "x",
+                                 "--method", "mc",
+                                 "--samples", "10000000000000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: samples must be in [1, 10000000]\n"
 
     def test_syntax_error_caret(self, capsys):
         code, _, err = run_cli(capsys, "pfn", "table", "--expr", "x||y")

@@ -271,5 +271,9 @@ class TestOutcomeProbability:
             outcome_probability(P_OR, method="quadrature")
         with pytest.raises(ValueError):
             outcome_probability(P_OR, method="monte_carlo", samples=0)
+        # checked before any draw is allocated
+        with pytest.raises(ValueError, match=r"samples must be in \[1, 10000000\]"):
+            outcome_probability(P_OR, method="monte_carlo",
+                                samples=10_000_000_000_000)
         with pytest.raises(ValueError):
             Measure("banana")

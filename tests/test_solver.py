@@ -86,6 +86,16 @@ class TestTraceLevelSets:
                                   axis_i=DEATH_AXIS)
         assert len({c.component_id for c in curves}) == 1
 
+    def test_field_rows_never_fall(self):
+        # marching_squares traces only fields with b >= 0: b is
+        # sqrt(rho (1 - rho)) sin(theta) with theta in [0, pi]
+        for n in range(64, solver.GRID_N_MAX + 1):
+            b = solver._overlap_grid(GENERIC_STATE, n)[3]
+            assert (b >= 0.0).all(), n
+        for rho in (0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53):
+            b = solver._overlap_grid(SpinState(rho, 0.0), solver.GRID_N_MAX)[3]
+            assert (b >= 0.0).all(), rho
+
     def test_polar_state_level_half_is_the_equator(self):
         curves = trace_level_sets(SpinState(1.0, 0.0), (0.5,), self.CFG,
                                   axis_i=GENERIC_AXIS)
