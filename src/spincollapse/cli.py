@@ -54,9 +54,8 @@ METHODS = {"grid": "grid", "closed": "closed_form", "closed_form": "closed_form"
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors are exit code 1, not 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+    def error(self, message):  # usage errors: one stderr line, exit code 1
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

@@ -1,5 +1,4 @@
-"""Matrix-free marching squares on a separable field, with deterministic
-polyline chaining.
+"""Matrix-free marching squares on a separable field, emitted in curve order.
 
 Extracts the level set values == level of the field values[i, j] =
 b[i] * c[j] + a[i], sampled at (xs[i], ys[j]) and evaluated as numpy does
@@ -12,67 +11,58 @@ sqrt(rho (1 - rho)) sin(theta_i) with theta_i in [0, pi]:
   level counts as positive.
 - Rounding is monotone, so along a row the predicate b[i] * c[j] + a[i]
   >= level is a non-decreasing function of c[j] (constant when b[i] == 0).
-  c splits into runs of consecutive nodes along which it never decreases
-  (or never increases); on the run's nodes taken in ascending order of c, a
-  row's nodes are negative up to a split rank and positive from it on.  The
-  split rank is looked up at the analytic root (level - a[i]) / b[i] by one
-  searchsorted per run and confirmed by evaluating the node predicate at the
-  two ranks around it; a row where the root is off (tiny b[i] against
-  a[i]) is bisected on the predicate.
+  c splits into runs of consecutive nodes s..e along which it never
+  decreases (or never increases); consecutive runs share a node.  On the
+  run's nodes taken in ascending order of c, a row's nodes are negative up
+  to a split rank and positive from it on.  The split rank is looked up at
+  the analytic root (level - a[i]) / b[i] by one searchsorted per run and
+  confirmed by evaluating the node predicate at the two ranks around it; a
+  row where the root is off (tiny b[i] against a[i]) is bisected on the
+  predicate.
+- So in each run, row i changes sign once, at a column split[i] in
+  [s, e + 1]: its nodes before split[i] and from split[i] on have opposite
+  signs.  One side of the run is a staircase, and the level curve inside
+  the run is its edge, taken from row 0 down to row n - 1.  For each row i
+  the curve crosses the V edge (i, split[i] - 1) when the split is inner
+  (s < split[i] <= e), then the H edges between rows i and i + 1 column by
+  column, from split[i] toward split[i + 1].  No cell is a saddle (a
+  saddle needs one row of the cell to rise and the other to fall between
+  two columns, while both can change sign only in the direction that c
+  moves), so this path is the whole level set inside the run.
+- The staircase breaks only at rows whose split is not inner (all of the
+  row's nodes in the run have one sign): the curve leaves the run there
+  through an H edge on the run's first or last column.  Cut at those rows
+  and at each run's row 0, the emission falls into pieces.  A piece ends
+  on the grid boundary or on an H edge of a column that two runs share;
+  each such shared edge ends exactly two pieces, which are joined through
+  it.  Only the pieces are chained in Python, never the edges.
+- A crossing lies where the linear interpolation of values - level along
+  its edge is zero; an offset of exactly zero is taken as 1e-30.  The
+  crossings are interpolated once, in emission order.
 - Grid edges carry integer ids: H edge (i, j), joining nodes (i, j) and
   (i+1, j), is i*m + j; V edge (i, j), joining (i, j) and (i, j+1), is
-  (n-1)*m + i*(m-1) + j.  In each run a row has at most one crossed V edge,
-  at its split rank, and rows i and i+1 have crossed H edges at the nodes
-  between their two split ranks, which is one interval of j per run.  The
-  crossed edges are listed in id order, all H ids before all V ids.
-- The crossed cells are the cells next to a crossed edge, sorted.  A
-  16-entry table maps a cell's four corner signs to its segment.  Cases 6
-  and 9 (four crossed edges, two segments) cannot occur: between columns j
-  and j+1 both rows of a cell can change sign only in the direction that
-  c[j+1] - c[j] gives them, and cases 6 and 9 need one row to rise and the
-  other to fall.  So every crossed cell has exactly one segment.
-- A crossing lies where the linear interpolation of values - level along its
-  edge is zero; an offset of exactly zero is taken as 1e-30.
-- Each crossed edge borders at most two cells and has one neighbour edge in
-  each.  The neighbour from the earlier cell (row-major) comes first; a walk
-  steps to the first neighbour not yet visited.  Open chains start from the
-  edges of degree one, then closed loops, each in edge id order, so the
-  output is bit-reproducible.
-- The polylines come back as (k, 2) arrays of (x, y) vertices, gathered
-  from the crossing points in one pass after the walk.
+  (n-1)*m + i*(m-1) + j.  Open chains come first, each starting at its
+  smaller-id end, sorted by that id.  Then come the closed loops in order
+  of their smallest id, which is an H edge (i, j) since a loop must cross
+  columns.  A loop starts at that edge, steps first into the cell (i, j-1)
+  on its lower-column side, and repeats its first vertex at the end.  So
+  the output is bit-reproducible.
+- The polylines come back as (k, 2) arrays of (x, y) vertices, views into
+  one array gathered from the crossing points.
 
 Node values are computed only where they are read: at the probed split
-ranks, at the ends of the crossed edges and at the corners of the crossed
-cells.  The cost per level is O(n log m) for the split ranks plus
-O(crossings) for the rest, against O(n m) for a scan of the whole field.
+ranks and at the ends of the crossed edges.  The cost per level is
+O(n log m) for the split ranks plus O(crossings) for the rest, against
+O(n m) for a scan of the whole field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# cell sides, in the order a cell lists its crossed edges
-BOTTOM, RIGHT, TOP, LEFT = range(4)
 _LOW = np.array([-np.inf])
 _HIGH = np.array([np.inf])
 _BELOW_AT = np.array([1, 0])  # base + k minus these: ranks k - 1 and k
-
-
-def _segment_table() -> np.ndarray:
-    """The segment (two sides) of a cell for each case index c00 + 2 c10 +
-    4 c01 + 8 c11 of corner signs; cases 6 and 9 do not occur."""
-    table = np.zeros((16, 2), dtype=np.intp)
-    for case in range(16):
-        c00, c10, c01, c11 = ((case >> k) & 1 for k in range(4))
-        crossed = [side for side, hit in
-                   zip((BOTTOM, RIGHT, TOP, LEFT),
-                       (c00 != c10, c10 != c11, c01 != c11, c00 != c01)) if hit]
-        if len(crossed) == 2:
-            table[case] = crossed
-    return table
-
-
-SEGMENT_TABLE = _segment_table()
 
 
 def _offset(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: np.ndarray,
@@ -81,14 +71,6 @@ def _offset(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: np.ndarray,
     d = b[i] * c[j] + a[i] - level
     d[d == 0.0] = 1e-30
     return d
-
-
-def _interpolate(a: np.ndarray, b: np.ndarray, k: np.ndarray,
-                 coords: np.ndarray) -> np.ndarray:
-    """coords[k] + t (coords[k+1] - coords[k]) where offsets a, b at nodes k,
-    k+1 interpolate to zero."""
-    t = a / (a - b)
-    return coords[k] + t * (coords[k + 1] - coords[k])
 
 
 def _runs(c: np.ndarray) -> list[tuple[int, int, bool]]:
@@ -102,24 +84,23 @@ def _runs(c: np.ndarray) -> list[tuple[int, int, bool]]:
     return list(zip(bounds, bounds[1:], ups))
 
 
-def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted ids of the crossed H edges and of the crossed V edges (the
-    latter counted from 0, not from the first V id)."""
-    n, m = a.size, c.size
+def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(split, inner), each of shape (runs, n): row i changes sign in run
+    r at column split[r, i], and inner[r, i] tells whether that column is
+    inside the run (s < split[r, i] <= e) rather than at one of its sides."""
     runs = _runs(c)
     # every run in ascending order between -inf and +inf: rank t of run r is
     # at base[r] + t, so rank -1 reads -inf and rank size[r] reads +inf.
     # Rank t is node origin[r] + step[r] * t on a rising run and that minus
-    # 1 on a falling one.  The run owns the nodes up to end[r] - 1: its last
-    # node is the next run's first
+    # 1 on a falling one
     views, meta, offset = [], [], 1
     for s, e, rising in runs:
         views.append(c[s:e + 1] if rising else c[s:e + 1][::-1])
         meta.append((offset, e - s + 1, s if rising else e + 1,
-                     1 if rising else -1, e + 1 if e == m - 1 else e))
+                     1 if rising else -1))
         offset += e - s + 3
-    base, size, origin, step, end = np.array(meta).T[:, :, None]
+    base, size, origin, step = np.array(meta).T[:, :, None]
     pad = np.concatenate([x for v in views for x in (_LOW, v, _HIGH)])
 
     # along every run the predicate value >= level is false, then true; a
@@ -154,22 +135,9 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
         k[rb, ib] = lo
     if flat.size:
         k[:, flat] = np.where(a[flat] >= level, 0, size)
-
-    # split[r, i]: the later node of the two around row i's split in run r
-    split = origin + step * k
-    # V: in each run, the edge between the two nodes around the split
-    inner = (k > 0) & (k < size)
-    v_ids = (split + np.arange(-1, n * (m - 1) - 1, m - 1)).T[inner.T]
-
-    # H: rows i and i+1 differ on the nodes between their splits, clipped
-    # to the nodes each run owns; the intervals are listed by pair, then run
-    j0 = np.minimum(split[:, :-1], split[:, 1:])
-    j1 = np.minimum(np.maximum(split[:, :-1], split[:, 1:]), end)
-    lens = np.maximum(j1 - j0, 0).T.ravel()
-    starts = (j0 + np.arange(0, (n - 1) * m, m)).T.ravel()
-    h_ids = (np.repeat(starts - np.cumsum(lens) + lens, lens)
-             + np.arange(lens.sum()))
-    return h_ids, v_ids
+    # the later node of the two around the split; rank 0 or size means
+    # the whole row has one sign in the run
+    return origin + step * k, (k > 0) & (k < size)
 
 
 def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -180,8 +148,8 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
     Returns a list of polylines, each a (k, 2) float array of (x, y)
     vertices; the polylines are views into one array.  Open polylines end
-    on the grid boundary; a closed loop of more than two vertices repeats
-    its first vertex at the end.  Raises ValueError when some b[i] < 0.
+    on the grid boundary; a closed loop repeats its first vertex at the
+    end.  Raises ValueError when some b[i] < 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -193,91 +161,102 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     n, m = a.size, c.size
     if n < 2 or m < 2:
         return []
-    h_ids, v_ids = _crossed_edges(a, b, c, level)
-    n_h = (n - 1) * m
-    edges = np.concatenate((h_ids, v_ids + n_h))
+    split, inner = _splits(a, b, c, level)
 
-    # crossing points of the crossed edges, in edge id order
-    hi, hj = np.divmod(h_ids, m)
-    vi, vj = np.divmod(v_ids, m - 1)
-    px = np.concatenate((
-        _interpolate(_offset(a, b, c, hi, hj, level),
-                     _offset(a, b, c, hi + 1, hj, level), hi, xs),
-        xs[vi]))
-    py = np.concatenate((
-        ys[hj],
-        _interpolate(_offset(a, b, c, vi, vj, level),
-                     _offset(a, b, c, vi, vj + 1, level), vj, ys)))
+    # emit the (run, row) blocks, runs in column order and rows in order.
+    # Block (r, i) is the V edge at the split when it is inner, then the H
+    # edges between rows i and i + 1 from split[r, i] toward split[r, i + 1]
+    gap = np.zeros_like(split)
+    gap[:, :-1] = split[:, 1:] - split[:, :-1]
+    size = (inner + np.abs(gap)).ravel()
+    stop = np.cumsum(size)
+    total = int(stop[-1])
+    if total == 0:
+        return []
+    start = stop - size
+    block = np.repeat(np.arange(size.size), size)
+    # an element's rank in its block, counted as if every block began with
+    # its V edge: rank 0 is the V edge at column at - 1, ranks 1.. the H
+    # edges at columns at, at + 1, .. going up and at - 1, at - 2, .. not
+    u = np.arange(total) - (start - 1 + inner.ravel())[block]
+    at = split.ravel()[block]
+    row = np.tile(np.arange(n), split.shape[0])[block]
+    is_v = u == 0
+    col = np.where(gap.ravel()[block] > 0, at - 1 + u, at - np.maximum(u, 1))
 
-    # crossed cells, the cells next to a crossed edge; cell (i, j) has id
-    # i*(m-1) + j.  Sorted, a repeated id follows its first copy
-    h_cell = hi * (m - 1) + hj
-    cell_ids = np.sort(np.concatenate((
-        h_cell[hj > 0] - 1, h_cell[hj < m - 1],
-        v_ids[vi > 0] - (m - 1), v_ids[vi < n - 1])))
-    first_copy = np.concatenate(([True], cell_ids[1:] != cell_ids[:-1]))
-    ci, cj = np.divmod(cell_ids[first_copy[:cell_ids.size]], m - 1)
-    b0, a0, b1, a1 = b[ci], a[ci], b[ci + 1], a[ci + 1]
-    y0, y1 = c[cj], c[cj + 1]
-    case = ((b0 * y0 + a0 >= level) + 2 * (b1 * y0 + a1 >= level)
-            + 4 * (b0 * y1 + a0 >= level) + 8 * (b1 * y1 + a1 >= level))
+    # crossing points in emission order: an H edge joins (row, col) and
+    # (row + 1, col), a V edge joins (row, col) and (row, col + 1)
+    is_h = ~is_v
+    row1, col1 = row + is_h, col + is_v
+    d0 = _offset(a, b, c, row, col, level)
+    d1 = _offset(a, b, c, row1, col1, level)
+    t = d0 / (d0 - d1)
+    x, y = xs[row], ys[col]
+    xy = np.column_stack((np.where(is_h, x + t * (xs[row1] - x), x),
+                          np.where(is_v, y + t * (ys[col1] - y), y)))
 
-    # per side of each crossed cell: its edge id, and its neighbour slot
-    # (1 when the edge's other cell comes earlier in row-major order)
-    side_edge = np.stack((ci * m + cj,
-                          n_h + (ci + 1) * (m - 1) + cj,
-                          ci * m + cj + 1,
-                          n_h + ci * (m - 1) + cj))
-    zeros = np.zeros_like(ci)
-    side_slot = np.stack((cj > 0, zeros, zeros, ci > 0)).astype(np.intp)
+    def edge_ids(k: np.ndarray) -> np.ndarray:
+        return np.where(is_v[k], (n - 1) * m + row[k] * (m - 1) + col[k],
+                        row[k] * m + col[k])
 
-    sides = SEGMENT_TABLE[case]
-    cells = np.arange(ci.size)
+    # cut at each run's row 0 and at every row whose split is not inner
+    cut = ~inner
+    cut[:, 0] = True
+    bounds = np.append(start[cut.ravel()], total)
+    nonempty = bounds[:-1] < bounds[1:]
+    lo, hi = bounds[:-1][nonempty], bounds[1:][nonempty]
 
-    # neighbour lists: slot 0 then slot 1; k (one past the last edge) is
-    # "none", and counts as visited
-    k = edges.size
-    ends = np.searchsorted(edges, side_edge[sides.T, cells])
-    slots = side_slot[sides.T, cells]
-    nb = np.full((2, k), k, dtype=np.intp)
-    nb[slots[0], ends[0]] = ends[1]
-    nb[slots[1], ends[1]] = ends[0]
+    # piece p has end slots 2p (its first element) and 2p + 1 (its last).
+    # An end is on the grid boundary or is an H edge on a shared column;
+    # the two slots that hold a shared edge are neighbours sorted by id
+    ends = np.column_stack((lo, hi - 1)).ravel()
+    ec = col[ends]
+    on_boundary = is_v[ends] | (ec == 0) | (ec == m - 1)
+    by_id = np.argsort(edge_ids(ends))
+    shared = by_id[~on_boundary[by_id]]
+    partner = np.full(ends.size, -1)
+    partner[shared[0::2]] = shared[1::2]
+    partner[shared[1::2]] = shared[0::2]
 
-    first, second = nb.tolist()
-    visited = bytearray(k + 1)
-    visited[k] = 1
-    # the walked edges of every polyline, one after another; stops[p] is
-    # one past the last position of polyline p
-    order: list[int] = []
-    stops: list[int] = []
+    lo, hi, partner = lo.tolist(), hi.tolist(), partner.tolist()
+    visited = bytearray(len(lo))
 
-    def walk(node: int) -> None:
-        order.append(node)
-        visited[node] = 1
+    def chain(slot: int) -> np.ndarray:
+        """Emission positions from the piece entered at slot until the
+        curve reaches the boundary or its first piece again; a shared edge
+        is kept once."""
+        parts = []
         while True:
-            if not visited[first[node]]:
-                node = first[node]
-            elif not visited[second[node]]:
-                node = second[node]
+            p = slot >> 1
+            visited[p] = 1
+            skip = 1 if parts else 0
+            if slot & 1:
+                parts.append(np.arange(hi[p] - 1 - skip, lo[p] - 1, -1))
             else:
-                return
-            order.append(node)
-            visited[node] = 1
+                parts.append(np.arange(lo[p] + skip, hi[p]))
+            slot = partner[slot ^ 1]
+            if slot < 0 or visited[slot >> 1]:
+                return np.concatenate(parts)
 
-    # open chains first: start from degree-1 edges
-    for e in np.flatnonzero(nb[1] == k).tolist():
-        if not visited[e]:
-            walk(e)
-            stops.append(len(order))
-    # remaining are closed loops
-    e = visited.find(0)
-    while e >= 0:
-        start = len(order)
-        walk(e)
-        if len(order) - start > 2:
-            order.append(e)  # close the loop
-        stops.append(len(order))
-        e = visited.find(0, e + 1)
+    # open chains from their smaller-id boundary end, in id order
+    polylines = [chain(s) for s in by_id[on_boundary[by_id]].tolist()
+                 if not visited[s >> 1]]
+    # then the loops in order of their smallest edge id, each starting at
+    # that edge and stepping first into its lower-column cell.  A loop
+    # already runs that way: it is entered at the top piece of its lowest
+    # run, where its inside lies toward the higher columns, and followed
+    # down that piece, so it keeps its inside on that hand and passes its
+    # smallest edge (on its top row, inside below) toward the lower columns
+    loops = []
+    p = visited.find(0)
+    while p >= 0:
+        ring = chain(2 * p)[:-1]  # its last element is its first again
+        ids = edge_ids(ring)
+        k = int(ids.argmin())
+        loops.append((ids[k], np.concatenate((ring[k:], ring[:k + 1]))))
+        p = visited.find(0, p + 1)
+    polylines += [ring for _, ring in sorted(loops, key=lambda x: x[0])]
 
-    xy = np.column_stack((px, py))[order]
-    return [xy[lo:hi] for lo, hi in zip([0, *stops], stops)]
+    stops = np.cumsum([len(q) for q in polylines]).tolist()
+    xy = np.take(xy, np.concatenate(polylines), axis=0)
+    return [xy[i:j] for i, j in zip([0, *stops], stops)]

@@ -57,6 +57,11 @@ class SolverConfig:
     method: str = "both"  # grid | closed_form | both
 
     def __post_init__(self):
+        # a float or a string would pass or fail the range test by accident
+        # and break the solve later; a bool is not a grid size
+        if (isinstance(self.grid_n, bool)
+                or not isinstance(self.grid_n, (int, np.integer))):
+            raise ValueError(f"grid_n must be an integer, not {self.grid_n!r}")
         if not 64 <= self.grid_n <= GRID_N_MAX:
             raise ValueError(f"grid_n must be in [64, {GRID_N_MAX}]")
         if self.method not in ("grid", "closed_form", "both"):

@@ -106,8 +106,10 @@ class TestSolve:
         assert json.loads(out)["method_agreement"]["within_tolerance"]
 
     def test_usage_error_is_exit_1(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--theta-i", "0.5")
-        assert code == 1 or err  # argparse raises SystemExit(1)
+        code, out, err = run_cli(capsys, "solve", "--theta-i", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invalid_range_is_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--theta-i", "0.5",
@@ -123,9 +125,10 @@ class TestSolve:
         assert err == "error: grid_n must be in [64, 8192]\n"
 
     def test_json_flag_is_usage_error(self, capsys):
-        code, out, _ = run_cli(capsys, "solve", *GENERIC, "--json")
+        code, out, err = run_cli(capsys, "solve", *GENERIC, "--json")
         assert code == 1
         assert out == ""
+        assert err == "error: unrecognized arguments: --json\n"
 
     def test_degenerate_grid_is_exit_1(self, capsys, monkeypatch):
         def degenerate(*args, **kwargs):

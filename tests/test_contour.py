@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spincollapse.bloch import SpinState, canonicalize_axis
-from spincollapse.contour import marching_squares
+from spincollapse.contour import _runs, marching_squares
 from spincollapse.solver import (
     SolverConfig,
     _overlap_grid,
@@ -247,16 +247,51 @@ class TestReferenceOracle:
             assert _agrees_with_reference(a, b, c, xs, ys, float(level))
 
     def test_coarse_random_fields(self):
-        # many short chains and loops, some loops starting at adjacent edge
-        # ids, so the scan for the next unvisited edge must not skip one
+        # many short chains and loops on grids down to 2 x 2, at levels that
+        # hit node values: pieces of one or two runs, joined at shared
+        # columns, and loops starting at adjacent edge ids
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            n, m = rng.integers(3, 9, size=2)
+        for _ in range(1000):
+            n, m = rng.integers(2, 12, size=2)
             a = rng.choice([-1.0, -0.5, 0.0, 0.5], n)
             b = rng.choice([0.0, 1.0, 2.0], n)
             c = rng.choice([-1.0, -0.4, 0.3, 1.0], m)
-            _agrees_with_reference(a, b, c, np.arange(n, dtype=float),
-                                   np.arange(m, dtype=float))
+            for level in (0.0, 0.5, -0.3):
+                _agrees_with_reference(a, b, c, np.arange(n, dtype=float),
+                                       np.arange(m, dtype=float), level)
+
+    @pytest.mark.parametrize("fb", [_one, lambda x: 1.0 + 0.5 * np.sin(3 * x)],
+                             ids=["b-one", "b-wavy"])
+    def test_loops_across_many_runs(self, fb):
+        # c = cos(5y) + y^2 has eight monotone runs on [-2, 2] and a = x^2
+        # closes the level sets around the origin, so one loop is joined
+        # from pieces of at least three runs
+        a, b, c, xs, ys = _triple(lambda x: x * x, fb,
+                                  lambda y: np.cos(5 * y) + y * y)
+        runs = _runs(c)
+        assert len(runs) == 8
+        widest = 0
+        for level in (0.5, 1.0, 1.4):
+            for poly in _agrees_with_reference(a, b, c, xs, ys, level):
+                if poly[0] == poly[-1]:
+                    y0 = min(y for _, y in poly)
+                    y1 = max(y for _, y in poly)
+                    widest = max(widest, sum(ys[s] < y1 and ys[e] > y0
+                                             for s, e, _ in runs))
+        assert widest >= 3
+
+    def test_levels_at_nodes_of_shared_columns(self):
+        # a level equal to a node value on a column two runs share puts an
+        # exact zero where the pieces of both runs meet
+        a, b, c, xs, ys = _triple(lambda x: 0.3 * x,
+                                  lambda x: np.sin(2 * x) + 1.2,
+                                  lambda y: np.cos(5 * y))
+        shared = [e for _, e, _ in _runs(c)[:-1]]
+        assert len(shared) == 7
+        values = _dense(a, b, c)
+        for j in shared:
+            for i in (20, 64, 100):
+                _agrees_with_reference(a, b, c, xs, ys, float(values[i, j]))
 
     def test_noisy_c(self):
         # c goes up and down at random: a run of one or two nodes each

@@ -476,6 +476,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=r"grid_n must be in \[64, 8192\]"):
             SolverConfig(grid_n=solver.GRID_N_MAX + 1)
 
+    def test_grid_n_must_be_an_integer(self):
+        # a float or string grid_n used to construct and then fail in the
+        # solve with a TypeError, or in the range comparison
+        for bad in (256.5, 300.0, "256", True, np.float64(256.0)):
+            with pytest.raises(ValueError, match="grid_n must be an integer"):
+                SolverConfig(grid_n=bad)
+        for good in (256, np.int64(256), np.int32(256)):
+            assert SolverConfig(grid_n=good).grid_n == 256
+
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.grid_n == 1024
@@ -534,6 +543,27 @@ def test_solving_does_not_import_scipy():
             "                     SpinState(0.4, 0.0))\n"
             "assert sol.status.value == 'Normal'\n"
             "print('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_grid_solves_do_not_import_numpy_ma():
+    # numpy.ma comes in with some numpy functions (np.unique among them)
+    # and adds about 1.5 MB of resident memory to every process that
+    # solves on the grid
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spincollapse.__file__)))
+    code = ("import math, sys\n"
+            "from spincollapse import SpinState, canonicalize_axis, solve_collapse\n"
+            "from spincollapse.solver import SolverConfig\n"
+            "axis = canonicalize_axis(math.pi / 4, math.pi / 2)\n"
+            "for n in (256, 4096):\n"
+            "    sol = solve_collapse(axis, SpinState(0.4, 0.0),\n"
+            "                         SolverConfig(grid_n=n, method='grid'))\n"
+            "    assert sol.status.value == 'Normal'\n"
+            "print('numpy.ma' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
