@@ -16,7 +16,7 @@ from spincollapse import (
     canonicalize_axis,
     constraint_levels,
     entropy_pair_solutions,
-    trace_level_sets,
+    solve_collapse,
 )
 from spincollapse.solver import SolverConfig
 
@@ -38,7 +38,10 @@ def main():
     print(f"overlap in {{{p_same:.4f}, {p_flip:.4f}}}  (f is two-to-one)")
 
     cfg = SolverConfig(grid_n=512)
-    curves = trace_level_sets(state, (p_same, p_flip), cfg, axis_i=axis)
+    # solve_collapse traces both level sets and marks the components it
+    # drops: those with a zero-entropy overlap extremum, such as the one
+    # through the initial axis (overlap 1)
+    curves = solve_collapse(axis, state, cfg).curves
     out = "level_sets.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -187,6 +187,9 @@ def cmd_run(args) -> int:
         print(f"error: config parse error at line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: config nests too deeply", file=sys.stderr)
+        return 1
     if not isinstance(raw, dict):
         print("error: config must be a JSON object", file=sys.stderr)
         return 1

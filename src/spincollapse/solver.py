@@ -34,10 +34,6 @@ from .entropy import binary_entropy
 CHART_EDGE = 1e-12  # angles this close to 0 or pi lie on the chart edge
 EPS_TRIVIAL = 1e-9  # an outcome this improbable makes the state an eigenstate
 EPS_Z = 1e-6  # eigenbasis entropy at or below this is a zero-entropy point
-# f = binary_entropy increases on [0, 1/2] and f(q) = f(1 - q), and
-# f(NEAR_POLE) ~ 1.5e-5 > 14 EPS_Z: an overlap q can reach f(q) <= EPS_Z only
-# when min(q, 1 - q) <= NEAR_POLE, so f is evaluated on those overlaps alone
-NEAR_POLE = 1e-6
 DEDUP_RADIUS = 1e-6  # refined extrema closer than this are one extremum
 SAME_VERTEX = 1e-12  # consecutive curve vertices closer than this are one
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -72,14 +68,16 @@ class SolverConfig:
 class LevelSetCurve:
     """One polyline of a level set, as three float arrays over its vertices:
     the chart angles theta and phi and the eigenbasis overlap with the
-    initial axis.  A closed loop repeats its first vertex at the end."""
+    initial axis.  A closed loop repeats its first vertex at the end.
+    contains_zero_entropy is set by solve_collapse, for a component with a
+    zero-entropy extremum; trace_level_sets leaves it False."""
 
     level: float
     theta: np.ndarray
     phi: np.ndarray
     overlap: np.ndarray
     component_id: int
-    contains_zero_entropy: bool
+    contains_zero_entropy: bool = False
 
     @property
     def vertices(self) -> list[tuple[float, float, float, float]]:
@@ -110,7 +108,7 @@ class CollapseSolution:
 
 class DegenerateGridError(RuntimeError):
     """The grid route cannot answer: a level in the field's range has an
-    empty level set, or no component carries an admissible extremum."""
+    empty level set."""
 
 
 def constraint_levels(i: Axis, s: SpinState) -> tuple[float, float]:
@@ -155,21 +153,13 @@ def on_chart_edge(theta, phi):
             | (phi < CHART_EDGE) | (phi > math.pi - CHART_EDGE))
 
 
-def _has_zero_entropy(overlap: np.ndarray) -> bool:
-    """Whether binary_entropy(q) <= EPS_Z for some overlap q; the entropy is
-    evaluated only where min(q, 1 - q) <= NEAR_POLE (see NEAR_POLE)."""
-    near = overlap[np.minimum(overlap, 1.0 - overlap) <= NEAR_POLE]
-    return any(binary_entropy(q) <= EPS_Z for q in near.tolist())
-
-
 def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
                      axis_i: Axis) -> list[LevelSetCurve]:
     """Extract the chart-restricted level curves of the up-overlap field.
 
     An empty result for a level is allowed: the level may be unattained on the
     chart.  The initial axis axis_i is required: every vertex carries its
-    eigenbasis overlap with it, and a curve with a vertex whose overlap has
-    entropy <= EPS_Z is marked as containing a zero-entropy point.
+    eigenbasis overlap with it.
     """
     thetas, phis, a, b, c = _overlap_grid(s, cfg.grid_n)
     ni = axis_to_bloch(axis_i)
@@ -196,8 +186,7 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
         for poly in polys:
             end = start + len(poly)
             curves.append(LevelSetCurve(level, th[start:end], ph[start:end],
-                                        qs[start:end], cid,
-                                        _has_zero_entropy(qs[start:end])))
+                                        qs[start:end], cid))
             cid += 1
             start = end
     return curves
@@ -369,9 +358,8 @@ def _drop_repeats(th: np.ndarray, ph: np.ndarray
 
 
 def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
-                      ) -> tuple[list[Candidate], bool]:
+                      ) -> list[Candidate]:
     """Refined interior extrema of the eigenbasis overlap along one curve.
-    Returns (candidates, has_zero_entropy).
 
     Interior extrema are detected as sign changes of the tangency condition
     between consecutive vertices; vertex overlap values alone are too noisy to
@@ -384,8 +372,6 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
         th, ph = th[:-1], ph[:-1]
     th, ph = _drop_repeats(th, ph)
     n = th.size
-    cands: list[Candidate] = []
-    zero = curve.contains_zero_entropy
 
     # segment k joins vertices k and k + 1 (vertex 0 after the last one on a
     # closed curve) and brackets an extremum when the tangency changes sign
@@ -403,29 +389,27 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
         if all(math.hypot(theta - a, phi - b) > DEDUP_RADIUS
                for a, b, _ in uniq):
             uniq.append((theta, phi, q))
-    for theta, phi, q in uniq:
-        su = binary_entropy(q)
-        if su <= EPS_Z:
-            zero = True
-        cands.append(Candidate(canonicalize_axis(theta, phi), q, su,
-                               curve.component_id))
-    return cands, zero
+    return [Candidate(canonicalize_axis(theta, phi), q, binary_entropy(q),
+                      curve.component_id) for theta, phi, q in uniq]
 
 
 def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
                    ) -> CollapseSolution:
-    """Grid route: trace both admissible level sets, drop components carrying
-    a zero-entropy point, and return the overlap extremum with minimal
+    """Grid route: trace both admissible level sets, drop components with a
+    zero-entropy extremum, and return the overlap extremum with minimal
     eigenbasis entropy.
 
-    The candidates are the refined interior extrema of every curve, and only
-    those with s_up > EPS_Z are admissible.  The answer is chosen in two
-    tiers: admissible candidates on kept components first, then those on
-    dropped components, which hold the chart representative -n* when the
-    reflection n* of the closed form lies off the chart.  A curve's open ends
-    on the chart edge are never candidates.  If no component survives the
-    drop, the configuration is a death point and the axis cannot move; if
-    neither tier has a candidate, DegenerateGridError is raised.
+    The candidates are the refined interior extrema of every curve.  A
+    component is dropped when one of its candidates has s_up <= EPS_Z, the
+    rule the closed form applies to its extremum n*; the dropped components
+    are marked by LevelSetCurve.contains_zero_entropy.  The answer is chosen
+    in two tiers: candidates on kept components first, then the candidates
+    with s_up > EPS_Z on dropped components, which hold the chart
+    representative -n* when the reflection n* of the closed form lies off
+    the chart.  A curve's open ends on the chart edge are never candidates.
+    If no component survives the drop, or neither tier has a candidate (the
+    kept components have no extremum and -n* has zero entropy), the
+    configuration is a death point and the axis cannot move.
     """
     cfg = cfg or SolverConfig()
     p_same, p_flip = constraint_levels(i, s)
@@ -434,25 +418,18 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
 
     curves = trace_level_sets(s, (p_same, p_flip), cfg, axis_i=i)
-    all_cands: list[Candidate] = []
-    zero_ids: set[int] = set()
+    all_cands = [c for curve in curves for c in _curve_candidates(curve, s, i)]
+    zero_ids = {c.component_id for c in all_cands if c.s_up <= EPS_Z}
     for curve in curves:
-        cands, zero = _curve_candidates(curve, s, i)
-        curve.contains_zero_entropy = zero
-        if zero:
-            zero_ids.add(curve.component_id)
-        all_cands.extend(cands)
+        curve.contains_zero_entropy = curve.component_id in zero_ids
 
     retained_ids = {c.component_id for c in curves} - zero_ids
-    if not retained_ids:
+    # every candidate on a kept component has s_up > EPS_Z
+    tier = ([c for c in all_cands if c.component_id in retained_ids]
+            or [c for c in all_cands if c.s_up > EPS_Z])
+    if not retained_ids or not tier:
         return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i,
                                 all_cands, curves)
-
-    admissible = [c for c in all_cands if c.s_up > EPS_Z]
-    tier = ([c for c in admissible if c.component_id in retained_ids]
-            or [c for c in admissible if c.component_id in zero_ids])
-    if not tier:
-        raise DegenerateGridError("no admissible extremum on any component")
     chosen = min(tier, key=lambda c: (c.s_up, c.axis.theta, c.axis.phi))
     return CollapseSolution(Status.NORMAL, chosen.axis, chosen.s_up, s_i,
                             all_cands, curves)
@@ -468,8 +445,10 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     it is the reflection n* = n_i - 2 c m, with eigenbasis overlap 1 - c^2.
     The configuration is a death point when that circle has no chart
     representative, i.e. when its maximal y-component is negative, or when
-    the extremum is itself a zero-entropy point (f(c^2) <= EPS_Z), as the
-    grid route finds one on both of its components there.  The Trivial and
+    the extremum is itself a zero-entropy point (f(c^2) <= EPS_Z).  That is
+    the grid route's rule, which drops every component with a zero-entropy
+    extremum: the one through n* then, and always the other circle
+    {n : n . m = c}, whose extremum n_i has overlap 1.  The Trivial and
     zero-entropy rules are the grid route's: is_trivial and EPS_Z.
 
     cfg is accepted so that one SolverConfig can be passed to either route;

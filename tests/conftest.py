@@ -59,6 +59,39 @@ def nondegenerate_instances(seed: int, count: int) -> list[tuple[Axis, SpinState
     return out
 
 
+# unfiltered random_instance draws, labelled seed:index, as canonical
+# (theta_i, phi_i, rho, tau), with n_i . y below 4.2e-4: -n_i lies on the
+# flip circle just outside the chart, so near the chart edge that circle's
+# eigenbasis entropy falls below EPS_Z without an extremum there.  The
+# closed form answers Normal; a grid route that dropped a component for a
+# zero-entropy vertex, not only for a zero-entropy extremum, answered
+# DeathPoint at grid 256.
+CHART_EDGE_INSTANCES = {
+    "7:508": (0.043413424832707624, 3.132103939355464, 0.3129719864579231,
+              3.2031040148764776),
+    "7:1305": (0.07712226787812006, 3.139138025150323, 0.16735997550323256,
+               3.6563271293912765),
+    "7:2136": (2.9270270024213456, 0.00027042844286413183, 0.6363615377189471,
+               5.81496974426366),
+    "8:350": (0.9604632586170488, 0.0004261196109332289, 0.854286743678968,
+              2.6258309122938326),
+    "8:830": (0.006162400221587475, 0.022684882514749122, 0.47112515409435674,
+              0.48977491978485876),
+    "9:1114": (3.1401661393753684, 3.053728220543473, 0.7370752758191688,
+               0.9272983704069069),
+    "9:1468": (0.0010656435203375482, 0.016614872156843753,
+               0.40237552676797195, 0.30650440593243783),
+    "9:2062": (3.1409167709307124, 0.4493901503997025, 0.49528991893165963,
+               0.3297887598609694),
+    "9:2072": (0.29617160283798416, 3.1405843458540463, 0.6002376946495147,
+               6.077876852458576),
+    "9:2534": (3.033832732049182, 0.0012202625398644727, 0.6694173375483358,
+               0.9996476704264734),
+    "9:2971": (2.978778295067336, 0.0002119655162018641, 0.9506481131631465,
+               6.030584121019879),
+}
+
+
 def eigvec_overlap_oracle(axis: Axis, state: SpinState) -> float:
     """Independent |<up_f|psi>|^2 oracle from raw complex-vector arithmetic."""
     up = np.array([math.cos(axis.theta / 2.0) * np.exp(-1j * axis.phi),

@@ -11,6 +11,8 @@ from spincollapse import cli
 from spincollapse.cli import main
 from spincollapse.solver import DegenerateGridError
 
+from conftest import CHART_EDGE_INSTANCES
+
 PI = math.pi
 
 GENERIC = ["--theta-i", "0.7853981633974483", "--phi-i", "1.5707963267948966",
@@ -104,6 +106,18 @@ class TestSolve:
                                "--grid", "1024", "--method", "both")
         assert code == 0
         assert json.loads(out)["method_agreement"]["within_tolerance"]
+
+    @pytest.mark.parametrize("label", ["7:508", "7:1305", "7:2136"])
+    def test_routes_agree_next_to_the_chart_edge(self, capsys, label):
+        theta, phi, rho, tau = CHART_EDGE_INSTANCES[label]
+        code, out, _ = run_cli(capsys, "solve", "--theta-i", repr(theta),
+                               "--phi-i", repr(phi), "--rho", repr(rho),
+                               "--tau", repr(tau), "--grid", "256",
+                               "--method", "both")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "Normal"
+        assert payload["method_agreement"]["within_tolerance"]
 
     def test_usage_error_is_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--theta-i", "0.5")
@@ -251,6 +265,16 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(path))
         assert code == 1
         assert "line" in err
+
+    def test_deeply_nested_json_is_exit_1(self, capsys, tmp_path):
+        # nested past the decoder's recursion limit, which used to end in
+        # a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text('{"a":' * 100_000 + "1" + "}" * 100_000)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: config nests too deeply\n"
 
     def test_unwritable_out_is_exit_1(self, capsys, tmp_path):
         cfg_path, out_path = self.config(

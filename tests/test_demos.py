@@ -26,3 +26,6 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if demo.stem == "02_entropy_level_sets":
+        # the component through the generic instance's initial axis
+        assert "zero-entropy point=True" in proc.stdout

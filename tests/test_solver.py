@@ -10,8 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spincollapse.bloch import (
     SpinState,
@@ -39,7 +37,7 @@ from spincollapse.solver import (
     trace_level_sets,
 )
 
-from conftest import nondegenerate_instances
+from conftest import CHART_EDGE_INSTANCES, nondegenerate_instances
 
 PI = math.pi
 
@@ -139,34 +137,6 @@ class TestTraceLevelSets:
         assert f"[{dense.min()}, {dense.max()}]" in str(info.value)
 
 
-def _float_bits(x: float) -> int:
-    return int(np.float64(x).view(np.int64))
-
-
-def _entropy_crossing(zero: float, far: float) -> list[float]:
-    """The floats around where binary_entropy crosses EPS_Z between zero (a
-    pole, f = 0) and far (f > EPS_Z): the two adjacent floats that straddle
-    it, by bisection over the bit patterns, and two more on either side."""
-    lo, hi = _float_bits(zero), _float_bits(far)
-    while abs(hi - lo) > 1:
-        mid = (lo + hi) // 2
-        if binary_entropy(float(np.int64(mid).view(np.float64))) <= EPS_Z:
-            lo = mid
-        else:
-            hi = mid
-    step = 1 if hi > lo else -1
-    return [float(np.int64(lo + step * k).view(np.float64))
-            for k in range(-2, 4)]
-
-
-NEAR = solver.NEAR_POLE
-# f = EPS_Z near 0 and near 1, and the prefilter's cut-off at NEAR_POLE
-THRESHOLD_OVERLAPS = (_entropy_crossing(0.0, NEAR)
-                      + _entropy_crossing(1.0, 1.0 - NEAR)
-                      + [0.0, 1.0, NEAR, np.nextafter(NEAR, 1.0),
-                         1.0 - NEAR, np.nextafter(1.0 - NEAR, 0.0)])
-
-
 class TestArrayCurves:
     """Curves hold numpy arrays; the entropy of a vertex is evaluated only
     where it is read."""
@@ -197,22 +167,6 @@ class TestArrayCurves:
                                     map(binary_entropy, cv.overlap)))
                 assert cv.vertices == expected
                 assert all(type(x) is float for v in cv.vertices for x in v)
-
-    def test_threshold_seeds_straddle_eps_z(self):
-        assert binary_entropy(NEAR) > 10 * EPS_Z
-        assert binary_entropy(1.0 - NEAR) > 10 * EPS_Z
-        flags = [binary_entropy(q) <= EPS_Z for q in THRESHOLD_OVERLAPS[:12]]
-        assert flags == [True] * 3 + [False] * 3 + [True] * 3 + [False] * 3
-
-    @given(st.lists(st.sampled_from(THRESHOLD_OVERLAPS)
-                    | st.floats(0.0, 1.0)
-                    | st.floats(0.0, 2.0 * NEAR)
-                    | st.floats(1.0 - 2.0 * NEAR, 1.0),
-                    min_size=1, max_size=12))
-    @settings(max_examples=300, deadline=None)
-    def test_zero_entropy_flag_is_exact(self, overlaps):
-        assert solver._has_zero_entropy(np.array(overlaps)) == \
-            (min(map(binary_entropy, overlaps)) <= EPS_Z)
 
 
 def _drop_repeats_loop(th, ph):
@@ -281,6 +235,19 @@ class TestWorkedInstances:
                 if math.hypot(th - 0.785, ph - 1.571) < 1e-3:
                     hit = True
         assert hit
+
+    def test_dropped_components_have_a_zero_entropy_extremum(self):
+        cfg = SolverConfig(grid_n=256)
+        for axis, state in [(GENERIC_AXIS, GENERIC_STATE),
+                            (DEATH_AXIS, DEATH_STATE),
+                            *nondegenerate_instances(seed=5, count=20)]:
+            sol = solve_collapse(axis, state, cfg)
+            assert {cv.component_id for cv in sol.curves
+                    if cv.contains_zero_entropy} == \
+                {c.component_id for c in sol.candidates if c.s_up <= EPS_Z}
+            levels = constraint_levels(axis, state)
+            assert not any(cv.contains_zero_entropy for cv in
+                           trace_level_sets(state, levels, cfg, axis))
 
     def test_death_instance(self):
         sol = solve_collapse(DEATH_AXIS, DEATH_STATE, SolverConfig(grid_n=1024))
@@ -374,19 +341,46 @@ class TestSolutionInvariants:
                 assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
 
 
+@pytest.mark.parametrize("instance", CHART_EDGE_INSTANCES.values(),
+                         ids=CHART_EDGE_INSTANCES.keys())
+def test_routes_agree_on_axes_next_to_the_chart_edge(instance):
+    theta, phi, rho, tau = instance
+    axis, state = canonicalize_axis(theta, phi), SpinState(rho, tau)
+    cfg = SolverConfig(grid_n=256)
+    g = solve_collapse(axis, state, cfg)
+    c = solve_collapse_closed_form(axis, state, cfg)
+    assert g.status is c.status is Status.NORMAL
+    d = math.hypot(g.axis_f.theta - c.axis_f.theta,
+                   g.axis_f.phi - c.axis_f.phi)
+    assert d <= AXIS_AGREE_TOL
+    assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
+
+
+def test_no_admissible_extremum_is_a_death_point():
+    # an axis on the seam with c = n_i . m = 1.5e-7: n* lies just off the
+    # chart, so the flip-level arc on it has no extremum and is kept, and
+    # -n* on the other component has zero entropy like n_i beside it
+    axis = canonicalize_axis(1.3892157769068338, 0.0)
+    state = SpinState(0.025108339322997386, 0.9796686429823828)
+    cfg = SolverConfig(grid_n=256)
+    g = solve_collapse(axis, state, cfg)
+    assert g.status is Status.DEATH_POINT
+    assert solve_collapse_closed_form(axis, state, cfg).status is \
+        Status.DEATH_POINT
+    kept = [cv for cv in g.curves if not cv.contains_zero_entropy]
+    assert kept and not {cv.component_id for cv in kept} & \
+        {c.component_id for c in g.candidates}
+    assert all(c.s_up <= EPS_Z for c in g.candidates)
+
+
 def instance_at_overlap(rng, c: float):
     """An (axis, state) pair whose Bloch vectors have dot product c.
 
     The state vector is m = c n_i + sqrt(1 - c^2) u, with u a random unit
-    vector orthogonal to the axis vector n_i.  Axes grazing the chart edge
-    (n_i . y <= 1e-3) are redrawn: the routes can disagree there whatever c
-    is, which is not what the callers test.
+    vector orthogonal to the axis vector n_i.
     """
-    while True:
-        axis = canonicalize_axis(rng.uniform(0.0, PI), rng.uniform(0.0, PI))
-        ni = np.array(axis_to_bloch(axis))
-        if ni[1] > 1e-3:
-            break
+    axis = canonicalize_axis(rng.uniform(0.0, PI), rng.uniform(0.0, PI))
+    ni = np.array(axis_to_bloch(axis))
     u = rng.normal(size=3)
     u -= u.dot(ni) * ni
     u /= np.linalg.norm(u)
@@ -403,10 +397,10 @@ def seam_instance(rng, delta: float):
     n* is drawn with y-component delta and |z| <= 0.99, m uniformly, and the
     axis is n_i = n* - 2 (n* . m) m, canonicalized (which flips the sign of
     n* when it flips n_i).  Draws that is_nondegenerate rejects for another
-    reason are redrawn: c = n_i . m near 0 or +-1, an axis grazing the chart
-    edge, a flip circle tangent to it.  So are reflections near a pole, where
-    the chart distance between the routes' answers is stretched by
-    1 / sin(theta).
+    reason, except an axis grazing the chart edge, are redrawn: c = n_i . m
+    near 0 or +-1, a flip circle tangent to the chart edge.  So are
+    reflections near a pole, where the chart distance between the routes'
+    answers is stretched by 1 / sin(theta).
     """
     while True:
         m = rng.normal(size=3)
@@ -420,7 +414,7 @@ def seam_instance(rng, delta: float):
         c = float(ni.dot(m))
         flip_max_y = (-c * m[1] + math.sqrt(max(0.0, 1.0 - c * c))
                       * math.sqrt(max(0.0, 1.0 - m[1] * m[1])))
-        if 2e-3 < abs(c) < 0.95 and ni[1] > 1e-3 and abs(flip_max_y) > 1e-3:
+        if 2e-3 < abs(c) < 0.95 and abs(flip_max_y) > 1e-3:
             break
     axis = canonicalize_axis(*bloch_to_axis_angles(tuple(ni.tolist())))
     tau = math.atan2(m[1], m[0]) % (2.0 * PI)
