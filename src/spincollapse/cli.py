@@ -34,7 +34,6 @@ from .pfn import (
     to_truth_table,
 )
 from .solver import (
-    DegenerateGridError,
     SolverConfig,
     constraint_levels,
     is_trivial,
@@ -210,9 +209,10 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 1
 
+    # a run solves each step with one route, so "both" has no meaning here
     method = METHODS.get(cfgd["method"])
-    if method is None:
-        print(f"error: config field 'method' must be grid|closed|both",
+    if method in (None, "both"):
+        print("error: config field 'method' must be grid|closed",
               file=sys.stderr)
         return 1
     axis = canonicalize_axis(cfgd["theta_i"], cfgd["phi_i"])
@@ -343,9 +343,6 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except (ValueError, ExprSyntaxError, ExprArityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DegenerateGridError as exc:
-        print(f"error: grid route failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -107,8 +107,8 @@ class CollapseSolution:
 
 
 class DegenerateGridError(RuntimeError):
-    """The grid route cannot answer: a level in the field's range has an
-    empty level set."""
+    """Never raised: a level strictly inside the grid's node range always has
+    a crossed edge.  Kept while perfbench still names it."""
 
 
 def constraint_levels(i: Axis, s: SpinState) -> tuple[float, float]:
@@ -170,13 +170,6 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
             raise ValueError(f"level must be in (0,1): {level}")
         polys = marching_squares(a, b, c, thetas, phis, level)
         if not polys:
-            # b >= 0, so each row is lowest at min(c) and highest at max(c)
-            lo = (b * c.min() + a).min()
-            hi = (b * c.max() + a).max()
-            if lo + 1e-9 < level < hi - 1e-9:
-                raise DegenerateGridError(
-                    f"level {level} lies in the field range "
-                    f"[{lo}, {hi}] but no contour was found")
             continue
         # the overlap of every vertex of the level at once; each curve holds
         # contiguous slices of the level's arrays
@@ -399,17 +392,21 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     zero-entropy extremum, and return the overlap extremum with minimal
     eigenbasis entropy.
 
-    The candidates are the refined interior extrema of every curve.  A
-    component is dropped when one of its candidates has s_up <= EPS_Z, the
-    rule the closed form applies to its extremum n*; the dropped components
-    are marked by LevelSetCurve.contains_zero_entropy.  The answer is chosen
-    in two tiers: candidates on kept components first, then the candidates
-    with s_up > EPS_Z on dropped components, which hold the chart
-    representative -n* when the reflection n* of the closed form lies off
-    the chart.  A curve's open ends on the chart edge are never candidates.
-    If no component survives the drop, or neither tier has a candidate (the
-    kept components have no extremum and -n* has zero entropy), the
-    configuration is a death point and the axis cannot move.
+    The candidates are the refined interior extrema of every curve; a
+    curve's open ends on the chart edge are never candidates.  A component
+    is dropped when one of its candidates has s_up <= EPS_Z, the rule the
+    closed form applies to its extremum n*; the dropped components are
+    marked by LevelSetCurve.contains_zero_entropy.  The answer is the least
+    (s_up, theta, phi) among the admissible candidates, those with
+    s_up > EPS_Z, wherever they lie.  One list suffices: with c = n_i . m,
+    the extrema on the flip circle {n . m = -c} are n* (overlap 1 - c^2) and
+    -n_i (overlap 0), and on the same-level circle {n . m = c} they are n_i
+    (overlap 1) and -n* (overlap c^2).  So every admissible candidate is n*
+    or its chart representative -n*, both with s_up = f(c^2), whether its
+    component is kept or not; a dropped component holds -n* when n* lies
+    off the chart.  If no component survives the drop, or no candidate is
+    admissible, the configuration is a death point and the axis cannot
+    move.
     """
     cfg = cfg or SolverConfig()
     p_same, p_flip = constraint_levels(i, s)
@@ -424,13 +421,11 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
         curve.contains_zero_entropy = curve.component_id in zero_ids
 
     retained_ids = {c.component_id for c in curves} - zero_ids
-    # every candidate on a kept component has s_up > EPS_Z
-    tier = ([c for c in all_cands if c.component_id in retained_ids]
-            or [c for c in all_cands if c.s_up > EPS_Z])
-    if not retained_ids or not tier:
+    admissible = [c for c in all_cands if c.s_up > EPS_Z]
+    if not retained_ids or not admissible:
         return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i,
                                 all_cands, curves)
-    chosen = min(tier, key=lambda c: (c.s_up, c.axis.theta, c.axis.phi))
+    chosen = min(admissible, key=lambda c: (c.s_up, c.axis.theta, c.axis.phi))
     return CollapseSolution(Status.NORMAL, chosen.axis, chosen.s_up, s_i,
                             all_cands, curves)
 
@@ -444,12 +439,16 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     constraint circle is {n : n . m = -c}; the overlap-maximizing direction on
     it is the reflection n* = n_i - 2 c m, with eigenbasis overlap 1 - c^2.
     The configuration is a death point when that circle has no chart
-    representative, i.e. when its maximal y-component is negative, or when
-    the extremum is itself a zero-entropy point (f(c^2) <= EPS_Z).  That is
-    the grid route's rule, which drops every component with a zero-entropy
-    extremum: the one through n* then, and always the other circle
-    {n : n . m = c}, whose extremum n_i has overlap 1.  The Trivial and
-    zero-entropy rules are the grid route's: is_trivial and EPS_Z.
+    representative, or when the extremum is itself a zero-entropy point
+    (f(c^2) <= EPS_Z).  The circle misses the chart hemisphere y >= 0 when
+    its highest point, y = -c m_y + sqrt(1 - c^2) sqrt(1 - m_y^2), is
+    negative, which holds exactly when c m_y > 0 and c^2 + m_y^2 > 1
+    (square both sides of c m_y > sqrt((1 - c^2)(1 - m_y^2))); the test is
+    made in that polynomial form, with no square root to clamp.  The
+    zero-entropy rule is the grid route's, which drops every component with
+    a zero-entropy extremum: the one through n* then, and always the other
+    circle {n : n . m = c}, whose extremum n_i has overlap 1.  The Trivial
+    and zero-entropy rules are the grid route's: is_trivial and EPS_Z.
 
     cfg is accepted so that one SolverConfig can be passed to either route;
     the closed form reads none of its fields.
@@ -462,10 +461,8 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     if is_trivial(p_same):
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
 
-    root = math.sqrt(max(0.0, 1.0 - c * c))
-    flip_max_y = -c * m[1] + root * math.sqrt(max(0.0, 1.0 - m[1] * m[1]))
     s_up = binary_entropy(min(1.0, max(0.0, c * c)))
-    if flip_max_y < 0.0 or s_up <= EPS_Z:
+    if (c * m[1] > 0.0 and c * c + m[1] * m[1] > 1.0) or s_up <= EPS_Z:
         return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i)
 
     nstar = (ni[0] - 2.0 * c * m[0],

@@ -4,12 +4,11 @@ diagnostics.  main() is invoked in-process with an argv list."""
 import csv
 import json
 import math
+import pathlib
 
 import pytest
 
-from spincollapse import cli
 from spincollapse.cli import main
-from spincollapse.solver import DegenerateGridError
 
 from conftest import CHART_EDGE_INSTANCES
 
@@ -143,15 +142,6 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err == "error: unrecognized arguments: --json\n"
-
-    def test_degenerate_grid_is_exit_1(self, capsys, monkeypatch):
-        def degenerate(*args, **kwargs):
-            raise DegenerateGridError("no admissible extremum on any component")
-        monkeypatch.setattr(cli, "solve_collapse", degenerate)
-        code, out, err = run_cli(capsys, "solve", *GENERIC, "--grid", "256")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "solve", *GENERIC, "--grid", "256")
@@ -330,6 +320,24 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert err == f"error: config field {field!r} must be str\n"
+
+    @pytest.mark.parametrize("method", ["both", "Grid", ""])
+    def test_method_must_name_one_route(self, capsys, tmp_path, method):
+        # a run solves each step with one route and never cross-checks, so
+        # "both" is rejected rather than read as "grid"
+        cfg_path, out_path = self.config(tmp_path, method=method)
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: config field 'method' must be grid|closed\n"
+        assert not pathlib.Path(out_path).exists()
+
+    @pytest.mark.parametrize("method", ["closed", "closed_form"])
+    def test_method_spellings_of_one_route(self, capsys, tmp_path, method):
+        cfg_path, _ = self.config(tmp_path, method=method)
+        code, out, _ = run_cli(capsys, "run", str(cfg_path))
+        assert code == 0
+        assert json.loads(out)["steps"] == 2
 
     def test_integral_numbers_are_accepted(self, capsys, tmp_path):
         cfg_path, _ = self.config(tmp_path, grid_n=256.0, tau=0, max_steps=1e1)

@@ -1,12 +1,14 @@
 """Marching-squares contour extraction on separable analytic fields with
-known level sets, and bit-for-bit agreement with a per-cell reference loop
-over the dense field."""
+known level sets, bit-for-bit agreement with a per-cell reference loop over
+the dense field, and a level set for every level inside the node range."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spincollapse.bloch import SpinState, canonicalize_axis
 from spincollapse.contour import _runs, marching_squares
@@ -360,3 +362,22 @@ def test_fine_grid_tracing_builds_no_field():
         tracemalloc.stop()
     assert curves
     assert peak < 16 * 2 ** 20
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       st.integers(64, 512),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=100, deadline=None)
+def test_every_level_inside_the_node_range_is_traced(rho, tau, n, u):
+    # a level strictly between the least and the greatest node value has
+    # nodes on both sides of it, so the connected grid has a crossed edge;
+    # the solver relies on this to read an empty level set as unattained
+    state = SpinState(rho, tau if 0.0 < rho < 1.0 else 0.0)
+    thetas, phis, a, b, c = _overlap_grid(state, n)
+    values = _dense(a, b, c)
+    lo, hi = float(values.min()), float(values.max())
+    assume(lo < hi)
+    for level in (np.nextafter(lo, hi), lo + u * (hi - lo),
+                  np.nextafter(hi, lo)):
+        if lo < level < hi:
+            assert marching_squares(a, b, c, thetas, phis, float(level))

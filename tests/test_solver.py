@@ -18,6 +18,7 @@ from spincollapse.bloch import (
     bloch_to_axis_angles,
     canonicalize_axis,
     eigenstate_as_state,
+    state_to_bloch,
     up_overlap_prob,
 )
 import spincollapse
@@ -37,7 +38,11 @@ from spincollapse.solver import (
     trace_level_sets,
 )
 
-from conftest import CHART_EDGE_INSTANCES, nondegenerate_instances
+from conftest import (
+    CHART_EDGE_INSTANCES,
+    nondegenerate_instances,
+    random_instance,
+)
 
 PI = math.pi
 
@@ -125,16 +130,6 @@ class TestTraceLevelSets:
         curves = trace_level_sets(DEATH_STATE, (levels[1],), self.CFG,
                                   axis_i=DEATH_AXIS)
         assert curves == []
-
-    def test_missed_level_reports_the_exact_field_range(self, monkeypatch):
-        # the range comes from each row's ends in c; it must be the dense
-        # field's minimum and maximum
-        _, _, a, b, c = solver._overlap_grid(GENERIC_STATE, self.CFG.grid_n)
-        dense = b[:, None] * c[None, :] + a[:, None]
-        monkeypatch.setattr(solver, "marching_squares", lambda *args: [])
-        with pytest.raises(solver.DegenerateGridError) as info:
-            trace_level_sets(GENERIC_STATE, (0.5,), self.CFG, GENERIC_AXIS)
-        assert f"[{dense.min()}, {dense.max()}]" in str(info.value)
 
 
 class TestArrayCurves:
@@ -371,6 +366,52 @@ def test_no_admissible_extremum_is_a_death_point():
     assert kept and not {cv.component_id for cv in kept} & \
         {c.component_id for c in g.candidates}
     assert all(c.s_up <= EPS_Z for c in g.candidates)
+
+
+def flip_max_y(c: float, m_y: float) -> float:
+    """The highest y-component on the flip circle {n : n . m = -c}, by the
+    two square roots of its parametrization: the reference that the closed
+    form's polynomial death test must reproduce."""
+    return (-c * m_y + math.sqrt(max(0.0, 1.0 - c * c))
+            * math.sqrt(max(0.0, 1.0 - m_y * m_y)))
+
+
+class TestClosedFormDeathTest:
+    """The closed form dies when c m_y > 0 and c^2 + m_y^2 > 1, which is
+    flip_max_y < 0 squared out, or when f(c^2) <= EPS_Z."""
+
+    def test_matches_the_square_root_reference(self):
+        rng = np.random.default_rng(41)
+        deaths = normals = 0
+        for _ in range(20000):
+            axis, state = random_instance(rng)
+            sol = solve_collapse_closed_form(axis, state)
+            ni, m = axis_to_bloch(axis), state_to_bloch(state)
+            c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
+            if is_trivial(min(1.0, max(0.0, 0.5 * (1.0 + c)))):
+                assert sol.status is Status.TRIVIAL
+                continue
+            dies = (flip_max_y(c, m[1]) < 0.0
+                    or binary_entropy(min(1.0, max(0.0, c * c))) <= EPS_Z)
+            assert (sol.status is Status.DEATH_POINT) == dies, (axis, state)
+            deaths += dies
+            normals += not dies
+        # about a fifth of the draws die
+        assert 3000 < deaths < 5000 and normals > 14000
+
+    @pytest.mark.parametrize("c, status", [(0.8 + 1e-6, Status.DEATH_POINT),
+                                           (0.8 - 1e-6, Status.NORMAL)])
+    def test_either_side_of_the_unit_circle(self, c, status):
+        # m = (0, 0.6, 0.8) and n_i = c m + sqrt(1 - c^2) x, so c m_y > 0 and
+        # c^2 + m_y^2 = 1 at c = 0.8; f(c^2) is far above EPS_Z
+        m = (0.0, 0.6, 0.8)
+        ni = (math.sqrt(1.0 - c * c), c * m[1], c * m[2])
+        axis = canonicalize_axis(*bloch_to_axis_angles(ni))
+        state = SpinState(0.5 * (1.0 + m[2]), PI / 2)
+        m_y = state_to_bloch(state)[1]
+        assert (flip_max_y(c, m_y) < 0.0) == (status is Status.DEATH_POINT)
+        assert (c * c + m_y * m_y > 1.0) == (status is Status.DEATH_POINT)
+        assert solve_collapse_closed_form(axis, state).status is status
 
 
 def instance_at_overlap(rng, c: float):

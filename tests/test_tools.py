@@ -1,7 +1,9 @@
-"""tools/: one digest over a seeded corpus of grid solves, and the
+"""tools/: one digest over a seeded corpus solved by both routes, and the
 per-phase timing table."""
 
+import dataclasses
 import importlib.util
+import math
 import pathlib
 import re
 
@@ -35,6 +37,18 @@ def test_digest_is_a_function_of_the_corpus(capsys):
     assert digest(capsys, "--seed", "3", "--grids", "64:4,128:2") == first
     assert digest(capsys, "--seed", "4", "--grids", "64:4,128:2") != first
     assert digest(capsys, "--seed", "3", "--grids", "64:4,128:1") != first
+
+
+def test_digest_covers_the_closed_form(capsys, monkeypatch):
+    first = digest(capsys, "--seed", "3", "--grids", "64:4")
+    closed_form = solver.solve_collapse_closed_form
+
+    def shifted(axis, state):
+        sol = closed_form(axis, state)
+        return dataclasses.replace(sol, s_i=math.nextafter(sol.s_i, 1.0))
+
+    monkeypatch.setattr(solver, "solve_collapse_closed_form", shifted)
+    assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
 
 
 def test_floats_are_hashed_by_their_bytes():

@@ -1,15 +1,17 @@
-"""One SHA-256 over the grid-route results of a seeded corpus of instances.
+"""One SHA-256 over the results of both solver routes on a seeded corpus.
 
     PYTHONPATH=src python tools/solve_digest.py --seed 7 --grids 256:300,1024:100,4096:12
 
 Instances are drawn unfiltered, as `tests/conftest.random_instance` draws
 them, from one `numpy.random.default_rng(seed)` stream: the first 300 are
-solved at grid 256, the next 100 at grid 1024, and so on.  Each is solved by
-`solve_collapse(axis, state, SolverConfig(grid_n=G))` of whichever
-`spincollapse` is first on `PYTHONPATH`.  The digest covers the status, the
-final axis, `s_up`, `s_i`, every candidate and every curve vertex, each
-float as its 8 IEEE-754 bytes (so -0.0 and 0.0 differ); an instance whose
-solve raises contributes the exception's type and message instead.
+solved at grid 256, the next 100 at grid 1024, and so on.  Each is solved
+by both `solve_collapse(axis, state, SolverConfig(grid_n=G))` and
+`solve_collapse_closed_form(axis, state)` of whichever `spincollapse` is
+first on `PYTHONPATH`.  For the grid route the digest covers the status, the
+final axis, `s_up`, `s_i`, every candidate and every curve vertex; for the
+closed form, the status, the final axis, `s_up` and `s_i`.  Each float goes
+in as its 8 IEEE-754 bytes (so -0.0 and 0.0 differ); a solve that raises
+contributes the exception's type and message instead.
 
 Two source trees give the same digest exactly when every compared output is
 bit-identical.  To compare a change with its parent, run this script once
@@ -56,9 +58,13 @@ class Digest:
         self.hash.update(struct.pack("<q", len(data)) + data)
 
 
-def add_solution(digest: Digest, sol, counts: dict) -> None:
+def add_answer(digest: Digest, sol) -> None:
     digest.text(sol.status.value)
     digest.floats(sol.axis_f.theta, sol.axis_f.phi, sol.s_up, sol.s_i)
+
+
+def add_solution(digest: Digest, sol, counts: dict) -> None:
+    add_answer(digest, sol)
     digest.text(len(sol.candidates))
     for c in sol.candidates:
         digest.floats(c.axis.theta, c.axis.phi, c.overlap, c.s_up)
@@ -85,7 +91,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import spincollapse
     from spincollapse.bloch import SpinState, canonicalize_axis
-    from spincollapse.solver import SolverConfig, solve_collapse
+    from spincollapse.solver import (SolverConfig, solve_collapse,
+                                     solve_collapse_closed_form)
 
     rng = np.random.default_rng(args.seed)
     digest = Digest()
@@ -108,6 +115,13 @@ def main(argv: list[str] | None = None) -> int:
                 counts["errors"] += 1
             else:
                 add_solution(digest, sol, counts)
+            try:
+                closed = solve_collapse_closed_form(axis, state)
+            except Exception as exc:
+                digest.text(f"{type(exc).__name__}: {exc}")
+                counts["errors"] += 1
+            else:
+                add_answer(digest, closed)
             counts["instances"] += 1
     print(digest.hash.hexdigest())
     print(f"spincollapse from {spincollapse.__file__}; "
