@@ -10,11 +10,11 @@ trivial or death-point configuration halts it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .bloch import Axis, SpinState, eigenstate_as_state, up_overlap_prob
-from .entropy import binary_entropy
+from .bloch import Axis, SpinState, eigenstate_as_state
+from .entropy import collapse_entropies
 from .pfn import BoolExpr, BoolProjection, HistoryError, decide_outcome, \
     project_axis, to_truth_table
 from .solver import CollapseSolution, SolverConfig, Status, \
@@ -72,6 +72,9 @@ class WorldSwitch:
     new_world_id: str
 
 
+_HALT_REASONS = {Status.TRIVIAL: "trivial", Status.DEATH_POINT: "death_point"}
+
+
 class ObserverAutomaton:
     """Single-writer state machine; concurrent runs need separate instances."""
 
@@ -120,8 +123,7 @@ class ObserverAutomaton:
             outcome = None
             output_state = input_state
             self.halted = True
-            self.halt_reason = ("trivial" if sol.status is Status.TRIVIAL
-                                else "death_point")
+            self.halt_reason = _HALT_REASONS[sol.status]
         record = StepRecord(
             step_index=self._step_count,
             state_before=input_state,
@@ -137,21 +139,24 @@ class ObserverAutomaton:
         return output_state, record
 
     def run(self, initial_state: SpinState, max_steps: int) -> RunResult:
-        """Iterate step, feeding each output state back as the next input."""
+        """Iterate step, feeding each output state back as the next input,
+        until a step of this run is not Normal or max_steps steps are made.
+        The result reports this run's steps only, so a machine halted by an
+        earlier run or step is not reported as halted by a Normal step."""
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         records: list[StepRecord] = []
         state = initial_state
-        death_step = None
+        reason = "max_steps"
         for _ in range(max_steps):
             state, record = self.step(state)
             records.append(record)
-            if self.halted:
-                if record.status is Status.DEATH_POINT:
-                    death_step = record.step_index
+            if record.status is not Status.NORMAL:
+                reason = _HALT_REASONS[record.status]
                 break
-        reason = self.halt_reason if self.halted else "max_steps"
-        return RunResult(records, self.halted, reason, death_step)
+        death_step = records[-1].step_index if reason == "death_point" \
+            else None
+        return RunResult(records, reason != "max_steps", reason, death_step)
 
     def switch_world(self, new_pfn: BoolExpr, new_world_id: str) -> None:
         """Replace the outcome policy; the axis, history and halt state are
@@ -166,8 +171,5 @@ class ObserverAutomaton:
 
 def replay_entropies(record: StepRecord) -> tuple[float, float]:
     """Recompute (S_i, S_f) of a record from first principles."""
-    s_i = binary_entropy(up_overlap_prob(record.axis_before,
-                                         record.state_before))
-    s_f = binary_entropy(up_overlap_prob(record.axis_after,
-                                         record.state_before))
-    return s_i, s_f
+    return collapse_entropies(record.axis_before, record.axis_after,
+                              record.state_before)[:2]

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
-NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

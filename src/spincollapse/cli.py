@@ -23,7 +23,6 @@ from .bloch import SpinState, canonicalize_axis
 from .pfn import (
     CHART_UNIFORM,
     SPHERE_AREA,
-    ExprArityError,
     ExprSyntaxError,
     TruthTable,
     outcome_probability,
@@ -47,9 +46,8 @@ log = logging.getLogger("spincollapse")
 
 AXIS_AGREE_TOL = 1e-4
 S_UP_AGREE_TOL = 1e-6
-# method spellings of the --method flag and the run config -> SolverConfig
-METHODS = {"grid": "grid", "closed": "closed_form", "closed_form": "closed_form",
-           "both": "both"}
+# method spellings of the run config -> SolverConfig.method
+METHODS = {"grid": "grid", "closed": "closed_form", "closed_form": "closed_form"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,33 +87,29 @@ def _solution_dict(sol) -> dict:
 
 def cmd_solve(args) -> int:
     axis, state = _instance(args)
-    cfg = SolverConfig(grid_n=args.grid, method=METHODS[args.method])
-    out = None
+    cfg = SolverConfig(grid_n=args.grid)
+    route = (solve_collapse_closed_form if args.method == "closed"
+             else solve_collapse)
+    out = route(axis, state, cfg)
     agreement = None
     exit_code = 0
-    if cfg.method in ("grid", "both"):
-        out = solve_collapse(axis, state, cfg)
-    if cfg.method in ("closed_form", "both"):
+    if args.method == "both":
         closed = solve_collapse_closed_form(axis, state, cfg)
-        if cfg.method == "closed_form":
-            out = closed
-        else:
-            axis_dist = math.hypot(out.axis_f.theta - closed.axis_f.theta,
-                                   out.axis_f.phi - closed.axis_f.phi)
-            s_up_diff = abs(out.s_up - closed.s_up)
-            agree = (out.status == closed.status
-                     and axis_dist <= AXIS_AGREE_TOL
-                     and s_up_diff <= S_UP_AGREE_TOL)
-            agreement = {
-                "status_match": out.status == closed.status,
-                "axis_dist": axis_dist,
-                "s_up_diff": s_up_diff,
-                "within_tolerance": agree,
-            }
-            if not agree:
-                log.error("grid and closed-form routes disagree: %s",
-                          agreement)
-                exit_code = 2
+        axis_dist = math.hypot(out.axis_f.theta - closed.axis_f.theta,
+                               out.axis_f.phi - closed.axis_f.phi)
+        s_up_diff = abs(out.s_up - closed.s_up)
+        agree = (out.status == closed.status
+                 and axis_dist <= AXIS_AGREE_TOL
+                 and s_up_diff <= S_UP_AGREE_TOL)
+        agreement = {
+            "status_match": out.status == closed.status,
+            "axis_dist": axis_dist,
+            "s_up_diff": s_up_diff,
+            "within_tolerance": agree,
+        }
+        if not agree:
+            log.error("grid and closed-form routes disagree: %s", agreement)
+            exit_code = 2
     payload = _solution_dict(out)
     payload["method_agreement"] = agreement
     print(json.dumps(payload))
@@ -128,8 +122,6 @@ def cmd_trace(args) -> int:
     p_same, p_flip = constraint_levels(axis, state)
     rows = []
     if is_trivial(p_same):
-        log.warning("trivial instance: level sets are degenerate, "
-                    "writing header only")
         print("warning: trivial instance, no level curves", file=sys.stderr)
     else:
         curves = trace_level_sets(state, (p_same, p_flip), cfg, axis_i=axis)
@@ -145,8 +137,7 @@ def cmd_trace(args) -> int:
                              "overlap", "s_up", "is_boundary"])
             writer.writerows(rows)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot write {args.out}: {exc}") from None
     return 0
 
 
@@ -180,41 +171,30 @@ def cmd_run(args) -> int:
         with open(args.config) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(f"error: config parse error at line {exc.lineno} "
-              f"column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 1
+        raise ValueError(f"config parse error at line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}") from None
     except RecursionError:
-        print("error: config nests too deeply", file=sys.stderr)
-        return 1
+        raise ValueError("config nests too deeply") from None
     if not isinstance(raw, dict):
-        print("error: config must be a JSON object", file=sys.stderr)
-        return 1
+        raise ValueError("config must be a JSON object")
     cfgd = {}
     for name, typ in RUN_FIELDS.items():
         if name not in raw:
-            print(f"error: config missing field {name!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"config missing field {name!r}")
         value = _config_value(typ, raw[name])
         if value is None:
-            print(f"error: config field {name!r} must be {typ.__name__}",
-                  file=sys.stderr)
-            return 1
+            raise ValueError(f"config field {name!r} must be {typ.__name__}")
         cfgd[name] = value
     unknown = set(raw) - set(RUN_FIELDS)
     if unknown:
-        print(f"error: unknown config fields: {sorted(unknown)}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
 
     # a run solves each step with one route, so "both" has no meaning here
     method = METHODS.get(cfgd["method"])
-    if method in (None, "both"):
-        print("error: config field 'method' must be grid|closed",
-              file=sys.stderr)
-        return 1
+    if method is None:
+        raise ValueError("config field 'method' must be grid|closed")
     axis = canonicalize_axis(cfgd["theta_i"], cfgd["phi_i"])
     state = SpinState(cfgd["rho"], cfgd["tau"])
     pfn = parse_expr(cfgd["pfn"], cfgd["memory_depth"])
@@ -225,8 +205,7 @@ def cmd_run(args) -> int:
         with open(cfgd["out"], "w") as fh:
             fh.write(result.to_jsonl())
     except OSError as exc:
-        print(f"error: cannot write {cfgd['out']}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot write {cfgd['out']}: {exc}") from None
     print(json.dumps({
         "steps": len(result.records),
         "halted": result.halted,
@@ -237,16 +216,13 @@ def cmd_run(args) -> int:
 
 
 def _parse_or_diagnose(text: str, n: int):
+    """parse_expr, with a syntax error's message followed by the text and a
+    caret under the failing position."""
     try:
         return parse_expr(text, n)
     except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"  {text}", file=sys.stderr)
-        print(f"  {' ' * exc.position}^", file=sys.stderr)
-        raise SystemExit(1)
-    except ExprArityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        raise ValueError(f"{exc}\n  {text}\n  {' ' * exc.position}^") \
+            from None
 
 
 def cmd_pfn(args) -> int:
@@ -339,9 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, ExprSyntaxError, ExprArityError) as exc:
+    except ValueError as exc:  # every misuse after argument parsing
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

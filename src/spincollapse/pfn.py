@@ -110,6 +110,18 @@ P_OR = Or(Var("x"), Var("y"))
 P_AND = And(Var("x"), Var("y"))
 
 
+def _join(op: type, items: list[BoolExpr]) -> BoolExpr:
+    """items joined by the associative operator op as a balanced tree, so
+    that evaluating or rendering it recurses O(log n) deep, not n deep; the
+    left half takes the odd item, so two or three items make the left-deep
+    chain a loop would build.  None of |, ^ and & parenthesizes an operand
+    of its own kind, so the tree shape never shows in the rendered text."""
+    if len(items) == 1:
+        return items[0]
+    mid = (len(items) + 1) // 2
+    return op(_join(op, items[:mid]), _join(op, items[mid:]))
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -153,25 +165,25 @@ class _Parser:
         return e
 
     def or_expr(self) -> BoolExpr:
-        e = self.xor_expr()
+        items = [self.xor_expr()]
         while self.peek() == "|":
             self.pos += 1
-            e = Or(e, self.xor_expr())
-        return e
+            items.append(self.xor_expr())
+        return _join(Or, items)
 
     def xor_expr(self) -> BoolExpr:
-        e = self.and_expr()
+        items = [self.and_expr()]
         while self.peek() == "^":
             self.pos += 1
-            e = Xor(e, self.and_expr())
-        return e
+            items.append(self.and_expr())
+        return _join(Xor, items)
 
     def and_expr(self) -> BoolExpr:
-        e = self.factor()
+        items = [self.factor()]
         while self.peek() == "&":
             self.pos += 1
-            e = And(e, self.factor())
-        return e
+            items.append(self.factor())
+        return _join(And, items)
 
     def factor(self) -> BoolExpr:
         ch = self.peek()
@@ -218,11 +230,18 @@ def parse_expr(text: str, n: int = 0) -> BoolExpr:
 
     Grammar: OR is the loosest operator, then XOR, then AND, then NOT.
     Variables are x, y and (for memory depth n >= 1) x1..xn, y1..yn, s1..sn.
+    Parentheses and NOTs nested past the interpreter's recursion limit are a
+    syntax error at the position the parser reached.
     """
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     _check_memory_depth(n)
-    return _Parser(text, n).parse()
+    parser = _Parser(text, n)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply",
+                              parser.pos) from None
 
 
 def render(e: BoolExpr) -> str:
@@ -294,44 +313,29 @@ def _literal(name: str, bit: int) -> BoolExpr:
     return Var(name) if bit else Not(Var(name))
 
 
+def _canonical(t: TruthTable, bit: int) -> BoolExpr:
+    """One term per row of value bit, its literals true exactly on that row
+    (bit 1) or false exactly on it (bit 0): minterms joined by | for bit 1,
+    maxterms joined by & for bit 0."""
+    inner, outer = (And, Or) if bit else (Or, And)
+    names = variable_order(t.memory_depth)
+    terms = []
+    for row, b in enumerate(t.bits):
+        if b == bit:
+            env = _row_env(row, names)
+            terms.append(_join(inner, [_literal(name, env[name] == bit)
+                                       for name in names]))
+    return _join(outer, terms) if terms else Const(1 - bit)
+
+
 def to_dnf(t: TruthTable) -> BoolExpr:
     """Canonical minterm expansion: one conjunct per 1-row."""
-    names = variable_order(t.memory_depth)
-    terms: list[BoolExpr] = []
-    for row, b in enumerate(t.bits):
-        if not b:
-            continue
-        env = _row_env(row, names)
-        term: BoolExpr = _literal(names[0], env[names[0]])
-        for name in names[1:]:
-            term = And(term, _literal(name, env[name]))
-        terms.append(term)
-    if not terms:
-        return Const(0)
-    expr = terms[0]
-    for term in terms[1:]:
-        expr = Or(expr, term)
-    return expr
+    return _canonical(t, 1)
 
 
 def to_cnf(t: TruthTable) -> BoolExpr:
     """Canonical maxterm expansion: one disjunct per 0-row."""
-    names = variable_order(t.memory_depth)
-    clauses: list[BoolExpr] = []
-    for row, b in enumerate(t.bits):
-        if b:
-            continue
-        env = _row_env(row, names)
-        clause: BoolExpr = _literal(names[0], 1 - env[names[0]])
-        for name in names[1:]:
-            clause = Or(clause, _literal(name, 1 - env[name]))
-        clauses.append(clause)
-    if not clauses:
-        return Const(1)
-    expr = clauses[0]
-    for clause in clauses[1:]:
-        expr = And(expr, clause)
-    return expr
+    return _canonical(t, 0)
 
 
 # ---------------------------------------------------------------------------

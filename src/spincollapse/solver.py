@@ -444,7 +444,13 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     its highest point, y = -c m_y + sqrt(1 - c^2) sqrt(1 - m_y^2), is
     negative, which holds exactly when c m_y > 0 and c^2 + m_y^2 > 1
     (square both sides of c m_y > sqrt((1 - c^2)(1 - m_y^2))); the test is
-    made in that polynomial form, with no square root to clamp.  The
+    made in that polynomial form, with no square root to clamp.  In real
+    arithmetic c^2 + m_y^2 > 1 implies c m_y > 0 on a chart axis
+    (n_i . y >= 0), but the clause c m_y > 0 is still needed: on the seam
+    (n_i . y = 0) with m in the plane of n_i and y, c^2 + m_y^2 = 1 exactly,
+    and when c m_y < 0 the highest point is 2|c m_y| > 0, well inside the
+    chart, while the float sum can round above 1.  The clause alone keeps
+    those instances Normal.  The
     zero-entropy rule is the grid route's, which drops every component with
     a zero-entropy extremum: the one through n* then, and always the other
     circle {n : n . m = c}, whose extremum n_i has overlap 1.  The Trivial

@@ -95,6 +95,29 @@ class TestRun:
         assert not result.halted
         assert result.halt_reason == "max_steps"
 
+    def test_second_run_reports_its_own_steps(self):
+        # the first run halts the machine; a second run from a state that
+        # collapses Normally goes on until one of its own steps halts, and
+        # reports that step's reason, not the first run's
+        m = ObserverAutomaton(START_AXIS, P_OR, 0,
+                              SolverConfig(method="closed_form"))
+        first = m.run(START_STATE, 10)
+        assert first.halt_reason == "trivial"
+        second = m.run(SpinState(0.3, 1.0), 10)
+        assert [rec.step_index for rec in second.records] == [3, 4]
+        assert [rec.status for rec in second.records] == [Status.NORMAL,
+                                                          Status.TRIVIAL]
+        assert second.halted and second.halt_reason == "trivial"
+        assert second.death_step is None
+
+    def test_death_run_sets_the_death_step(self):
+        m = ObserverAutomaton(canonicalize_axis(0.862, 1.197), P_OR,
+                              solver_cfg=CFG)
+        result = m.run(SpinState(math.cos(PI / 8) ** 2, PI / 2), 10)
+        assert len(result.records) == 1
+        assert result.halted and result.halt_reason == "death_point"
+        assert result.death_step == 1
+
     def test_max_steps_validation(self):
         with pytest.raises(ValueError):
             machine().run(START_STATE, max_steps=0)

@@ -4,10 +4,14 @@ diagnostics.  main() is invoked in-process with an argv list."""
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import spincollapse
 from spincollapse.cli import main
 
 from conftest import CHART_EDGE_INSTANCES
@@ -188,6 +192,21 @@ class TestTrace:
         assert code == 1
         assert "error" in err
 
+    def test_trivial_instance_warns_once_at_every_log_level(self, tmp_path):
+        # a fresh process, so that COLLAPSE_LOG configures the root logger
+        src = pathlib.Path(spincollapse.__file__).parents[1]
+        for level in ("error", "info", "debug"):
+            out_path = tmp_path / f"trace-{level}.csv"
+            env = dict(os.environ, PYTHONPATH=str(src), COLLAPSE_LOG=level)
+            proc = subprocess.run(
+                [sys.executable, "-m", "spincollapse.cli", "trace",
+                 "--theta-i", "0", "--phi-i", "0", "--rho", "1", "--tau", "0",
+                 "--out", str(out_path)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0
+            assert proc.stdout == ""
+            assert proc.stderr == "warning: trivial instance, no level curves\n"
+
     def test_method_flag_is_rejected(self, capsys, tmp_path):
         # trace always runs the grid route: the closed form has no curves
         out_path = tmp_path / "trace.csv"
@@ -199,18 +218,24 @@ class TestTrace:
         assert not out_path.exists()
 
 
+def run_config(tmp_path, **overrides):
+    """A run config for the generic instance with the given fields replaced,
+    written to tmp_path; returns its path and its trace path."""
+    cfg = {
+        "theta_i": PI / 4, "phi_i": PI / 2, "rho": 0.4, "tau": 0.0,
+        "pfn": "x|y", "memory_depth": 0, "max_steps": 10,
+        "grid_n": 256, "method": "grid", "seed": 0,
+        "out": str(tmp_path / "trace.jsonl"),
+    }
+    cfg.update(overrides)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return path, cfg["out"]
+
+
 class TestRun:
     def config(self, tmp_path, **overrides):
-        cfg = {
-            "theta_i": PI / 4, "phi_i": PI / 2, "rho": 0.4, "tau": 0.0,
-            "pfn": "x|y", "memory_depth": 0, "max_steps": 10,
-            "grid_n": 256, "method": "grid", "seed": 0,
-            "out": str(tmp_path / "trace.jsonl"),
-        }
-        cfg.update(overrides)
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(cfg))
-        return path, cfg["out"]
+        return run_config(tmp_path, **overrides)
 
     def test_death_within_two_steps(self, capsys, tmp_path):
         cfg_path, out_path = self.config(tmp_path)
@@ -354,6 +379,25 @@ class TestRun:
         assert code == 1
         assert "unknown" in err
 
+    def test_death_instance_reports_the_death_step(self, capsys, tmp_path):
+        cfg_path, out_path = self.config(
+            tmp_path, theta_i=0.862, phi_i=1.197, rho=math.cos(PI / 8) ** 2,
+            tau=PI / 2)
+        code, out, _ = run_cli(capsys, "run", str(cfg_path))
+        assert code == 0
+        assert json.loads(out) == {"steps": 1, "halted": True,
+                                   "halt_reason": "death_point",
+                                   "death_step": 1}
+        lines = open(out_path).read().strip().split("\n")
+        assert [json.loads(line)["status"] for line in lines] == ["DeathPoint"]
+
+    def test_long_policy_runs(self, capsys, tmp_path):
+        # 3000 operands nest no deeper than 12 levels once parsed
+        cfg_path, _ = self.config(tmp_path, pfn="|".join(["x"] * 3000))
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 0, err
+        assert json.loads(out)["steps"] == 2
+
 
 class TestPfn:
     def test_table(self, capsys):
@@ -427,6 +471,131 @@ class TestPfn:
                                "0")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("form, n, table", [
+        ("dnf", 3, "f" * 512), ("cnf", 3, "0" * 511 + "1"),
+        ("dnf", 4, "f" * 4096), ("cnf", 4, "0" * 4095 + "1")],
+        ids=["dnf3", "cnf3", "dnf4", "cnf4"])
+    def test_deep_tables_have_normal_forms(self, capsys, form, n, table):
+        # thousands of terms, which once nested a chain past the recursion
+        # limit; depth 4 is checked by exit code only, since a round trip at
+        # that size evaluates 16384 rows of a 16384-term expression
+        code, out, err = run_cli(capsys, "pfn", form, "--n", str(n),
+                                 "--table", table)
+        assert code == 0, err
+        assert err == ""
+        rows = 1 << (2 + 3 * n)
+        if form == "dnf":  # a minterm per row
+            assert out.count("|") == rows - 1
+        else:  # a maxterm per row but the last
+            assert out.count("&") == rows - 2
+
+    def test_sparse_depth3_table_round_trips(self, capsys):
+        bits = ["0"] * 2048
+        for row in (0, 5, 777, 1024, 2047):
+            bits[row] = "1"
+        table = f"{int(''.join(bits), 2):x}"
+        code, dnf, _ = run_cli(capsys, "pfn", "dnf", "--n", "3",
+                               "--table", table)
+        assert code == 0 and dnf.count("|") == 4
+        code, out, _ = run_cli(capsys, "pfn", "table", "--n", "3",
+                               "--expr", dnf.strip())
+        assert code == 0
+        assert out.strip() == table
+
+    def test_long_chain_evaluates(self, capsys):
+        expr = "|".join(["x"] * 3000)
+        code, out, err = run_cli(capsys, "pfn", "table", "--expr", expr)
+        assert code == 0, err
+        assert out.strip() == "3"
+        code, out, err = run_cli(capsys, "pfn", "prob", "--expr", expr)
+        assert code == 0, err
+        assert json.loads(out)["probability"] == 0.5
+
+    @pytest.mark.parametrize("expr", ["(" * 2000 + "x" + ")" * 2000,
+                                      "!" * 5000 + "x"],
+                             ids=["parentheses", "nots"])
+    def test_over_deep_nesting_is_a_syntax_error(self, capsys, expr):
+        code, out, err = run_cli(capsys, "pfn", "table", "--expr", expr)
+        assert code == 1
+        assert out == ""
+        lines = err.split("\n")
+        assert len(lines) == 4 and lines[3] == ""
+        assert lines[0].startswith(
+            "error: expression nests too deeply at position ")
+        assert lines[1] == f"  {expr}"
+        position = int(lines[0].rsplit(" ", 1)[1])
+        assert lines[2] == "  " + " " * position + "^"
+        assert "Traceback" not in err
+
+
+class TestErrorExit:
+    """Every misuse after argument parsing reaches main's one handler: exit
+    1, nothing on stdout, and one error line on stderr."""
+
+    def test_unreadable_config(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, "run", str(missing))
+        assert (code, out) == (1, "")
+        assert err == ("error: cannot read config: [Errno 2] No such file or "
+                       f"directory: '{missing}'\n")
+
+    def test_malformed_config(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"theta_i": 0.5,\n  oops}')
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: config parse error at line 2 column 3: "
+                       "Expecting property name enclosed in double quotes\n")
+
+    def test_missing_field(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"theta_i": 0.5}))
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: config missing field 'phi_i'\n"
+
+    def test_unknown_fields(self, capsys, tmp_path):
+        cfg_path, _ = run_config(tmp_path, zeta=1, bogus=2)
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == "error: unknown config fields: ['bogus', 'zeta']\n"
+
+    def test_unwritable_run_trace(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "trace.jsonl"
+        cfg_path, _ = run_config(tmp_path, out=str(target))
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot write {target}: [Errno 2] No such file "
+                       f"or directory: '{target}'\n")
+
+    def test_unwritable_trace_csv(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "trace.csv"
+        code, out, err = run_cli(capsys, "trace", *GENERIC, "--grid", "64",
+                                 "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot write {target}: [Errno 2] No such file "
+                       f"or directory: '{target}'\n")
+
+    def test_policy_syntax_error_in_a_run_config(self, capsys, tmp_path):
+        # no caret: the text is in a file, not on the command line
+        cfg_path, _ = run_config(tmp_path, pfn="x||y")
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == "error: unexpected '|' at position 2\n"
+
+    def test_arity_error_has_no_caret(self, capsys):
+        code, out, err = run_cli(capsys, "pfn", "prob", "--expr", "x & s2",
+                                 "--n", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: variable s2 exceeds memory depth 1\n"
+
+    def test_syntax_error_has_a_caret(self, capsys):
+        code, out, err = run_cli(capsys, "pfn", "table", "--expr", "x & (y")
+        assert (code, out) == (1, "")
+        assert err == ("error: expected ')' at position 6\n"
+                       "  x & (y\n"
+                       "        ^\n")
 
 
 class TestLogging:

@@ -89,6 +89,15 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             parse_expr("x y")
 
+    @pytest.mark.parametrize("text", ["(" * 2000 + "x" + ")" * 2000,
+                                      "!" * 5000 + "x"],
+                             ids=["parentheses", "nots"])
+    def test_over_deep_nesting_is_a_syntax_error(self, text):
+        with pytest.raises(ExprSyntaxError,
+                           match="expression nests too deeply") as info:
+            parse_expr(text)
+        assert 0 < info.value.position < len(text)
+
     def test_arity_errors(self):
         with pytest.raises(ExprArityError):
             parse_expr("x1", 0)
@@ -176,6 +185,24 @@ class TestNormalForms:
             assert to_truth_table(to_dnf(t), 1) == t
             assert to_truth_table(to_cnf(t), 1) == t
 
+    def test_long_chains_nest_logarithmically(self):
+        # 3000 operands: a left-deep chain would recurse 3000 deep when
+        # evaluated or rendered
+        for op, fold in (("|", any), ("&", all),
+                         ("^", lambda bits: sum(bits) % 2)):
+            text = op.join(["x", "y", "!x"] * 1000)
+            e = parse_expr(text)
+            assert render(e) == text
+            assert to_truth_table(e).bits == tuple(
+                int(fold([x, y, 1 - x] * 1000)) for x in (0, 1) for y in (0, 1))
+
+    def test_short_chains_keep_the_left_deep_tree(self):
+        assert parse_expr("x|y|x1", 1) == Or(Or(Var("x"), Var("y")),
+                                             Var("x1"))
+        assert parse_expr("x^y") == Xor(Var("x"), Var("y"))
+        assert parse_expr("x&y&!x") == And(And(Var("x"), Var("y")),
+                                           Not(Var("x")))
+
     def test_parse_render_round_trip(self):
         rng = np.random.default_rng(29)
         names = variable_order(1)
@@ -262,6 +289,20 @@ class TestOutcomeProbability:
                 est = outcome_probability(e, measure, "monte_carlo",
                                           samples=samples, seed=13)
                 assert abs(est - p) <= max(3 * sigma, 1e-9)
+
+    @pytest.mark.parametrize("text, n, p", [("s1", 1, 0.5),
+                                            ("x&s1&!y2", 2, 0.125),
+                                            ("x1^y1|s1", 1, 0.75)])
+    def test_monte_carlo_samples_memory_variables(self, text, n, p):
+        # memory variables are fair coins, independent of the axis and of
+        # each other
+        samples = 100_000
+        sigma = math.sqrt(p * (1 - p) / samples)
+        for measure in (CHART_UNIFORM, SPHERE_AREA):
+            est = outcome_probability(parse_expr(text, n), measure,
+                                      "monte_carlo", samples=samples,
+                                      seed=17, n=n)
+            assert abs(est - p) <= 3 * sigma
 
     def test_induced_measure_is_not_uniform(self):
         assert outcome_probability(P_OR) != 0.5

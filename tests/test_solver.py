@@ -18,6 +18,7 @@ from spincollapse.bloch import (
     bloch_to_axis_angles,
     canonicalize_axis,
     eigenstate_as_state,
+    overlap_from_angles,
     state_to_bloch,
     up_overlap_prob,
 )
@@ -412,6 +413,89 @@ class TestClosedFormDeathTest:
         assert (flip_max_y(c, m_y) < 0.0) == (status is Status.DEATH_POINT)
         assert (c * c + m_y * m_y > 1.0) == (status is Status.DEATH_POINT)
         assert solve_collapse_closed_form(axis, state).status is status
+
+
+class TestSignClause:
+    """On the seam (n_i . y = 0), with m in the plane of n_i and y,
+    c^2 + m_y^2 = 1 in real arithmetic.  When c m_y < 0 the flip circle's
+    highest point is 2|c m_y| > 0, inside the chart, but the float sum can
+    round above 1: the clause c m_y > 0 alone keeps these Normal."""
+
+    def test_pinned_seam_instance(self):
+        axis = canonicalize_axis(0.43482675595414105, 0.0)
+        state = SpinState(0.09059742078626132, 2.294931346852765)
+        ni, m = axis_to_bloch(axis), state_to_bloch(state)
+        c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
+        assert ni[1] == 0.0
+        assert c * c + m[1] * m[1] > 1.0 and c * m[1] < 0.0
+        sol = solve_collapse_closed_form(axis, state)
+        assert sol.status is Status.NORMAL
+        assert axis_to_bloch(sol.axis_f)[1] == pytest.approx(0.776, abs=1e-3)
+
+    def test_seam_plane_draws_stay_normal(self):
+        rng = np.random.default_rng(5)
+        rounded_over = 0
+        for _ in range(2000):
+            axis = canonicalize_axis(rng.uniform(0.0, PI), 0.0)
+            ni = axis_to_bloch(axis)
+            a = rng.uniform(0.0, 2.0 * PI)
+            # m = cos(a) n_i + sin(a) y, with cos(a) sin(a) < 0
+            if math.cos(a) * math.sin(a) > -0.05:
+                continue
+            mx, my, mz = (math.cos(a) * ni[0], math.sin(a),
+                          math.cos(a) * ni[2])
+            state = SpinState(0.5 * (1.0 + mz), math.atan2(my, mx) % (2 * PI))
+            m = state_to_bloch(state)
+            c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
+            rounded_over += c * c + m[1] * m[1] > 1.0
+            assert solve_collapse_closed_form(axis, state).status is \
+                Status.NORMAL, (axis, state)
+        # without the clause these would be DeathPoints
+        assert rounded_over > 50
+
+
+class TestProjectToLevel:
+    STATE = SpinState(0.4, 0.0)
+
+    def test_bracket_doubles_until_it_holds_the_level(self):
+        theta, phi, h = 1.0, 0.5, 1e-3
+        p = overlap_from_angles(theta, phi, self.STATE.rho, self.STATE.tau)
+        gth, gph = solver._grad_overlap(theta, phi, self.STATE)
+        # about 5 h along the gradient: the bracket [-h, h] doubles 3 times
+        level = p + 5.0 * h * math.hypot(gth, gph)
+        th, ph = solver._project_to_level(theta, phi, self.STATE, level, h)
+        assert math.hypot(th - theta, ph - phi) > 4.0 * h
+        assert overlap_from_angles(th, ph, self.STATE.rho, self.STATE.tau) \
+            == pytest.approx(level, abs=1e-12)
+
+    def test_no_bracket_returns_the_point(self):
+        # a level the overlap never reaches within 32 h of the point
+        theta, phi = 1.0, 0.5
+        assert solver._project_to_level(theta, phi, self.STATE, 0.99,
+                                        1e-3) == (theta, phi)
+
+    def test_grid_solve_through_the_fallback_agrees(self, monkeypatch):
+        # at grid 64 eight vertices of this instance find no bracket and
+        # keep their place; the refined answer still matches the closed form
+        project = solver._project_to_level
+        kept = []
+
+        def spy(theta, phi, s, level, h):
+            out = project(theta, phi, s, level, h)
+            kept.append(out == (theta, phi))
+            return out
+
+        monkeypatch.setattr(solver, "_project_to_level", spy)
+        axis = canonicalize_axis(3.11944084003499, 0.4649184809692558)
+        state = SpinState(0.7126756760614649, 5.185659862436709)
+        cfg = SolverConfig(grid_n=64)
+        g = solve_collapse(axis, state, cfg)
+        c = solve_collapse_closed_form(axis, state, cfg)
+        assert sum(kept) > 0
+        assert g.status is c.status is Status.NORMAL
+        assert math.hypot(g.axis_f.theta - c.axis_f.theta,
+                          g.axis_f.phi - c.axis_f.phi) <= AXIS_AGREE_TOL
+        assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
 
 
 def instance_at_overlap(rng, c: float):
