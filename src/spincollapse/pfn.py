@@ -11,7 +11,9 @@ of the up outcome under a measure on the axis chart.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -19,6 +21,10 @@ from .bloch import Axis
 
 MAX_MEMORY_DEPTH = 4
 MC_SAMPLES_MAX = 10**7  # ten times the default Monte Carlo sample count
+# precedence levels, parentheses and NOTs a policy may nest: the deepest
+# policy admitted still renders and evaluates within the interpreter's
+# default recursion limit when called from 300 frames deep
+MAX_NESTING = 150
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -60,66 +66,38 @@ class Not(BoolExpr):
         return 1 - self.arg(env)
 
     def __str__(self):
-        return f"!{self.arg}" if isinstance(self.arg, (Var, Const, Not)) \
-            else f"!({self.arg})"
+        return f"!({self.arg})" if isinstance(self.arg, Op) \
+            else f"!{self.arg}"
 
 
-def _wrap(e: BoolExpr, tighter: tuple[type, ...]) -> str:
-    return str(e) if isinstance(e, tighter) else f"({e})"
-
-
-@dataclass(frozen=True)
-class And(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
-
-    def __call__(self, env):
-        return self.left(env) & self.right(env)
-
-    def __str__(self):
-        inner = (Var, Const, Not, And)
-        return f"{_wrap(self.left, inner)}&{_wrap(self.right, inner)}"
+# the binary operators, loosest first: the one table that both parsing and
+# rendering take precedence from
+_OPERATORS = (("|", operator.or_), ("^", operator.xor), ("&", operator.and_))
+_RANK = {sym: rank for rank, (sym, _) in enumerate(_OPERATORS)}
+_APPLY = dict(_OPERATORS)
 
 
 @dataclass(frozen=True)
-class Xor(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+class Op(BoolExpr):
+    """The operator op folded left to right over two or more operands."""
+
+    op: str
+    args: tuple[BoolExpr, ...]
 
     def __call__(self, env):
-        return self.left(env) ^ self.right(env)
+        return reduce(_APPLY[self.op], (a(env) for a in self.args))
 
     def __str__(self):
-        inner = (Var, Const, Not, And, Xor)
-        return f"{_wrap(self.left, inner)}^{_wrap(self.right, inner)}"
+        # each operator is associative, so only a looser operand needs
+        # parentheses
+        rank = _RANK[self.op]
+        return self.op.join(
+            f"({a})" if isinstance(a, Op) and _RANK[a.op] < rank else str(a)
+            for a in self.args)
 
 
-@dataclass(frozen=True)
-class Or(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
-
-    def __call__(self, env):
-        return self.left(env) | self.right(env)
-
-    def __str__(self):
-        return f"{self.left}|{self.right}"
-
-
-P_OR = Or(Var("x"), Var("y"))
-P_AND = And(Var("x"), Var("y"))
-
-
-def _join(op: type, items: list[BoolExpr]) -> BoolExpr:
-    """items joined by the associative operator op as a balanced tree, so
-    that evaluating or rendering it recurses O(log n) deep, not n deep; the
-    left half takes the odd item, so two or three items make the left-deep
-    chain a loop would build.  None of |, ^ and & parenthesizes an operand
-    of its own kind, so the tree shape never shows in the rendered text."""
-    if len(items) == 1:
-        return items[0]
-    mid = (len(items) + 1) // 2
-    return op(_join(op, items[:mid]), _join(op, items[mid:]))
+P_OR = Op("|", (Var("x"), Var("y")))
+P_AND = Op("&", (Var("x"), Var("y")))
 
 
 # ---------------------------------------------------------------------------
@@ -159,40 +137,34 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> BoolExpr:
-        e = self.or_expr()
+        e = self.expr(0)
         if self.peek():
             self.error(f"unexpected {self.text[self.pos]!r}")
         return e
 
-    def or_expr(self) -> BoolExpr:
-        items = [self.xor_expr()]
-        while self.peek() == "|":
+    def expr(self, depth: int, rank: int = 0) -> BoolExpr:
+        """The chain of _OPERATORS[rank] operands, or a factor past the last
+        rank; depth counts the precedence levels, parentheses and NOTs
+        entered, which bounds both this recursion and the tree's depth."""
+        if depth > MAX_NESTING:
+            self.error("expression nests too deeply")
+        if rank == len(_OPERATORS):
+            return self.factor(depth)
+        sym = _OPERATORS[rank][0]
+        items = [self.expr(depth + 1, rank + 1)]
+        while self.peek() == sym:
             self.pos += 1
-            items.append(self.xor_expr())
-        return _join(Or, items)
+            items.append(self.expr(depth + 1, rank + 1))
+        return items[0] if len(items) == 1 else Op(sym, tuple(items))
 
-    def xor_expr(self) -> BoolExpr:
-        items = [self.and_expr()]
-        while self.peek() == "^":
-            self.pos += 1
-            items.append(self.and_expr())
-        return _join(Xor, items)
-
-    def and_expr(self) -> BoolExpr:
-        items = [self.factor()]
-        while self.peek() == "&":
-            self.pos += 1
-            items.append(self.factor())
-        return _join(And, items)
-
-    def factor(self) -> BoolExpr:
+    def factor(self, depth: int) -> BoolExpr:
         ch = self.peek()
         if ch == "!":
             self.pos += 1
-            return Not(self.factor())
+            return Not(self.expr(depth + 1, len(_OPERATORS)))
         if ch == "(":
             self.pos += 1
-            e = self.or_expr()
+            e = self.expr(depth + 1)
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
@@ -230,18 +202,14 @@ def parse_expr(text: str, n: int = 0) -> BoolExpr:
 
     Grammar: OR is the loosest operator, then XOR, then AND, then NOT.
     Variables are x, y and (for memory depth n >= 1) x1..xn, y1..yn, s1..sn.
-    Parentheses and NOTs nested past the interpreter's recursion limit are a
+    A chain of one operator is one flat node however long it is.  Past
+    MAX_NESTING precedence levels, parentheses and NOTs the expression is a
     syntax error at the position the parser reached.
     """
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     _check_memory_depth(n)
-    parser = _Parser(text, n)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ExprSyntaxError("expression nests too deeply",
-                              parser.pos) from None
+    return _Parser(text, n).parse()
 
 
 def render(e: BoolExpr) -> str:
@@ -309,23 +277,22 @@ def to_truth_table(e: BoolExpr, n: int = 0) -> TruthTable:
     return TruthTable(n, bits)
 
 
-def _literal(name: str, bit: int) -> BoolExpr:
-    return Var(name) if bit else Not(Var(name))
-
-
 def _canonical(t: TruthTable, bit: int) -> BoolExpr:
     """One term per row of value bit, its literals true exactly on that row
     (bit 1) or false exactly on it (bit 0): minterms joined by | for bit 1,
     maxterms joined by & for bit 0."""
-    inner, outer = (And, Or) if bit else (Or, And)
+    inner, outer = ("&", "|") if bit else ("|", "&")
     names = variable_order(t.memory_depth)
+    literals = {name: (Not(Var(name)), Var(name)) for name in names}
     terms = []
     for row, b in enumerate(t.bits):
         if b == bit:
             env = _row_env(row, names)
-            terms.append(_join(inner, [_literal(name, env[name] == bit)
-                                       for name in names]))
-    return _join(outer, terms) if terms else Const(1 - bit)
+            terms.append(Op(inner, tuple(literals[name][env[name] == bit]
+                                         for name in names)))
+    if not terms:
+        return Const(1 - bit)
+    return terms[0] if len(terms) == 1 else Op(outer, tuple(terms))
 
 
 def to_dnf(t: TruthTable) -> BoolExpr:

@@ -13,6 +13,7 @@ import pytest
 
 import spincollapse
 from spincollapse.cli import main
+from spincollapse.pfn import MAX_NESTING
 
 from conftest import CHART_EDGE_INSTANCES
 
@@ -392,7 +393,7 @@ class TestRun:
         assert [json.loads(line)["status"] for line in lines] == ["DeathPoint"]
 
     def test_long_policy_runs(self, capsys, tmp_path):
-        # 3000 operands nest no deeper than 12 levels once parsed
+        # 3000 operands parse into one flat node
         cfg_path, _ = self.config(tmp_path, pfn="|".join(["x"] * 3000))
         code, out, err = run_cli(capsys, "run", str(cfg_path))
         assert code == 0, err
@@ -512,11 +513,20 @@ class TestPfn:
         assert code == 0, err
         assert json.loads(out)["probability"] == 0.5
 
-    @pytest.mark.parametrize("expr", ["(" * 2000 + "x" + ")" * 2000,
-                                      "!" * 5000 + "x"],
-                             ids=["parentheses", "nots"])
-    def test_over_deep_nesting_is_a_syntax_error(self, capsys, expr):
-        code, out, err = run_cli(capsys, "pfn", "table", "--expr", expr)
+    @pytest.mark.parametrize("command, expr", [
+        ("table", "(" * 2000 + "x" + ")" * 2000),
+        ("table", "!" * 5000 + "x"),
+        # these parsed once, then rendering or evaluating them overflowed
+        # the interpreter's stack
+        ("table", "!" * 500 + "x"),
+        ("table", "!" * 600 + "x"),
+        ("table", "!" * 800 + "x"),
+        ("prob", "!" * 500 + "x"),
+        ("table", "x|y^x&(" * 200 + "x" + ")" * 200)],
+        ids=["parentheses", "nots", "nots500", "nots600", "nots800",
+             "prob-nots500", "every-level200"])
+    def test_over_deep_nesting_is_a_syntax_error(self, capsys, command, expr):
+        code, out, err = run_cli(capsys, "pfn", command, "--expr", expr)
         assert code == 1
         assert out == ""
         lines = err.split("\n")
@@ -583,6 +593,13 @@ class TestErrorExit:
         code, out, err = run_cli(capsys, "run", str(cfg_path))
         assert (code, out) == (1, "")
         assert err == "error: unexpected '|' at position 2\n"
+
+    def test_over_deep_policy_in_a_run_config(self, capsys, tmp_path):
+        cfg_path, _ = run_config(tmp_path, pfn="!" * 500 + "x")
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == ("error: expression nests too deeply at position "
+                       f"{MAX_NESTING - 2}\n")
 
     def test_arity_error_has_no_caret(self, capsys):
         code, out, err = run_cli(capsys, "pfn", "prob", "--expr", "x & s2",

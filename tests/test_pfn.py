@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from spincollapse.bloch import Axis, canonicalize_axis
 from spincollapse.pfn import (
-    And,
+    MAX_NESTING,
     BoolProjection,
     CHART_UNIFORM,
     Const,
@@ -20,13 +20,12 @@ from spincollapse.pfn import (
     ExprSyntaxError,
     Measure,
     Not,
-    Or,
+    Op,
     P_AND,
     P_OR,
     SPHERE_AREA,
     TruthTable,
     Var,
-    Xor,
     decide_outcome,
     outcome_probability,
     parse_expr,
@@ -50,9 +49,8 @@ def random_expr(rng, names, depth=0):
     op = rng.integers(0, 4)
     if op == 0:
         return Not(random_expr(rng, names, depth + 1))
-    cls = [And, Or, Xor][op - 1]
-    return cls(random_expr(rng, names, depth + 1),
-               random_expr(rng, names, depth + 1))
+    return Op("&|^"[op - 1], (random_expr(rng, names, depth + 1),
+                              random_expr(rng, names, depth + 1)))
 
 
 class TestParser:
@@ -63,16 +61,21 @@ class TestParser:
 
     def test_memory_expression(self):
         e = parse_expr("s1 & !x1 | y", 1)
-        assert e == Or(And(Var("s1"), Not(Var("x1"))), Var("y"))
+        assert e == Op("|", (Op("&", (Var("s1"), Not(Var("x1")))), Var("y")))
 
     def test_precedence_not_over_and_over_xor_over_or(self):
-        assert parse_expr("!x&y") == And(Not(Var("x")), Var("y"))
-        assert parse_expr("x&y^y") == Xor(And(Var("x"), Var("y")), Var("y"))
-        assert parse_expr("x^y|y") == Or(Xor(Var("x"), Var("y")), Var("y"))
-        assert parse_expr("x|y&x") == Or(Var("x"), And(Var("y"), Var("x")))
+        x, y = Var("x"), Var("y")
+        assert parse_expr("!x&y") == Op("&", (Not(x), y))
+        assert parse_expr("x&y^y") == Op("^", (Op("&", (x, y)), y))
+        assert parse_expr("x^y|y") == Op("|", (Op("^", (x, y)), y))
+        assert parse_expr("x|y&x") == Op("|", (x, Op("&", (y, x))))
 
     def test_parentheses(self):
-        assert parse_expr("x&(y|x)") == And(Var("x"), Or(Var("y"), Var("x")))
+        x, y = Var("x"), Var("y")
+        assert parse_expr("x&(y|x)") == Op("&", (x, Op("|", (y, x))))
+        e = parse_expr("(x|y)|x1", 1)
+        assert e == Op("|", (Op("|", (x, y)), Var("x1")))
+        assert render(e) == "x|y|x1"
 
     def test_constants(self):
         assert to_truth_table(parse_expr("1")).bits == (1, 1, 1, 1)
@@ -97,6 +100,47 @@ class TestParser:
                            match="expression nests too deeply") as info:
             parse_expr(text)
         assert 0 < info.value.position < len(text)
+
+    def test_nesting_error_position_depends_on_the_text_only(self):
+        text = "!" * 5000 + "x"
+
+        def position(frames):
+            if frames:
+                return position(frames - 1)
+            with pytest.raises(ExprSyntaxError) as info:
+                parse_expr(text)
+            return info.value.position
+
+        assert position(0) == position(300) == MAX_NESTING - 2
+
+    @pytest.mark.parametrize("unit, close", [
+        ("!", ""), ("(", ")"), ("x|y^x&(", ")"), ("x|y^x&!(", ")")],
+        ids=["nots", "parentheses", "every-level", "every-level-and-not"])
+    def test_deepest_admitted_policy_evaluates_from_a_deep_stack(
+            self, unit, close):
+        def nested(k):
+            return unit * k + "x" + close * k
+
+        k = 0
+        while True:
+            try:
+                parse_expr(nested(k + 1))
+            except ExprSyntaxError:
+                break
+            k += 1
+        text = nested(k)
+
+        def evaluate(frames):
+            if frames:
+                return evaluate(frames - 1)
+            e = parse_expr(text)
+            return (render(e), to_truth_table(e),
+                    outcome_probability(e, method="monte_carlo", samples=10),
+                    decide_outcome(e, Axis(1.0, 1.0)))
+
+        rendered, table, _, outcome = evaluate(300)
+        assert to_truth_table(parse_expr(rendered)) == table
+        assert outcome == table.bits[3]  # (x, y) = (1, 1) at this axis
 
     def test_arity_errors(self):
         with pytest.raises(ExprArityError):
@@ -185,23 +229,23 @@ class TestNormalForms:
             assert to_truth_table(to_dnf(t), 1) == t
             assert to_truth_table(to_cnf(t), 1) == t
 
-    def test_long_chains_nest_logarithmically(self):
+    def test_long_chains_are_one_flat_node(self):
         # 3000 operands: a left-deep chain would recurse 3000 deep when
         # evaluated or rendered
         for op, fold in (("|", any), ("&", all),
                          ("^", lambda bits: sum(bits) % 2)):
             text = op.join(["x", "y", "!x"] * 1000)
             e = parse_expr(text)
+            assert isinstance(e, Op) and len(e.args) == 3000
             assert render(e) == text
             assert to_truth_table(e).bits == tuple(
                 int(fold([x, y, 1 - x] * 1000)) for x in (0, 1) for y in (0, 1))
 
-    def test_short_chains_keep_the_left_deep_tree(self):
-        assert parse_expr("x|y|x1", 1) == Or(Or(Var("x"), Var("y")),
-                                             Var("x1"))
-        assert parse_expr("x^y") == Xor(Var("x"), Var("y"))
-        assert parse_expr("x&y&!x") == And(And(Var("x"), Var("y")),
-                                           Not(Var("x")))
+    def test_chains_are_flat(self):
+        x, y = Var("x"), Var("y")
+        assert parse_expr("x|y|x1", 1) == Op("|", (x, y, Var("x1")))
+        assert parse_expr("x^y") == Op("^", (x, y))
+        assert parse_expr("x&y&!x") == Op("&", (x, y, Not(x)))
 
     def test_parse_render_round_trip(self):
         rng = np.random.default_rng(29)
