@@ -15,7 +15,7 @@ from dataclasses import dataclass
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Axis:
     """A measurement axis on the restricted chart.
 
@@ -28,13 +28,19 @@ class Axis:
     phi: float
     labels_swapped: bool = False
 
-    def __post_init__(self):
-        if not (0.0 <= self.theta < math.pi):
-            raise ValueError(f"theta out of chart: {self.theta}")
-        if not (0.0 <= self.phi < math.pi):
-            raise ValueError(f"phi out of chart: {self.phi}")
-        if self.theta == 0.0 and self.phi != 0.0:
+    def __init__(self, theta: float, phi: float, labels_swapped: bool = False):
+        if not (0.0 <= theta < math.pi):
+            raise ValueError(f"theta out of chart: {theta}")
+        if not (0.0 <= phi < math.pi):
+            raise ValueError(f"phi out of chart: {phi}")
+        if theta == 0.0 and phi != 0.0:
             raise ValueError("pole convention: theta=0 requires phi=0")
+        # the frozen class's __setattr__ raises, but its __dict__ takes
+        # stores, at half the cost of three object.__setattr__ calls
+        fields = self.__dict__
+        fields["theta"] = theta
+        fields["phi"] = phi
+        fields["labels_swapped"] = labels_swapped
 
 
 @dataclass(frozen=True)

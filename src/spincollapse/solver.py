@@ -15,17 +15,17 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bloch import (
+    TWO_PI,
     Axis,
     SpinState,
     axis_to_bloch,
-    bloch_to_axis_angles,
     canonicalize_axis,
     overlap_from_angles,
-    state_to_bloch,
     up_overlap_prob,
 )
 from .contour import marching_squares
@@ -88,15 +88,16 @@ class LevelSetCurve:
                         map(binary_entropy, qs)))
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
+    """One refined overlap extremum: an immutable, hashable tuple."""
+
     axis: Axis
     overlap: float
     s_up: float
     component_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CollapseSolution:
     status: Status
     axis_f: Axis
@@ -459,25 +460,31 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     cfg is accepted so that one SolverConfig can be passed to either route;
     the closed form reads none of its fields.
     """
-    m = state_to_bloch(s)
-    ni = axis_to_bloch(i)
-    c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
+    # state_to_bloch, axis_to_bloch, is_trivial and bloch_to_axis_angles,
+    # inlined: the same operations in the same order, so the same bits
+    rho = s.rho
+    r = math.sqrt(rho * (1.0 - rho))
+    m0, m1, m2 = (2.0 * r * math.cos(s.tau), 2.0 * r * math.sin(s.tau),
+                  2.0 * rho - 1.0)
+    st = math.sin(i.theta)
+    n0, n1, n2 = st * math.cos(i.phi), st * math.sin(i.phi), math.cos(i.theta)
+    c = n0 * m0 + n1 * m1 + n2 * m2
     p_same = min(1.0, max(0.0, 0.5 * (1.0 + c)))
     s_i = binary_entropy(p_same)
-    if is_trivial(p_same):
-        return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
+    if min(p_same, 1.0 - p_same) <= EPS_TRIVIAL:
+        return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i, [], [])
 
     s_up = binary_entropy(min(1.0, max(0.0, c * c)))
-    if (c * m[1] > 0.0 and c * c + m[1] * m[1] > 1.0) or s_up <= EPS_Z:
-        return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i)
+    if (c * m1 > 0.0 and c * c + m1 * m1 > 1.0) or s_up <= EPS_Z:
+        return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i, [], [])
 
-    nstar = (ni[0] - 2.0 * c * m[0],
-             ni[1] - 2.0 * c * m[1],
-             ni[2] - 2.0 * c * m[2])
-    nrm = math.sqrt(nstar[0] ** 2 + nstar[1] ** 2 + nstar[2] ** 2)
-    nstar = (nstar[0] / nrm, nstar[1] / nrm, nstar[2] / nrm)
-    theta, phi = bloch_to_axis_angles(nstar)
+    x, y, z = n0 - 2.0 * c * m0, n1 - 2.0 * c * m1, n2 - 2.0 * c * m2
+    nrm = math.sqrt(x ** 2 + y ** 2 + z ** 2)
+    x, y, z = x / nrm, y / nrm, z / nrm
+    theta = math.acos(min(1.0, max(-1.0, z)))
+    phi = math.atan2(y, x) % TWO_PI
+    if theta == 0.0 or theta == math.pi:
+        phi = 0.0
     axis_f = canonicalize_axis(theta, phi)
-    overlap = 1.0 - c * c
-    cand = Candidate(axis_f, overlap, s_up, 0)
-    return CollapseSolution(Status.NORMAL, axis_f, s_up, s_i, [cand], [])
+    return CollapseSolution(Status.NORMAL, axis_f, s_up, s_i,
+                            [Candidate(axis_f, 1.0 - c * c, s_up, 0)], [])

@@ -4,6 +4,7 @@ closed-form agreement, and the pinned worked instances."""
 import dataclasses
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -452,6 +453,126 @@ class TestSignClause:
                 Status.NORMAL, (axis, state)
         # without the clause these would be DeathPoints
         assert rounded_over > 50
+
+
+def closed_form_by_helpers(axis, state) -> tuple:
+    """The closed form written through the bloch helpers and is_trivial:
+    (status, axis_f, s_up, s_i, candidate overlap or None).  The inlined
+    algebra of solve_collapse_closed_form must reproduce it bit for bit."""
+    m, ni = state_to_bloch(state), axis_to_bloch(axis)
+    c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
+    p_same = min(1.0, max(0.0, 0.5 * (1.0 + c)))
+    s_i = binary_entropy(p_same)
+    if is_trivial(p_same):
+        return Status.TRIVIAL, axis, 0.0, s_i, None
+    s_up = binary_entropy(min(1.0, max(0.0, c * c)))
+    if (c * m[1] > 0.0 and c * c + m[1] * m[1] > 1.0) or s_up <= EPS_Z:
+        return Status.DEATH_POINT, axis, 0.0, s_i, None
+    nstar = tuple(ni[k] - 2.0 * c * m[k] for k in range(3))
+    nrm = math.sqrt(nstar[0] ** 2 + nstar[1] ** 2 + nstar[2] ** 2)
+    theta, phi = bloch_to_axis_angles(tuple(x / nrm for x in nstar))
+    return (Status.NORMAL, canonicalize_axis(theta, phi), s_up, s_i,
+            1.0 - c * c)
+
+
+def result_bytes(status, axis_f, s_up, s_i, overlap) -> bytes:
+    """The IEEE-754 bytes of a closed-form answer (so -0.0 differs from 0.0)."""
+    return status.value.encode() + struct.pack(
+        "<4d?d", axis_f.theta, axis_f.phi, s_up, s_i, axis_f.labels_swapped,
+        math.nan if overlap is None else overlap)
+
+
+class TestClosedFormArithmetic:
+    """solve_collapse_closed_form inlines state_to_bloch, axis_to_bloch,
+    is_trivial and bloch_to_axis_angles; its answers must stay those of the
+    helpers, by IEEE bytes."""
+
+    # rho at 0 and 1, the pole, the seam and the last float below pi
+    EDGES = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+             (0.0, 0.0, 0.5, 1.0), (PI / 2, 0.0, 0.3, 0.0),
+             (PI / 2, 0.0, 0.3, PI), (math.nextafter(PI, 0.0), 0.0, 0.7, 2.0),
+             (1.0, math.nextafter(PI, 0.0), 0.5, PI / 2),
+             (PI / 4, PI / 2, 0.4, 0.0), (0.862, 1.197, 0.8535533905932737,
+                                          PI / 2)]
+
+    def test_matches_the_helpers_on_an_unfiltered_sweep(self):
+        rng = np.random.default_rng(14)
+        instances = [random_instance(rng) for _ in range(20000)]
+        instances += [(canonicalize_axis(theta, phi), SpinState(rho, tau))
+                      for theta, phi, rho, tau in self.EDGES]
+        statuses = dict.fromkeys(Status, 0)
+        for axis, state in instances:
+            sol = solve_collapse_closed_form(axis, state)
+            overlap = sol.candidates[0].overlap if sol.candidates else None
+            expected = closed_form_by_helpers(axis, state)
+            assert result_bytes(sol.status, sol.axis_f, sol.s_up, sol.s_i,
+                                overlap) == result_bytes(*expected), \
+                (axis, state)
+            assert sol.candidates == ([] if overlap is None else [
+                solver.Candidate(sol.axis_f, overlap, sol.s_up, 0)])
+            statuses[sol.status] += 1
+        # every branch of the closed form is taken, and some answers swap
+        # their labels
+        assert all(count > 0 for count in statuses.values())
+        assert statuses[Status.NORMAL] > 14000
+        assert sum(solve_collapse_closed_form(a, s).axis_f.labels_swapped
+                   for a, s in instances[:2000]) > 100
+
+
+class TestRecords:
+    """Candidate is a NamedTuple, Axis a frozen dataclass and
+    CollapseSolution a slotted dataclass; these pin what callers may rely
+    on."""
+
+    AXIS = canonicalize_axis(0.862, 1.197)
+
+    def test_candidate_fields_and_repr(self):
+        cand = solver.Candidate(self.AXIS, 0.9, 0.2, 3)
+        assert solver.Candidate._fields == ("axis", "overlap", "s_up",
+                                            "component_id")
+        assert (cand.axis, cand.overlap, cand.s_up, cand.component_id) == \
+            (self.AXIS, 0.9, 0.2, 3)
+        assert repr(cand) == (f"Candidate(axis={self.AXIS!r}, overlap=0.9, "
+                              "s_up=0.2, component_id=3)")
+
+    def test_candidate_and_axis_reject_assignment(self):
+        cand = solver.Candidate(self.AXIS, 0.9, 0.2, 3)
+        with pytest.raises(AttributeError):
+            cand.overlap = 0.5
+        with pytest.raises(AttributeError):
+            cand.axis.theta = 0.5
+        with pytest.raises(AttributeError):
+            self.AXIS.labels_swapped = True
+        assert (cand.overlap, self.AXIS.theta) == (0.9, 0.862)
+
+    def test_equal_by_value_and_hashable(self):
+        a = solver.Candidate(canonicalize_axis(0.862, 1.197), 0.9, 0.2, 3)
+        b = solver.Candidate(canonicalize_axis(0.862, 1.197), 0.9, 0.2, 3)
+        assert a.axis is not b.axis
+        assert a.axis == b.axis and hash(a.axis) == hash(b.axis)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != b._replace(component_id=4)
+        assert a.axis != dataclasses.replace(a.axis, labels_swapped=True)
+
+    def test_solutions_do_not_share_default_lists(self):
+        first = solver.CollapseSolution(Status.TRIVIAL, self.AXIS, 0.0, 0.5)
+        second = solver.CollapseSolution(Status.TRIVIAL, self.AXIS, 0.0, 0.5)
+        first.candidates.append(solver.Candidate(self.AXIS, 0.9, 0.2, 0))
+        first.curves.append(None)
+        assert second.candidates == [] and second.curves == []
+        with pytest.raises(AttributeError):
+            first.note = "slots take no new attributes"
+
+    @pytest.mark.parametrize("theta, phi", [
+        (PI, 0.5), (-0.1, 0.5), (math.nan, 0.5),  # theta out of chart
+        (0.5, PI), (0.5, -0.1), (0.5, math.nan),  # phi out of chart
+        (0.0, 0.3)])  # the pole has phi = 0
+    def test_axis_validations(self, theta, phi):
+        with pytest.raises(ValueError):
+            solver.Axis(theta, phi)
+        with pytest.raises(ValueError):
+            dataclasses.replace(self.AXIS, theta=theta, phi=phi)
 
 
 class TestProjectToLevel:

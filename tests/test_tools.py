@@ -1,5 +1,5 @@
 """tools/: one digest over a seeded corpus solved by both routes, and the
-per-phase timing table."""
+per-phase timing table with its closed-form row."""
 
 import dataclasses
 import importlib.util
@@ -51,6 +51,38 @@ def test_digest_covers_the_closed_form(capsys, monkeypatch):
     assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
 
 
+def test_digest_covers_the_closed_form_candidates(capsys, monkeypatch):
+    first = digest(capsys, "--seed", "3", "--grids", "64:4")
+    closed_form = solver.solve_collapse_closed_form
+    shifted_any = []
+
+    def shifted(axis, state):
+        sol = closed_form(axis, state)
+        sol.candidates = [c._replace(overlap=math.nextafter(c.overlap, 0.0))
+                          for c in sol.candidates]
+        shifted_any.append(bool(sol.candidates))
+        return sol
+
+    monkeypatch.setattr(solver, "solve_collapse_closed_form", shifted)
+    assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
+    assert any(shifted_any)
+
+
+def test_digest_covers_the_label_swap(capsys, monkeypatch):
+    first = digest(capsys, "--seed", "3", "--grids", "64:4")
+    grid_route = solver.solve_collapse
+
+    def swapped(axis, state, cfg):
+        sol = grid_route(axis, state, cfg)
+        sol.candidates = [c._replace(axis=dataclasses.replace(
+            c.axis, labels_swapped=not c.axis.labels_swapped))
+            for c in sol.candidates]
+        return sol
+
+    monkeypatch.setattr(solver, "solve_collapse", swapped)
+    assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
+
+
 def test_floats_are_hashed_by_their_bytes():
     zero, minus_zero = solve_digest.Digest(), solve_digest.Digest()
     zero.floats(0.0)
@@ -73,7 +105,9 @@ def test_phase_times_prints_one_row_per_grid(capsys):
     assert re.fullmatch(r"# \d+ CPUs, Python \S+, numpy \S+; .*", lines[0])
     assert lines[1] == "| `grid_n` | " + " | ".join(phase_times.PHASES) + " |"
     assert re.fullmatch(r"\| 64 \|( \d+\.\d+ ms \|){5}", lines[3])
-    assert len(lines) == 4
+    assert re.fullmatch(r"\| closed form \| \d+\.\d\d µs \|( – \|){4}",
+                        lines[4])
+    assert len(lines) == 5
     # the solver's bindings are the originals again
     assert {name: getattr(solver, name) for name in bindings} == bindings
     assert solver.marching_squares is contour.marching_squares

@@ -1,4 +1,4 @@
-"""Per-phase wall time of grid solves of the generic instance.
+"""Per-phase wall time of grid solves, and the time of a closed-form solve.
 
     PYTHONPATH=src python tools/phase_times.py --grids 256,1024,4096 --solves 5 --rounds 3
 
@@ -18,7 +18,15 @@ originals are put back when the measurement ends:
 Each round solves every grid --solves times, grid after grid, and keeps
 each phase's minimum over those solves; the table gives the median of each
 phase over --rounds rounds.  Phases are minimised separately, so they need
-not add up to the total.  The first line names the machine.
+not add up to the total.
+
+The last row, `closed form`, is the time per
+`solve_collapse_closed_form(axis, state)` over a fixed sweep of
+CLOSED_SWEEP unfiltered instances (drawn as `tools/solve_digest.py` draws
+them, from `numpy.random.default_rng(CLOSED_SEED)`, and built before the
+clock starts).  Each round times the sweep --solves times and keeps the
+fastest; the row gives the median over the rounds, in microseconds per
+solve.  The first line names the machine.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ PHASES = ("total", "field", MS, "rest of tracing", CANDIDATES)
 WRAPPED = {"solve_collapse": "total", "_overlap_grid": "field",
            "marching_squares": MS, "trace_level_sets": "tracing",
            "_curve_candidates": CANDIDATES}
+CLOSED_SEED, CLOSED_SWEEP = 0, 2000
 
 
 @contextlib.contextmanager
@@ -96,6 +105,36 @@ def measure(grids: list[int], solves: int, rounds: int
             for g, phases in best.items()}
 
 
+def closed_form_sweep() -> list[tuple]:
+    """The CLOSED_SWEEP (axis, state) pairs of the closed-form row."""
+    from spincollapse.bloch import SpinState, canonicalize_axis
+
+    rng = np.random.default_rng(CLOSED_SEED)
+    sweep = []
+    for _ in range(CLOSED_SWEEP):
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)
+        rho, tau = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+        sweep.append((canonicalize_axis(theta, phi), SpinState(rho, tau)))
+    return sweep
+
+
+def measure_closed_form(solves: int, rounds: int) -> float:
+    """Median over rounds of the best of solves sweeps, in s per solve."""
+    from spincollapse.solver import solve_collapse_closed_form
+
+    sweep = closed_form_sweep()
+    best = []
+    for _ in range(rounds):
+        times = []
+        for _ in range(solves):
+            start = time.perf_counter()
+            for axis, state in sweep:
+                solve_collapse_closed_form(axis, state)
+            times.append(time.perf_counter() - start)
+        best.append(min(times) / len(sweep))
+    return statistics.median(best)
+
+
 def fmt_ms(seconds: float) -> str:
     ms = seconds * 1e3
     return f"{ms:.{2 if ms < 1 else 1 if ms < 100 else 0}f} ms"
@@ -115,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--solves and --rounds must be at least 1")
 
     table = measure(grids, args.solves, args.rounds)
+    closed = measure_closed_form(args.solves, args.rounds)
     print(f"# {os.cpu_count()} CPUs, Python {platform.python_version()}, "
           f"numpy {np.__version__}; generic instance; best of "
           f"{args.solves} solves, median of {args.rounds} rounds")
@@ -123,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     for grid, phases in table.items():
         print(f"| {grid} | "
               + " | ".join(fmt_ms(phases[p]) for p in PHASES) + " |")
+    print(f"| closed form | {closed * 1e6:.2f} µs |"
+          + " – |" * (len(PHASES) - 1))
     return 0
 
 

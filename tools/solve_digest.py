@@ -7,11 +7,13 @@ them, from one `numpy.random.default_rng(seed)` stream: the first 300 are
 solved at grid 256, the next 100 at grid 1024, and so on.  Each is solved
 by both `solve_collapse(axis, state, SolverConfig(grid_n=G))` and
 `solve_collapse_closed_form(axis, state)` of whichever `spincollapse` is
-first on `PYTHONPATH`.  For the grid route the digest covers the status, the
-final axis, `s_up`, `s_i`, every candidate and every curve vertex; for the
-closed form, the status, the final axis, `s_up` and `s_i`.  Each float goes
-in as its 8 IEEE-754 bytes (so -0.0 and 0.0 differ); a solve that raises
-contributes the exception's type and message instead.
+first on `PYTHONPATH`.  For both routes the digest covers every field of
+the result: the status, the final axis, `s_up`, `s_i`, every candidate
+(axis, overlap, `s_up`, component) and every curve (level, component, the
+zero-entropy mark and every vertex).  An axis goes in as its angles and its
+`labels_swapped` flag.  Each float goes in as its 8 IEEE-754 bytes (so -0.0
+and 0.0 differ); a solve that raises contributes the exception's type and
+message instead.
 
 Two source trees give the same digest exactly when every compared output is
 bit-identical.  To compare a change with its parent, run this script once
@@ -58,16 +60,19 @@ class Digest:
         self.hash.update(struct.pack("<q", len(data)) + data)
 
 
-def add_answer(digest: Digest, sol) -> None:
-    digest.text(sol.status.value)
-    digest.floats(sol.axis_f.theta, sol.axis_f.phi, sol.s_up, sol.s_i)
+def add_axis(digest: Digest, axis) -> None:
+    digest.floats(axis.theta, axis.phi)
+    digest.text(axis.labels_swapped)
 
 
 def add_solution(digest: Digest, sol, counts: dict) -> None:
-    add_answer(digest, sol)
+    digest.text(sol.status.value)
+    add_axis(digest, sol.axis_f)
+    digest.floats(sol.s_up, sol.s_i)
     digest.text(len(sol.candidates))
     for c in sol.candidates:
-        digest.floats(c.axis.theta, c.axis.phi, c.overlap, c.s_up)
+        add_axis(digest, c.axis)
+        digest.floats(c.overlap, c.s_up)
         digest.text(c.component_id)
     digest.text(len(sol.curves))
     for curve in sol.curves:
@@ -121,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
                 digest.text(f"{type(exc).__name__}: {exc}")
                 counts["errors"] += 1
             else:
-                add_answer(digest, closed)
+                add_solution(digest, closed, counts)
             counts["instances"] += 1
     print(digest.hash.hexdigest())
     print(f"spincollapse from {spincollapse.__file__}; "
