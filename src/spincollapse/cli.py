@@ -3,9 +3,9 @@
 Subcommands: solve a single collapse instance, dump level-set polylines as
 CSV, run the iterated-measurement automaton from a JSON config, and work with
 boolean outcome policies.  All output on stdout is a pure function of the
-flags and config; diagnostics go to stderr (verbosity via COLLAPSE_LOG).
-Exit codes: 0 success (death points included), 1 usage error, 2 grid/closed
-form disagreement beyond tolerance.
+flags and config; diagnostics go to stderr.  Exit codes: 0 success (death
+points included), 1 usage error, 2 grid/closed form disagreement beyond
+tolerance.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import math
-import os
 import sys
 
 from .automaton import ObserverAutomaton
@@ -42,8 +40,6 @@ from .solver import (
     trace_level_sets,
 )
 
-log = logging.getLogger("spincollapse")
-
 AXIS_AGREE_TOL = 1e-4
 S_UP_AGREE_TOL = 1e-6
 # method spellings of the run config -> SolverConfig.method
@@ -54,14 +50,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors: one stderr line, exit code 1
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _setup_logging():
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(
-        os.environ.get("COLLAPSE_LOG", "error").lower(), logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(message)s")
 
 
 def _instance(args) -> tuple:
@@ -108,7 +96,8 @@ def cmd_solve(args) -> int:
             "within_tolerance": agree,
         }
         if not agree:
-            log.error("grid and closed-form routes disagree: %s", agreement)
+            print(f"ERROR grid and closed-form routes disagree: {agreement}",
+                  file=sys.stderr)
             exit_code = 2
     payload = _solution_dict(out)
     payload["method_agreement"] = agreement
@@ -118,7 +107,7 @@ def cmd_solve(args) -> int:
 
 def cmd_trace(args) -> int:
     axis, state = _instance(args)
-    cfg = SolverConfig(grid_n=args.grid, method="grid")
+    cfg = SolverConfig(grid_n=args.grid)
     p_same, p_flip = constraint_levels(axis, state)
     rows = []
     if is_trivial(p_same):
@@ -310,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

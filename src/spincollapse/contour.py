@@ -17,8 +17,8 @@ sqrt(rho (1 - rho)) sin(theta_i) with theta_i in [0, pi]:
   to a split rank and positive from it on.  The split rank is looked up at
   the analytic root (level - a[i]) / b[i] by one searchsorted per run and
   confirmed by evaluating the node predicate at the two ranks around it; a
-  row where the root is off (tiny b[i] against a[i]) is bisected on the
-  predicate.
+  row where the root is off (tiny b[i] against a[i], or a level at a node
+  value) is scanned along the run for its first positive node, in O(m).
 - So in each run, row i changes sign once, at a column split[i] in
   [s, e + 1]: its nodes before split[i] and from split[i] on have opposite
   signs.  One side of the run is a staircase, and the level curve inside
@@ -51,9 +51,10 @@ sqrt(rho (1 - rho)) sin(theta_i) with theta_i in [0, pi]:
   one array gathered from the crossing points.
 
 Node values are computed only where they are read: at the probed split
-ranks and at the ends of the crossed edges.  The cost per level is
-O(n log m) for the split ranks plus O(crossings) for the rest, against
-O(n m) for a scan of the whole field.
+ranks, along the runs of the rows the lookup misses, and at the ends of the
+crossed edges.  The cost per level is O(n log m) for the split ranks, O(m)
+more per missed row, plus O(crossings) for the rest, against O(n m) for a
+scan of the whole field.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
 
     # along every run the predicate value >= level is false, then true; a
     # row's split rank k is its first true rank.  It is looked up at the
-    # analytic root and confirmed at ranks k - 1 and k.  Flat rows (b == 0)
-    # are searched as if b were 1, then set to all true or false
+    # analytic root and confirmed at ranks k - 1 and k; a row where the
+    # lookup missed is scanned along the run.  Flat rows (b == 0) are
+    # searched as if b were 1, then set to all true or false
     flat = np.flatnonzero(b == 0.0)
     b1 = b.copy()
     b1[flat] = 1.0
@@ -115,24 +117,10 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
                   for o, v in zip(base[:, 0].tolist(), views)])
     q = b1[:, None] * pad[(k + base)[..., None] - _BELOW_AT] + a[:, None] >= level
     below, above = q[..., 0], q[..., 1]
-    ok = above > below
-    if not ok.all():
-        # true at rank k - 1: k is in [0, k - 1]; else false at rank k: k is
-        # in [k + 1, size]
-        rb, ib = np.nonzero(~ok)
-        kb, low = k[rb, ib], below[rb, ib]
-        lo = np.where(low, 0, kb + 1)
-        hi = np.where(low, kb - 1, size[rb, 0])
-        at, ab, bb = base[rb, 0], a[ib], b1[ib]
-        while True:
-            open_ = lo < hi
-            if not open_.any():
-                break
-            mid = (lo + hi) // 2
-            true = bb * pad[at + mid] + ab >= level
-            hi = np.where(open_ & true, mid, hi)
-            lo = np.where(open_ & ~true, mid + 1, lo)
-        k[rb, ib] = lo
+    for r, i in zip(*np.nonzero(above <= below)):  # missed rows
+        o, m = base[r, 0], size[r, 0]
+        true = b1[i] * pad[o:o + m] + a[i] >= level
+        k[r, i] = true.argmax() if true[-1] else m
     if flat.size:
         k[:, flat] = np.where(a[flat] >= level, 0, size)
     # the later node of the two around the split; rank 0 or size means

@@ -373,17 +373,16 @@ def outcome_probability(e: BoolExpr, measure: Measure = CHART_UNIFORM,
                         seed: int = 0, n: int = 0) -> float:
     """Probability of the up outcome for a random axis under the measure.
 
-    Analytic route (memoryless only): the chart splits into four quadrants at
-    theta = pi/2 and phi = pi/2 on which the projections are constant, and
-    both measures weight each quadrant 1/4, so the probability is the number
-    of 1-rows over 4.  Monte Carlo draws axes from the measure with a seeded
-    generator; memory variables are sampled uniformly.
+    Analytic route: the chart splits into four quadrants at theta = pi/2
+    and phi = pi/2 on which the projections are constant, both measures
+    weight each quadrant 1/4, and the memory variables are fair coins, so
+    the probability is the share of 1-rows in the truth table.  Monte Carlo
+    draws axes from the measure with a seeded generator; memory variables
+    are sampled uniformly.
     """
     if method == "analytic":
-        if n != 0:
-            raise ValueError("analytic route requires a memoryless policy")
-        table = to_truth_table(e, 0)
-        return sum(table.bits) / 4.0
+        bits = to_truth_table(e, n).bits
+        return sum(bits) / len(bits)
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
     if not 1 <= samples <= MC_SAMPLES_MAX:

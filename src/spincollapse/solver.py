@@ -310,7 +310,7 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
     h = max(total, 1e-6)
 
     def point_at(t: float) -> tuple[float, float]:
-        u = t / total if total > 0 else 0.0
+        u = t / total
         raw = (p0[0] + u * (p1[0] - p0[0]), p0[1] + u * (p1[1] - p0[1]))
         return _project_to_level(raw[0], raw[1], s, level, h)
 

@@ -12,6 +12,7 @@ from spincollapse.bloch import (
     canonicalize_axis,
     state_to_bloch,
 )
+from spincollapse.contour import _runs
 
 
 def random_instance(rng) -> tuple[Axis, SpinState]:
@@ -21,6 +22,24 @@ def random_instance(rng) -> tuple[Axis, SpinState]:
     rho = rng.uniform(0.0, 1.0)
     tau = rng.uniform(0.0, 2.0 * math.pi)
     return canonicalize_axis(theta, phi), SpinState(rho, tau)
+
+
+def missed_rows(a, b, c, level: float) -> int:
+    """How many (run, row) split ranks of marching_squares' field b[i] *
+    c[j] + a[i] the analytic lookup misses: on each monotone run of c, taken
+    in ascending order, the searchsorted rank of (level - a[i]) / b[i] is
+    not the first rank whose node value is >= level.  Flat rows (b == 0)
+    are not counted: marching_squares sets their split from the sign of
+    a[i] - level, whatever the lookup gives."""
+    rows = b != 0.0
+    ar, br = a[rows], b[rows]
+    count = 0
+    for s, e, rising in _runs(c):
+        v = c[s:e + 1] if rising else c[s:e + 1][::-1]
+        true = br[:, None] * v + ar[:, None] >= level
+        first = np.where(true[:, -1], true.argmax(axis=1), v.size)
+        count += int((np.searchsorted(v, (level - ar) / br) != first).sum())
+    return count
 
 
 def is_nondegenerate(axis: Axis, state: SpinState) -> bool:

@@ -105,6 +105,17 @@ class TestSolve:
         payload = json.loads(out)
         assert not payload["method_agreement"]["within_tolerance"]
 
+    def test_every_call_writes_its_own_disagreement_line(self, capsys):
+        # the line goes to the stderr of the call that found the
+        # disagreement, not to a stream fixed by an earlier call
+        for _ in range(2):
+            code, _, err = run_cli(capsys, "solve", *COARSE_DISAGREE,
+                                   "--grid", "64", "--method", "both")
+            assert code == 2
+            assert err.startswith("ERROR grid and closed-form routes "
+                                  "disagree: {'status_match': ")
+            assert err.count("\n") == 1 and err.endswith("}\n")
+
     def test_fine_grid_resolves_the_disagreement(self, capsys):
         code, out, _ = run_cli(capsys, "solve", *COARSE_DISAGREE,
                                "--grid", "1024", "--method", "both")
@@ -194,7 +205,8 @@ class TestTrace:
         assert "error" in err
 
     def test_trivial_instance_warns_once_at_every_log_level(self, tmp_path):
-        # a fresh process, so that COLLAPSE_LOG configures the root logger
+        # a fresh process per level: COLLAPSE_LOG, which the CLI once read,
+        # changes nothing
         src = pathlib.Path(spincollapse.__file__).parents[1]
         for level in ("error", "info", "debug"):
             out_path = tmp_path / f"trace-{level}.csv"
@@ -439,6 +451,15 @@ class TestPfn:
 
     def test_prob_analytic(self, capsys):
         code, out, _ = run_cli(capsys, "pfn", "prob", "--expr", "x|y")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["probability"] == 0.75
+        assert payload["method"] == "analytic"
+
+    def test_prob_analytic_with_memory(self, capsys):
+        # memory variables are fair coins: 24 of the 32 rows are 1
+        code, out, _ = run_cli(capsys, "pfn", "prob", "--n", "1",
+                               "--expr", "x1^y1|s1")
         assert code == 0
         payload = json.loads(out)
         assert payload["probability"] == 0.75

@@ -19,7 +19,7 @@ from spincollapse.solver import (
     trace_level_sets,
 )
 
-from conftest import random_instance
+from conftest import missed_rows, random_instance
 
 
 def _reference_marching_squares(values, xs, ys):
@@ -213,6 +213,26 @@ class TestReferenceOracle:
         thetas, phis, a, b, c = _overlap_grid(state, 1024)
         for level in constraint_levels(axis, state):
             assert _agrees_with_reference(a, b, c, thetas, phis, level)
+
+    def test_solver_fields_with_axes_on_node_angles(self):
+        # an axis on node angles puts a level at about a node value, where
+        # the analytic root can land one rank off, so some rows are scanned
+        rng = np.random.default_rng(16)
+        missed = {}
+        for n in (64, 128):
+            step = math.pi / n
+            missed[n] = 0
+            for _ in range(30):
+                theta = round(rng.uniform(0.0, math.pi) / step) * step
+                phi = round(rng.uniform(0.0, math.pi) / step) * step
+                axis = canonicalize_axis(theta, phi)
+                state = SpinState(rng.uniform(0.0, 1.0),
+                                  rng.uniform(0.0, 2.0 * math.pi))
+                thetas, phis, a, b, c = _overlap_grid(state, n)
+                for level in constraint_levels(axis, state):
+                    _agrees_with_reference(a, b, c, thetas, phis, level)
+                    missed[n] += missed_rows(a, b, c, level)
+        assert min(missed.values()) > 0, missed
 
     @pytest.mark.parametrize("fa, fb, fc", [
         # b rises and falls, down to about 0 on some rows

@@ -293,15 +293,22 @@ class TestDecideOutcome:
             decide_outcome(parse_expr("s1", 1), Axis(1.0, 1.0), [], 1)
 
 
+# policies over memory variables and their up-probabilities
+MEMORY_POLICIES = [("s1", 1, 0.5), ("x&s1&!y2", 2, 0.125), ("x1^y1|s1", 1, 0.75)]
+
+
 class TestOutcomeProbability:
     def test_analytic_pinned(self):
         assert outcome_probability(P_OR) == 0.75
         assert outcome_probability(P_AND) == 0.25
         assert outcome_probability(parse_expr("x^y")) == 0.5
 
-    def test_analytic_rejects_memory(self):
-        with pytest.raises(ValueError):
-            outcome_probability(parse_expr("s1", 1), n=1)
+    @pytest.mark.parametrize("text, n, p", MEMORY_POLICIES)
+    def test_analytic_counts_memory_rows(self, text, n, p):
+        # the share of 1-rows, memory variables being fair coins
+        for measure in (CHART_UNIFORM, SPHERE_AREA):
+            assert outcome_probability(parse_expr(text, n), measure,
+                                       n=n) == p
 
     def test_measures_coincide_for_memoryless(self):
         for bits in itertools.product((0, 1), repeat=4):
@@ -334,9 +341,7 @@ class TestOutcomeProbability:
                                           samples=samples, seed=13)
                 assert abs(est - p) <= max(3 * sigma, 1e-9)
 
-    @pytest.mark.parametrize("text, n, p", [("s1", 1, 0.5),
-                                            ("x&s1&!y2", 2, 0.125),
-                                            ("x1^y1|s1", 1, 0.75)])
+    @pytest.mark.parametrize("text, n, p", MEMORY_POLICIES)
     def test_monte_carlo_samples_memory_variables(self, text, n, p):
         # memory variables are fair coins, independent of the axis and of
         # each other

@@ -790,6 +790,23 @@ def test_solving_does_not_import_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_solve_does_not_import_logging():
+    # diagnostics are plain prints to stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spincollapse.__file__)))
+    code = ("import sys\n"
+            "from spincollapse.cli import main\n"
+            "code = main(['solve', '--theta-i', '0.7853981633974483',\n"
+            "             '--phi-i', '1.5707963267948966', '--rho', '0.4',\n"
+            "             '--tau', '0', '--grid', '256'])\n"
+            "assert code == 0\n"
+            "print('logging' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
 def test_grid_solves_do_not_import_numpy_ma():
     # numpy.ma comes in with some numpy functions (np.unique among them)
     # and adds about 1.5 MB of resident memory to every process that

@@ -7,9 +7,13 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from spincollapse import contour, solver
+from spincollapse.bloch import SpinState, canonicalize_axis
+
+from conftest import missed_rows
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -81,6 +85,29 @@ def test_digest_covers_the_label_swap(capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "solve_collapse", swapped)
     assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
+
+
+def test_digest_corpus_reaches_missed_split_rows():
+    # every fourth instance has its axis on node angles, which puts its
+    # levels at about node values; the draws are those of a uniform corpus
+    rng = np.random.default_rng(7)
+    missed = 0
+    corpus = solve_digest.instances(7, [(64, 20), (128, 20)])
+    for index, (grid, theta, phi, rho, tau) in enumerate(corpus):
+        drawn = [rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi),
+                 rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)]
+        assert [rho, tau] == drawn[2:]
+        if index % 4 != 3:
+            assert [theta, phi] == drawn[:2]
+            continue
+        step = math.pi / grid
+        assert theta == round(drawn[0] / step) * step
+        assert phi == round(drawn[1] / step) * step
+        axis, state = canonicalize_axis(theta, phi), SpinState(rho, tau)
+        _, _, a, b, c = solver._overlap_grid(state, grid)
+        for level in solver.constraint_levels(axis, state):
+            missed += missed_rows(a, b, c, level)
+    assert missed > 0
 
 
 def test_floats_are_hashed_by_their_bytes():

@@ -4,8 +4,14 @@
 
 Instances are drawn unfiltered, as `tests/conftest.random_instance` draws
 them, from one `numpy.random.default_rng(seed)` stream: the first 300 are
-solved at grid 256, the next 100 at grid 1024, and so on.  Each is solved
-by both `solve_collapse(axis, state, SolverConfig(grid_n=G))` and
+solved at grid 256, the next 100 at grid 1024, and so on.  Every fourth
+instance of the stream has its axis angles rounded to multiples of pi/G,
+the node angles of its grid G, before they are canonicalised.  That puts
+its levels at about node values, where marching squares' analytic lookup
+of a split rank can miss and the row is scanned instead; uniform draws
+almost never reach that path.  The rounding takes no draws, so the stream
+is the same as without it.  Each instance is solved by both
+`solve_collapse(axis, state, SolverConfig(grid_n=G))` and
 `solve_collapse_closed_form(axis, state)` of whichever `spincollapse` is
 first on `PYTHONPATH`.  For both routes the digest covers every field of
 the result: the status, the final axis, `s_up`, `s_i`, every candidate
@@ -46,6 +52,25 @@ def parse_grids(text: str) -> list[tuple[int, int]]:
         grid, _, count = item.partition(":")
         plan.append((int(grid), int(count)))
     return plan
+
+
+def instances(seed: int, plan: list[tuple[int, int]]):
+    """(grid, theta, phi, rho, tau) of the corpus, in order: every fourth
+    has theta and phi rounded to multiples of pi / grid."""
+    rng = np.random.default_rng(seed)
+    index = 0
+    for grid, count in plan:
+        step = math.pi / grid
+        for _ in range(count):
+            theta = rng.uniform(0.0, math.pi)
+            phi = rng.uniform(0.0, math.pi)
+            rho = rng.uniform(0.0, 1.0)
+            tau = rng.uniform(0.0, 2.0 * math.pi)
+            if index % 4 == 3:
+                theta = round(theta / step) * step
+                phi = round(phi / step) * step
+            index += 1
+            yield grid, theta, phi, rho, tau
 
 
 class Digest:
@@ -99,35 +124,29 @@ def main(argv: list[str] | None = None) -> int:
     from spincollapse.solver import (SolverConfig, solve_collapse,
                                      solve_collapse_closed_form)
 
-    rng = np.random.default_rng(args.seed)
     digest = Digest()
     counts = {"instances": 0, "errors": 0, "curves": 0, "vertices": 0,
               "candidates": 0}
     start = time.perf_counter()
-    for grid, count in parse_grids(args.grids):
-        cfg = SolverConfig(grid_n=grid)
-        for _ in range(count):
-            theta = rng.uniform(0.0, math.pi)
-            phi = rng.uniform(0.0, math.pi)
-            rho = rng.uniform(0.0, 1.0)
-            tau = rng.uniform(0.0, 2.0 * math.pi)
-            axis, state = canonicalize_axis(theta, phi), SpinState(rho, tau)
-            digest.text(grid)
-            try:
-                sol = solve_collapse(axis, state, cfg)
-            except Exception as exc:  # part of the compared behaviour
-                digest.text(f"{type(exc).__name__}: {exc}")
-                counts["errors"] += 1
-            else:
-                add_solution(digest, sol, counts)
-            try:
-                closed = solve_collapse_closed_form(axis, state)
-            except Exception as exc:
-                digest.text(f"{type(exc).__name__}: {exc}")
-                counts["errors"] += 1
-            else:
-                add_solution(digest, closed, counts)
-            counts["instances"] += 1
+    for grid, theta, phi, rho, tau in instances(args.seed,
+                                                 parse_grids(args.grids)):
+        axis, state = canonicalize_axis(theta, phi), SpinState(rho, tau)
+        digest.text(grid)
+        try:
+            sol = solve_collapse(axis, state, SolverConfig(grid_n=grid))
+        except Exception as exc:  # part of the compared behaviour
+            digest.text(f"{type(exc).__name__}: {exc}")
+            counts["errors"] += 1
+        else:
+            add_solution(digest, sol, counts)
+        try:
+            closed = solve_collapse_closed_form(axis, state)
+        except Exception as exc:
+            digest.text(f"{type(exc).__name__}: {exc}")
+            counts["errors"] += 1
+        else:
+            add_solution(digest, closed, counts)
+        counts["instances"] += 1
     print(digest.hash.hexdigest())
     print(f"spincollapse from {spincollapse.__file__}; "
           + ", ".join(f"{v} {k}" for k, v in counts.items())
