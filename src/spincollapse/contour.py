@@ -63,7 +63,6 @@ import numpy as np
 
 _LOW = np.array([-np.inf])
 _HIGH = np.array([np.inf])
-_BELOW_AT = np.array([1, 0])  # base + k minus these: ranks k - 1 and k
 
 
 def _offset(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: np.ndarray,
@@ -115,8 +114,9 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
     root = (level - a) / b1
     k = np.array([np.searchsorted(pad[o:o + v.size], root)
                   for o, v in zip(base[:, 0].tolist(), views)])
-    q = b1[:, None] * pad[(k + base)[..., None] - _BELOW_AT] + a[:, None] >= level
-    below, above = q[..., 0], q[..., 1]
+    at = k + base
+    below = b1 * pad[at - 1] + a >= level
+    above = b1 * pad[at] + a >= level
     for r, i in zip(*np.nonzero(above <= below)):  # missed rows
         o, m = base[r, 0], size[r, 0]
         true = b1[i] * pad[o:o + m] + a[i] >= level

@@ -66,16 +66,19 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class LevelSetCurve:
-    """One polyline of a level set, as three float arrays over its vertices:
-    the chart angles theta and phi and the eigenbasis overlap with the
-    initial axis.  A closed loop repeats its first vertex at the end.
-    contains_zero_entropy is set by solve_collapse, for a component with a
-    zero-entropy extremum; trace_level_sets leaves it False."""
+    """One polyline of a level set, as four float arrays over its vertices:
+    the chart angles theta and phi, the eigenbasis overlap with the initial
+    axis, and the tangency condition (_tangency), whose sign changes between
+    vertices bracket the overlap's extrema along the curve.  A closed loop
+    repeats its first vertex at the end.  contains_zero_entropy is set by
+    solve_collapse, for a component with a zero-entropy extremum;
+    trace_level_sets leaves it False."""
 
     level: float
     theta: np.ndarray
     phi: np.ndarray
     overlap: np.ndarray
+    tangency: np.ndarray
     component_id: int
     contains_zero_entropy: bool = False
 
@@ -136,15 +139,28 @@ def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, ...]:
     return thetas, phis, a, b, np.cos(phis - tau)
 
 
-def _axes_dot(theta, phi, ni: tuple[float, float, float], xp=math):
-    """n(theta, phi) . ni; with xp=np, elementwise over arrays, with the
-    same operations in the same order as the scalar form."""
-    st = xp.sin(theta)
-    return st * xp.cos(phi) * ni[0] + st * xp.sin(phi) * ni[1] + xp.cos(theta) * ni[2]
+# The vertex formulas below take the sines and cosines of theta, phi and
+# phi - tau (st, ct, sp, cp, sd, cd) as floats or as arrays alike, so the
+# Brent refinement (math values) and the per-level pass of trace_level_sets
+# (numpy arrays) run the same operations in the same order.  Each sum is
+# accumulated into its first product (x += y rebinds a float and writes
+# into an array), so a level's pass allocates fewer temporaries.
+
+def _axes_dot(st, ct, sp, cp, ni: tuple[float, float, float]):
+    """n(theta, phi) . ni = st cp ni[0] + st sp ni[1] + ct ni[2]."""
+    dot = st * cp
+    dot *= ni[0]
+    term = st * sp
+    term *= ni[1]
+    dot += term
+    dot += ct * ni[2]
+    return dot
 
 
 def _axes_overlap_at(theta: float, phi: float, ni: tuple[float, float, float]) -> float:
-    return min(1.0, max(0.0, 0.5 * (1.0 + _axes_dot(theta, phi, ni))))
+    dot = _axes_dot(math.sin(theta), math.cos(theta), math.sin(phi),
+                    math.cos(phi), ni)
+    return min(1.0, max(0.0, 0.5 * (1.0 + dot)))
 
 
 def on_chart_edge(theta, phi):
@@ -160,7 +176,7 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
 
     An empty result for a level is allowed: the level may be unattained on the
     chart.  The initial axis axis_i is required: every vertex carries its
-    eigenbasis overlap with it.
+    eigenbasis overlap with it and the tangency condition.
     """
     thetas, phis, a, b, c = _overlap_grid(s, cfg.grid_n)
     ni = axis_to_bloch(axis_i)
@@ -172,26 +188,51 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
         polys = marching_squares(a, b, c, thetas, phis, level)
         if not polys:
             continue
-        # the overlap of every vertex of the level at once; each curve holds
-        # contiguous slices of the level's arrays
-        th, ph = np.concatenate(polys).T.copy()
-        qs = np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + _axes_dot(th, ph, ni, np))))
+        # the overlap and tangency of every vertex of the level at once,
+        # from one evaluation of each sine and cosine; each curve holds
+        # contiguous slices of the level's arrays.  The angles are gathered
+        # column by column: a (k, 2) temporary at grid 4096 is large enough
+        # that freeing it lets malloc trim the heap, which is then paged in
+        # again
+        th = np.concatenate([poly[:, 0] for poly in polys])
+        ph = np.concatenate([poly[:, 1] for poly in polys])
+        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        d = ph - s.tau
+        sd = np.sin(d)
+        cd = np.cos(d, out=d)
+        qs = _axes_dot(st, ct, sp, cp, ni)
+        qs += 1.0
+        qs *= 0.5
+        np.minimum(1.0, np.maximum(0.0, qs, out=qs), out=qs)
+        tangs = _tangency_from(st, ct, sp, cp, sd, cd, s, ni)
         start = 0
         for poly in polys:
             end = start + len(poly)
             curves.append(LevelSetCurve(level, th[start:end], ph[start:end],
-                                        qs[start:end], cid))
+                                        qs[start:end], tangs[start:end], cid))
             cid += 1
             start = end
     return curves
 
 
-def _grad_overlap(theta, phi, s: SpinState, xp=math):
+def _grad_overlap_from(st, ct, sd, cd, s: SpinState):
+    """The chart gradient of the up-overlap field, with r = sqrt(rho (1 -
+    rho)): (0.5 (1 - 2 rho) st + r ct cd, -r st sd)."""
     r = math.sqrt(s.rho * (1.0 - s.rho))
-    dth = 0.5 * (1.0 - 2.0 * s.rho) * xp.sin(theta) \
-        + r * xp.cos(theta) * xp.cos(phi - s.tau)
-    dph = -r * xp.sin(theta) * xp.sin(phi - s.tau)
+    dth = 0.5 * (1.0 - 2.0 * s.rho) * st
+    term = r * ct
+    term *= cd
+    dth += term
+    dph = -r * st
+    dph *= sd
     return dth, dph
+
+
+def _grad_overlap(theta: float, phi: float, s: SpinState
+                  ) -> tuple[float, float]:
+    d = phi - s.tau
+    return _grad_overlap_from(math.sin(theta), math.cos(theta), math.sin(d),
+                              math.cos(d), s)
 
 
 def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float
@@ -275,23 +316,44 @@ def _project_to_level(theta: float, phi: float, s: SpinState, level: float,
     return theta + t * gth / norm, phi + t * gph / norm
 
 
-def _grad_axes_overlap(theta, phi, ni: tuple[float, float, float], xp=math):
-    ct, st = xp.cos(theta), xp.sin(theta)
-    cp, sp = xp.cos(phi), xp.sin(phi)
-    dth = 0.5 * (ct * cp * ni[0] + ct * sp * ni[1] - st * ni[2])
-    dph = 0.5 * (-st * sp * ni[0] + st * cp * ni[1])
+def _grad_axes_overlap_from(st, ct, sp, cp, ni: tuple[float, float, float]):
+    """The chart gradient of the eigenbasis overlap with the axis ni:
+    0.5 (ct cp ni[0] + ct sp ni[1] - st ni[2], -st sp ni[0] + st cp ni[1])."""
+    dth = ct * cp
+    dth *= ni[0]
+    term = ct * sp
+    term *= ni[1]
+    dth += term
+    dth -= st * ni[2]
+    dth *= 0.5
+    dph = -st
+    dph *= sp
+    dph *= ni[0]
+    term = st * cp
+    term *= ni[1]
+    dph += term
+    dph *= 0.5
     return dth, dph
 
 
-def _tangency(theta, phi, s: SpinState, ni: tuple[float, float, float],
-              xp=math):
-    """Cross product of the overlap and constraint gradients; zero exactly at
-    an extremum of the overlap along the level curve.  With xp=np it is
-    evaluated elementwise over arrays of angles by the same operations in the
-    same order as the scalar form."""
-    gth, gph = _grad_overlap(theta, phi, s, xp)
-    hth, hph = _grad_axes_overlap(theta, phi, ni, xp)
-    return hth * gph - hph * gth
+def _tangency_from(st, ct, sp, cp, sd, cd, s: SpinState,
+                   ni: tuple[float, float, float]):
+    """Cross product of the overlap and constraint gradients, h x g =
+    hth gph - hph gth; zero exactly at an extremum of the overlap along the
+    level curve."""
+    gth, gph = _grad_overlap_from(st, ct, sd, cd, s)
+    hth, hph = _grad_axes_overlap_from(st, ct, sp, cp, ni)
+    hth *= gph
+    hph *= gth
+    hth -= hph
+    return hth
+
+
+def _tangency(theta: float, phi: float, s: SpinState,
+              ni: tuple[float, float, float]) -> float:
+    d = phi - s.tau
+    return _tangency_from(math.sin(theta), math.cos(theta), math.sin(phi),
+                          math.cos(phi), math.sin(d), math.cos(d), s, ni)
 
 
 def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
@@ -327,10 +389,11 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
     return th, ph, _axes_overlap_at(th, ph, ni)
 
 
-def _drop_repeats(th: np.ndarray, ph: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
+                  ) -> tuple[np.ndarray, ...]:
     """The vertices left when every vertex within SAME_VERTEX of the last
-    vertex kept before it is dropped (crossings collapsing onto a grid node).
+    vertex kept before it is dropped (crossings collapsing onto a grid node):
+    th and ph, then each array of more filtered by the same mask.
 
     A vertex more than 3 SAME_VERTEX from its predecessor is always kept:
     the predecessor is either kept or within SAME_VERTEX of the last kept
@@ -341,14 +404,14 @@ def _drop_repeats(th: np.ndarray, ph: np.ndarray
     dth, dph = th[1:] - th[:-1], ph[1:] - ph[:-1]
     close = np.flatnonzero(dth * dth + dph * dph <= (3.0 * SAME_VERTEX) ** 2)
     if not close.size:
-        return th, ph
+        return th, ph, *more
     keep = np.ones(th.size, dtype=bool)
     last = 0
     for k in (close + 1).tolist():
         if keep[k - 1]:
             last = k - 1
         keep[k] = math.hypot(th[k] - th[last], ph[k] - ph[last]) > SAME_VERTEX
-    return th[keep], ph[keep]
+    return th[keep], ph[keep], *(x[keep] for x in more)
 
 
 def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
@@ -360,17 +423,16 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
     bracket an extremum where the overlap is flat along the curve.
     """
     ni = axis_to_bloch(i)
-    th, ph = curve.theta, curve.phi
+    th, ph, tangs = curve.theta, curve.phi, curve.tangency
     closed = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
     if closed:
-        th, ph = th[:-1], ph[:-1]
-    th, ph = _drop_repeats(th, ph)
+        th, ph, tangs = th[:-1], ph[:-1], tangs[:-1]
+    th, ph, tangs = _drop_repeats(th, ph, tangs)
     n = th.size
 
     # segment k joins vertices k and k + 1 (vertex 0 after the last one on a
     # closed curve) and brackets an extremum when the tangency changes sign
     # along it, or leaves zero
-    tangs = _tangency(th, ph, s, ni, np)
     cur, nxt = (tangs, np.roll(tangs, -1)) if closed else (tangs[:-1], tangs[1:])
     k = np.flatnonzero((cur * nxt < 0.0) | ((cur == 0.0) & (nxt != 0.0)))
     kp = (k + 1) % n

@@ -166,6 +166,76 @@ class TestArrayCurves:
                 assert all(type(x) is float for v in cv.vertices for x in v)
 
 
+def _axes_dot_array(theta, phi, ni):
+    """The per-level overlap pass that the shared trigonometry replaced:
+    the former _axes_dot(theta, phi, ni, xp=np)."""
+    st = np.sin(theta)
+    return st * np.cos(phi) * ni[0] + st * np.sin(phi) * ni[1] + np.cos(theta) * ni[2]
+
+
+def _tangency_array(theta, phi, s, ni):
+    """The per-curve tangency scan that the shared trigonometry replaced:
+    the former _tangency(theta, phi, s, ni, xp=np), its two gradients
+    inlined."""
+    r = math.sqrt(s.rho * (1.0 - s.rho))
+    gth = 0.5 * (1.0 - 2.0 * s.rho) * np.sin(theta) \
+        + r * np.cos(theta) * np.cos(phi - s.tau)
+    gph = -r * np.sin(theta) * np.sin(phi - s.tau)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    hth = 0.5 * (ct * cp * ni[0] + ct * sp * ni[1] - st * ni[2])
+    hph = 0.5 * (-st * sp * ni[0] + st * cp * ni[1])
+    return hth * gph - hph * gth
+
+
+class TestVertexGeometry:
+    """Every curve's overlap and tangency arrays are, by IEEE bytes, what
+    the separate numpy passes they replaced compute on the same vertices."""
+
+    @staticmethod
+    def check(axis, state, grid):
+        ni = axis_to_bloch(axis)
+        levels = [q for q in constraint_levels(axis, state) if 0.0 < q < 1.0]
+        curves = trace_level_sets(state, tuple(levels),
+                                  SolverConfig(grid_n=grid), axis)
+        for level in levels:
+            mine = [cv for cv in curves if cv.level == level]
+            if not mine:
+                continue
+            th = np.concatenate([cv.theta for cv in mine])
+            ph = np.concatenate([cv.phi for cv in mine])
+            qs = np.minimum(1.0, np.maximum(
+                0.0, 0.5 * (1.0 + _axes_dot_array(th, ph, ni))))
+            overlap = np.concatenate([cv.overlap for cv in mine])
+            tangency = np.concatenate([cv.tangency for cv in mine])
+            assert overlap.tobytes() == qs.tobytes()
+            assert tangency.tobytes() == _tangency_array(th, ph, state, ni).tobytes()
+        return len(curves)
+
+    @pytest.mark.parametrize("grid", [256, 1024, 4096])
+    def test_pinned_instances(self, grid):
+        assert self.check(GENERIC_AXIS, GENERIC_STATE, grid) > 0
+        assert self.check(DEATH_AXIS, DEATH_STATE, grid) > 0
+
+    @pytest.mark.parametrize("grid", [64, 256, 1024])
+    def test_unfiltered_draws(self, grid):
+        rng = np.random.default_rng(17)
+        curves = sum(self.check(*random_instance(rng), grid)
+                     for _ in range(200))
+        assert curves > 200
+
+    def test_axes_on_node_angles(self):
+        rng = np.random.default_rng(18)
+        for grid in (64, 256):
+            step = math.pi / grid
+            for _ in range(30):
+                theta = round(rng.uniform(0.0, math.pi) / step) * step
+                phi = round(rng.uniform(0.0, math.pi) / step) * step
+                state = SpinState(rng.uniform(0.0, 1.0),
+                                  rng.uniform(0.0, 2.0 * math.pi))
+                self.check(canonicalize_axis(theta, phi), state, grid)
+
+
 def _drop_repeats_loop(th, ph):
     """The per-vertex loop that _drop_repeats replaced."""
     pts = [(th[0], ph[0])]
@@ -206,6 +276,30 @@ class TestDropRepeats:
                 th = [v[0] for v in curve.vertices]
                 ph = [v[1] for v in curve.vertices]
                 assert self.kept(th, ph) == _drop_repeats_loop(th, ph)
+
+    def test_more_arrays_share_the_mask(self):
+        # a closed curve as _curve_candidates passes it, without its
+        # repeated last vertex, and with a near-repeat after vertex 3
+        t = np.linspace(0.0, 2.0 * math.pi, 13)
+        th, ph = 1.0 + 0.3 * np.cos(t), 1.5 + 0.3 * np.sin(t)
+        th, ph = np.insert(th, 4, th[3] + 4e-13), np.insert(ph, 4, ph[3])
+        th[-1], ph[-1] = th[0], ph[0]
+        th, ph = th[:-1], ph[:-1]
+        index = np.arange(th.size, dtype=float)
+        tang = np.sin(7.0 * index)
+        kth, kph, kindex, ktang = solver._drop_repeats(th, ph, index, tang)
+        assert list(zip(kth.tolist(), kph.tolist())) == _drop_repeats_loop(th, ph)
+        assert kindex.tolist() == [0, 1, 2, 3, *range(5, 13)]
+        keep = kindex.astype(int)
+        assert ktang.tobytes() == tang[keep].tobytes()
+        assert kth.tobytes() == th[keep].tobytes()
+
+    def test_more_arrays_pass_through_without_repeats(self):
+        th, ph = np.linspace(0.1, 1.0, 8), np.linspace(2.0, 1.0, 8)
+        tang = np.cos(th)
+        out = solver._drop_repeats(th, ph, tang)
+        assert len(out) == 3
+        assert all(x is y for x, y in zip(out, (th, ph, tang)))
 
 
 class TestWorkedInstances:

@@ -12,8 +12,12 @@ originals are put back when the measurement ends:
     total            solve_collapse
     field            _overlap_grid (the row and column factors)
     marching squares marching_squares, both levels
-    rest of tracing  trace_level_sets minus the field and marching squares
-    candidates       _curve_candidates over all curves (refinement included)
+    rest of tracing  trace_level_sets minus the field and marching squares:
+                     chiefly the per-level pass that gives every vertex its
+                     overlap and its tangency (tables made before that pass
+                     was shared count the tangency under candidates)
+    candidates       _curve_candidates over all curves: the sign scan of the
+                     curves' tangency, and the refinement
 
 Each round solves every grid --solves times, grid after grid, and keeps
 each phase's minimum over those solves; the table gives the median of each
