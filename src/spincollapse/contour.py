@@ -1,11 +1,12 @@
 """Matrix-free marching squares on a separable field, emitted in curve order.
 
-Extracts the level set values == level of the field values[i, j] =
-b[i] * c[j] + a[i], sampled at (xs[i], ys[j]) and evaluated as numpy does
-it elementwise (the product, then the sum, each rounded once), without ever
-building the (len(xs), len(ys)) array (Lorensen & Cline 1987).  b must be
->= 0 on every row, as it is for the solver's overlap field, where b[i] =
-sqrt(rho (1 - rho)) sin(theta_i) with theta_i in [0, pi]:
+Extracts the level sets values == level, for each level of a sequence, of
+the field values[i, j] = b[i] * c[j] + a[i], sampled at (xs[i], ys[j]) and
+evaluated as numpy does it elementwise (the product, then the sum, each
+rounded once), without ever building the (len(xs), len(ys)) array
+(Lorensen & Cline 1987).  b must be >= 0 on every row, as it is for the
+solver's overlap field, where b[i] = sqrt(rho (1 - rho)) sin(theta_i) with
+theta_i in [0, pi]:
 
 - A node is positive when its value >= level, so a node exactly at the
   level counts as positive.
@@ -49,15 +50,28 @@ sqrt(rho (1 - rho)) sin(theta_i) with theta_i in [0, pi]:
   the output is bit-reproducible.
 - The polylines come back as (k, 2) arrays of (x, y) vertices, views into
   one array gathered from the crossing points.
+- All levels are traced in one pass.  What does not depend on the level
+  is done once: the runs of c, their padded ascending copy and the flat
+  rows (b == 0).  Everything else carries a leading level axis: the split
+  ranks, the missed-row scan, and the emission, whose blocks are ordered
+  (level, run, row), so that each level's emission is the one it would
+  have alone, shifted by the emissions of the levels before it.  Edge ids
+  are offset by the level's index times the edges per level, so pieces of
+  two levels never join, and the one sort of the chains by (level, open
+  or loop, id) gives, level by level, the order above.
 
 Node values are computed only where they are read: at the probed split
 ranks, along the runs of the rows the lookup misses, and at the ends of the
-crossed edges.  The cost per level is O(n log m) for the split ranks, O(m)
-more per missed row, plus O(crossings) for the rest, against O(n m) for a
-scan of the whole field.
+crossed edges.  A call costs O(m) once for the runs, then per level O(n
+log m) for the split ranks, O(m) more per missed row, plus O(crossings)
+for the rest, against O(n m) per level for a scan of the whole field.  On
+small grids the fixed cost of the numpy calls weighs most, and it is paid
+once per call, not once per level.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -66,7 +80,7 @@ _HIGH = np.array([np.inf])
 
 
 def _offset(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: np.ndarray,
-            j: np.ndarray, level: float) -> np.ndarray:
+            j: np.ndarray, level: np.ndarray) -> np.ndarray:
     """values[i, j] - level, with an exact zero taken as 1e-30."""
     d = b[i] * c[j] + a[i] - level
     d[d == 0.0] = 1e-30
@@ -84,11 +98,12 @@ def _runs(c: np.ndarray) -> list[tuple[int, int, bool]]:
     return list(zip(bounds, bounds[1:], ups))
 
 
-def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
+def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
-    """(split, inner), each of shape (runs, n): row i changes sign in run
-    r at column split[r, i], and inner[r, i] tells whether that column is
-    inside the run (s < split[r, i] <= e) rather than at one of its sides."""
+    """(split, inner), each of shape (levels, runs, n): at level l, row i
+    changes sign in run r at column split[l, r, i], and inner[l, r, i]
+    tells whether that column is inside the run (s < split <= e) rather
+    than at one of its sides."""
     runs = _runs(c)
     # every run in ascending order between -inf and +inf: rank t of run r is
     # at base[r] + t, so rank -1 reads -inf and rank size[r] reads +inf.
@@ -111,33 +126,92 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: float
     flat = np.flatnonzero(b == 0.0)
     b1 = b.copy()
     b1[flat] = 1.0
-    root = (level - a) / b1
-    k = np.array([np.searchsorted(pad[o:o + v.size], root)
-                  for o, v in zip(base[:, 0].tolist(), views)])
+    lev = levels[:, None, None]
+    root = (levels[:, None] - a) / b1
+    k = np.stack([np.searchsorted(pad[o:o + v.size], root)
+                  for o, v in zip(base[:, 0].tolist(), views)], axis=1)
     at = k + base
-    below = b1 * pad[at - 1] + a >= level
-    above = b1 * pad[at] + a >= level
-    for r, i in zip(*np.nonzero(above <= below)):  # missed rows
+    below = b1 * pad[at - 1] + a >= lev
+    above = b1 * pad[at] + a >= lev
+    for l, r, i in zip(*np.nonzero(above <= below)):  # missed rows
         o, m = base[r, 0], size[r, 0]
-        true = b1[i] * pad[o:o + m] + a[i] >= level
-        k[r, i] = true.argmax() if true[-1] else m
+        true = b1[i] * pad[o:o + m] + a[i] >= levels[l]
+        k[l, r, i] = true.argmax() if true[-1] else m
     if flat.size:
-        k[:, flat] = np.where(a[flat] >= level, 0, size)
+        k[:, :, flat] = np.where(a[flat] >= lev, 0, size)
     # the later node of the two around the split; rank 0 or size means
     # the whole row has one sign in the run
     return origin + step * k, (k > 0) & (k < size)
 
 
-def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                     xs: np.ndarray, ys: np.ndarray, level: float = 0.0
-                     ) -> list[np.ndarray]:
-    """Polylines of the level set values == level of the separable field
-    values[i, j] = b[i] * c[j] + a[i] = F(xs[i], ys[j]).
+def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                   levels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, col, is_v, level_start, piece_start): the grid edge (row, col)
+    of every crossing of every level in emission order, whether it is a V
+    edge, where each level's emission starts, and where each piece starts
+    (some pieces are empty).
 
-    Returns a list of polylines, each a (k, 2) float array of (x, y)
-    vertices; the polylines are views into one array.  Open polylines end
-    on the grid boundary; a closed loop repeats its first vertex at the
-    end.  Raises ValueError when some b[i] < 0.
+    The (level, run, row) blocks are emitted levels in order, runs in
+    column order and rows in order, so each level's emission is the one it
+    would have alone, shifted.  Block (l, r, i) is the V edge at the split
+    when it is inner, then the H edges between rows i and i + 1 from
+    split[l, r, i] toward split[l, r, i + 1].
+    """
+    split, inner = _splits(a, b, c, levels)
+    gap = np.zeros_like(split)
+    gap[..., :-1] = split[..., 1:] - split[..., :-1]
+    size = (inner + np.abs(gap)).ravel()
+    start = np.cumsum(size) - size
+    block = np.repeat(np.arange(size.size), size)
+    # an element's rank in its block, counted as if every block began with
+    # its V edge: rank 0 is the V edge at column at - 1, ranks 1.. the H
+    # edges at columns at, at + 1, .. going up and at - 1, at - 2, .. not
+    u = np.arange(block.size) - (start - 1 + inner.ravel())[block]
+    at = split.ravel()[block]
+    row = block % a.size
+    is_v = u == 0
+    col = np.where(gap.ravel()[block] > 0, at - 1 + u, at - np.maximum(u, 1))
+    # cut at each run's row 0 and at every row whose split is not inner; a
+    # level's first block is its first run's row 0, so no piece spans two
+    # levels
+    cut = ~inner
+    cut[..., 0] = True
+    return (row, col, is_v, start[::size.size // levels.size],
+            start[cut.ravel()])
+
+
+def _crossings(a: np.ndarray, b: np.ndarray, c: np.ndarray, xs: np.ndarray,
+               ys: np.ndarray, levels: np.ndarray, level_start: np.ndarray,
+               row: np.ndarray, col: np.ndarray, is_v: np.ndarray
+               ) -> np.ndarray:
+    """The (k, 2) crossing points of the edges (row, col), each where the
+    linear interpolation of values - level along it is zero, with level the
+    level of the element's own emission.  An H edge joins (row, col) and
+    (row + 1, col), a V edge joins (row, col) and (row, col + 1)."""
+    at_level = np.repeat(levels, np.diff(level_start, append=row.size))
+    is_h = ~is_v
+    row1, col1 = row + is_h, col + is_v
+    d0 = _offset(a, b, c, row, col, at_level)
+    d1 = _offset(a, b, c, row1, col1, at_level)
+    t = d0 / (d0 - d1)
+    x, y = xs[row], ys[col]
+    return np.column_stack((np.where(is_h, x + t * (xs[row1] - x), x),
+                            np.where(is_v, y + t * (ys[col1] - y), y)))
+
+
+def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                     xs: np.ndarray, ys: np.ndarray, levels: Sequence[float]
+                     ) -> list[list[np.ndarray]]:
+    """Polylines of the level sets values == level of the separable field
+    values[i, j] = b[i] * c[j] + a[i] = F(xs[i], ys[j]), for each level of
+    levels, all traced in one pass.
+
+    Returns one list of polylines per level, in the order of levels; the
+    levels do not interact, so a level's list does not depend on the
+    others.  Each polyline is a (k, 2) float array of (x, y) vertices, and
+    all are views into one array.  Open polylines end on the grid boundary;
+    a closed loop repeats its first vertex at the end.  Raises ValueError
+    when some b[i] < 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -146,51 +220,27 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     c = np.asarray(c, dtype=float)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    levels = np.asarray(levels, dtype=float).ravel()
     n, m = a.size, c.size
-    if n < 2 or m < 2:
-        return []
-    split, inner = _splits(a, b, c, level)
-
-    # emit the (run, row) blocks, runs in column order and rows in order.
-    # Block (r, i) is the V edge at the split when it is inner, then the H
-    # edges between rows i and i + 1 from split[r, i] toward split[r, i + 1]
-    gap = np.zeros_like(split)
-    gap[:, :-1] = split[:, 1:] - split[:, :-1]
-    size = (inner + np.abs(gap)).ravel()
-    stop = np.cumsum(size)
-    total = int(stop[-1])
+    out: list[list[np.ndarray]] = [[] for _ in levels]
+    if n < 2 or m < 2 or not levels.size:
+        return out
+    row, col, is_v, level_start, piece_start = _crossed_edges(a, b, c, levels)
+    total = row.size
     if total == 0:
-        return []
-    start = stop - size
-    block = np.repeat(np.arange(size.size), size)
-    # an element's rank in its block, counted as if every block began with
-    # its V edge: rank 0 is the V edge at column at - 1, ranks 1.. the H
-    # edges at columns at, at + 1, .. going up and at - 1, at - 2, .. not
-    u = np.arange(total) - (start - 1 + inner.ravel())[block]
-    at = split.ravel()[block]
-    row = np.tile(np.arange(n), split.shape[0])[block]
-    is_v = u == 0
-    col = np.where(gap.ravel()[block] > 0, at - 1 + u, at - np.maximum(u, 1))
+        return out
+    xy = _crossings(a, b, c, xs, ys, levels, level_start, row, col, is_v)
 
-    # crossing points in emission order: an H edge joins (row, col) and
-    # (row + 1, col), a V edge joins (row, col) and (row, col + 1)
-    is_h = ~is_v
-    row1, col1 = row + is_h, col + is_v
-    d0 = _offset(a, b, c, row, col, level)
-    d1 = _offset(a, b, c, row1, col1, level)
-    t = d0 / (d0 - d1)
-    x, y = xs[row], ys[col]
-    xy = np.column_stack((np.where(is_h, x + t * (xs[row1] - x), x),
-                          np.where(is_v, y + t * (ys[col1] - y), y)))
+    # edge ids are offset by level, so no two levels share one and the
+    # levels keep their order in a sort by id
+    per_level = (n - 1) * m + n * (m - 1)
 
     def edge_ids(k: np.ndarray) -> np.ndarray:
+        lev = np.searchsorted(level_start, k, side="right") - 1
         return np.where(is_v[k], (n - 1) * m + row[k] * (m - 1) + col[k],
-                        row[k] * m + col[k])
+                        row[k] * m + col[k]) + lev * per_level
 
-    # cut at each run's row 0 and at every row whose split is not inner
-    cut = ~inner
-    cut[:, 0] = True
-    bounds = np.append(start[cut.ravel()], total)
+    bounds = np.append(piece_start, total)
     nonempty = bounds[:-1] < bounds[1:]
     lo, hi = bounds[:-1][nonempty], bounds[1:][nonempty]
 
@@ -200,13 +250,15 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     ends = np.column_stack((lo, hi - 1)).ravel()
     ec = col[ends]
     on_boundary = is_v[ends] | (ec == 0) | (ec == m - 1)
-    by_id = np.argsort(edge_ids(ends))
+    end_ids = edge_ids(ends)
+    by_id = np.argsort(end_ids)
     shared = by_id[~on_boundary[by_id]]
     partner = np.full(ends.size, -1)
     partner[shared[0::2]] = shared[1::2]
     partner[shared[1::2]] = shared[0::2]
 
     lo, hi, partner = lo.tolist(), hi.tolist(), partner.tolist()
+    end_ids = end_ids.tolist()
     visited = bytearray(len(lo))
 
     def chain(slot: int) -> np.ndarray:
@@ -226,25 +278,30 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
             if slot < 0 or visited[slot >> 1]:
                 return np.concatenate(parts)
 
-    # open chains from their smaller-id boundary end, in id order
-    polylines = [chain(s) for s in by_id[on_boundary[by_id]].tolist()
-                 if not visited[s >> 1]]
-    # then the loops in order of their smallest edge id, each starting at
-    # that edge and stepping first into its lower-column cell.  A loop
-    # already runs that way: it is entered at the top piece of its lowest
-    # run, where its inside lies toward the higher columns, and followed
-    # down that piece, so it keeps its inside on that hand and passes its
+    # open chains from their smaller-id boundary end, keyed (level, 0, id)
+    found = [(end_ids[s] // per_level, 0, end_ids[s], chain(s))
+             for s in by_id[on_boundary[by_id]].tolist()
+             if not visited[s >> 1]]
+    # then the loops, keyed (level, 1, smallest id), each starting at that
+    # edge and stepping first into its lower-column cell.  A loop already
+    # runs that way: it is entered at the top piece of its lowest run,
+    # where its inside lies toward the higher columns, and followed down
+    # that piece, so it keeps its inside on that hand and passes its
     # smallest edge (on its top row, inside below) toward the lower columns
-    loops = []
     p = visited.find(0)
     while p >= 0:
         ring = chain(2 * p)[:-1]  # its last element is its first again
         ids = edge_ids(ring)
         k = int(ids.argmin())
-        loops.append((ids[k], np.concatenate((ring[k:], ring[:k + 1]))))
+        first = int(ids[k])
+        found.append((first // per_level, 1, first,
+                      np.concatenate((ring[k:], ring[:k + 1]))))
         p = visited.find(0, p + 1)
-    polylines += [ring for _, ring in sorted(loops, key=lambda x: x[0])]
+    # each level's open chains in id order, then its loops in id order
+    found.sort(key=lambda f: f[:3])
 
-    stops = np.cumsum([len(q) for q in polylines]).tolist()
-    xy = np.take(xy, np.concatenate(polylines), axis=0)
-    return [xy[i:j] for i, j in zip([0, *stops], stops)]
+    stops = np.cumsum([len(f[3]) for f in found]).tolist()
+    xy = np.take(xy, np.concatenate([f[3] for f in found]), axis=0)
+    for f, i, j in zip(found, [0, *stops], stops):
+        out[f[0]].append(xy[i:j])
+    return out

@@ -387,6 +387,8 @@ def outcome_probability(e: BoolExpr, measure: Measure = CHART_UNIFORM,
         raise ValueError(f"unknown method {method!r}")
     if not 1 <= samples <= MC_SAMPLES_MAX:
         raise ValueError(f"samples must be in [1, {MC_SAMPLES_MAX}]")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
 
     rng = np.random.default_rng(seed)
     if measure.kind == "chart_uniform":

@@ -12,6 +12,7 @@ directly on the Bloch sphere.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -127,15 +128,28 @@ def is_trivial(p_same: float) -> bool:
     return min(p_same, 1.0 - p_same) <= EPS_TRIVIAL
 
 
+@functools.lru_cache(maxsize=8)
+def _node_factors(n: int) -> tuple[np.ndarray, ...]:
+    """(thetas, phis, cos(theta / 2)^2, sin(theta / 2)^2, sin(theta)) of
+    the (n + 1)^2 chart grid, which depend on n alone; the arrays are
+    read-only, since every solve at this n shares them."""
+    thetas = np.linspace(0.0, math.pi, n + 1)
+    phis = np.linspace(0.0, math.pi, n + 1)
+    factors = (thetas, phis, np.cos(thetas / 2.0) ** 2,
+               np.sin(thetas / 2.0) ** 2, np.sin(thetas))
+    for x in factors:
+        x.flags.writeable = False
+    return factors
+
+
 def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, ...]:
     """(thetas, phis, a, b, c) of the (n + 1)^2 chart grid, where the
     up-overlap field is p[i, j] = b[i] * c[j] + a[i], each operation rounded
-    once; the field itself is never built."""
-    thetas = np.linspace(0.0, math.pi, n + 1)
-    phis = np.linspace(0.0, math.pi, n + 1)
+    once; the field itself is never built.  thetas and phis are read-only."""
+    thetas, phis, cos2, sin2, sin = _node_factors(n)
     rho, tau = s.rho, s.tau
-    a = rho * np.cos(thetas / 2.0) ** 2 + (1.0 - rho) * np.sin(thetas / 2.0) ** 2
-    b = math.sqrt(rho * (1.0 - rho)) * np.sin(thetas)
+    a = rho * cos2 + (1.0 - rho) * sin2
+    b = math.sqrt(rho * (1.0 - rho)) * sin
     return thetas, phis, a, b, np.cos(phis - tau)
 
 
@@ -174,44 +188,46 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
                      axis_i: Axis) -> list[LevelSetCurve]:
     """Extract the chart-restricted level curves of the up-overlap field.
 
-    An empty result for a level is allowed: the level may be unattained on the
-    chart.  The initial axis axis_i is required: every vertex carries its
-    eigenbasis overlap with it and the tangency condition.
+    Every level is checked before any is traced, and all are traced in one
+    marching-squares pass; the curves come level by level, with component
+    ids numbered across levels.  An empty result for a level is allowed:
+    the level may be unattained on the chart.  The initial axis axis_i is
+    required: every vertex carries its eigenbasis overlap with it and the
+    tangency condition.
     """
-    thetas, phis, a, b, c = _overlap_grid(s, cfg.grid_n)
-    ni = axis_to_bloch(axis_i)
-    curves: list[LevelSetCurve] = []
-    cid = 0
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0,1): {level}")
-        polys = marching_squares(a, b, c, thetas, phis, level)
-        if not polys:
-            continue
-        # the overlap and tangency of every vertex of the level at once,
-        # from one evaluation of each sine and cosine; each curve holds
-        # contiguous slices of the level's arrays.  The angles are gathered
-        # column by column: a (k, 2) temporary at grid 4096 is large enough
-        # that freeing it lets malloc trim the heap, which is then paged in
-        # again
-        th = np.concatenate([poly[:, 0] for poly in polys])
-        ph = np.concatenate([poly[:, 1] for poly in polys])
-        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-        d = ph - s.tau
-        sd = np.sin(d)
-        cd = np.cos(d, out=d)
-        qs = _axes_dot(st, ct, sp, cp, ni)
-        qs += 1.0
-        qs *= 0.5
-        np.minimum(1.0, np.maximum(0.0, qs, out=qs), out=qs)
-        tangs = _tangency_from(st, ct, sp, cp, sd, cd, s, ni)
-        start = 0
-        for poly in polys:
-            end = start + len(poly)
-            curves.append(LevelSetCurve(level, th[start:end], ph[start:end],
-                                        qs[start:end], tangs[start:end], cid))
-            cid += 1
-            start = end
+    thetas, phis, a, b, c = _overlap_grid(s, cfg.grid_n)
+    polys = [(level, poly) for level, level_polys in
+             zip(levels, marching_squares(a, b, c, thetas, phis, levels))
+             for poly in level_polys]
+    if not polys:
+        return []
+    # the overlap and tangency of every vertex of both levels at once, from
+    # one evaluation of each sine and cosine; each curve holds contiguous
+    # slices of these arrays.  The angles are gathered column by column: a
+    # (k, 2) temporary at grid 4096 is large enough that freeing it lets
+    # malloc trim the heap, which is then paged in again
+    ni = axis_to_bloch(axis_i)
+    th = np.concatenate([poly[:, 0] for _, poly in polys])
+    ph = np.concatenate([poly[:, 1] for _, poly in polys])
+    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    d = ph - s.tau
+    sd = np.sin(d)
+    cd = np.cos(d, out=d)
+    qs = _axes_dot(st, ct, sp, cp, ni)
+    qs += 1.0
+    qs *= 0.5
+    np.minimum(1.0, np.maximum(0.0, qs, out=qs), out=qs)
+    tangs = _tangency_from(st, ct, sp, cp, sd, cd, s, ni)
+    curves: list[LevelSetCurve] = []
+    start = 0
+    for cid, (level, poly) in enumerate(polys):
+        end = start + len(poly)
+        curves.append(LevelSetCurve(level, th[start:end], ph[start:end],
+                                    qs[start:end], tangs[start:end], cid))
+        start = end
     return curves
 
 
@@ -371,10 +387,16 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
     total = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
     h = max(total, 1e-6)
 
+    # Brent returns one of the t it probed, so each t's projection is kept
+    # and the answer is never projected twice
+    projected: dict[float, tuple[float, float]] = {}
+
     def point_at(t: float) -> tuple[float, float]:
-        u = t / total
-        raw = (p0[0] + u * (p1[0] - p0[0]), p0[1] + u * (p1[1] - p0[1]))
-        return _project_to_level(raw[0], raw[1], s, level, h)
+        if t not in projected:
+            u = t / total
+            raw = (p0[0] + u * (p1[0] - p0[0]), p0[1] + u * (p1[1] - p0[1]))
+            projected[t] = _project_to_level(raw[0], raw[1], s, level, h)
+        return projected[t]
 
     def tang(t: float) -> float:
         th, ph = point_at(t)

@@ -483,6 +483,15 @@ class TestPfn:
         assert out == ""
         assert err == "error: samples must be in [1, 10000000]\n"
 
+    def test_prob_negative_seed_is_exit_1(self, capsys):
+        # the message names the flag, not numpy's generator
+        code, out, err = run_cli(capsys, "pfn", "prob", "--expr", "x|y",
+                                 "--method", "mc", "--seed", "-3",
+                                 "--samples", "10")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be non-negative, not -3\n"
+
     def test_syntax_error_caret(self, capsys):
         code, _, err = run_cli(capsys, "pfn", "table", "--expr", "x||y")
         assert code == 1

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spincollapse.bloch import SpinState, canonicalize_axis
-from spincollapse.contour import _runs, marching_squares
+from spincollapse.contour import _crossed_edges, _runs, marching_squares
 from spincollapse.solver import (
     SolverConfig,
     _overlap_grid,
@@ -126,7 +126,7 @@ def _one(x):
 class TestMarchingSquares:
     def test_circle_is_one_closed_loop(self):
         a, b, c, xs, ys = _triple(lambda x: x * x - 1.0, _one, lambda y: y * y)
-        polys = _as_tuples(marching_squares(a, b, c, xs, ys))
+        polys = _as_tuples(marching_squares(a, b, c, xs, ys, (0.0,))[0])
         assert len(polys) == 1
         poly = polys[0]
         assert poly[0] == poly[-1]  # closed
@@ -137,7 +137,7 @@ class TestMarchingSquares:
         # b == 0 on every row: each row is constant
         a, b, c, xs, ys = _triple(lambda x: x - 0.25, lambda x: 0.0,
                                   lambda y: y)
-        polys = _as_tuples(marching_squares(a, b, c, xs, ys))
+        polys = _as_tuples(marching_squares(a, b, c, xs, ys, (0.0,))[0])
         assert len(polys) == 1
         poly = polys[0]
         assert poly[0] != poly[-1]
@@ -149,17 +149,17 @@ class TestMarchingSquares:
         a, b, c, xs, ys = _triple(
             lambda x: np.minimum((x - 1.0) ** 2, (x + 1.0) ** 2) - 0.16,
             _one, lambda y: y * y)
-        polys = marching_squares(a, b, c, xs, ys)
+        polys = marching_squares(a, b, c, xs, ys, (0.0,))[0]
         assert len(polys) == 2
 
     def test_empty_level_set(self):
         a, b, c, xs, ys = _triple(lambda x: x * x + 1.0, _one, lambda y: y * y)
-        assert marching_squares(a, b, c, xs, ys) == []
+        assert marching_squares(a, b, c, xs, ys, (0.0,))[0] == []
 
     def test_vertices_interpolate_the_zero(self):
         a, b, c, xs, ys = _triple(lambda x: np.sin(x) - 0.3, _one, np.cos,
                                   n=256)
-        polys = marching_squares(a, b, c, xs, ys)
+        polys = marching_squares(a, b, c, xs, ys, (0.0,))[0]
         assert polys
         for poly in polys:
             for x, y in poly:
@@ -169,9 +169,9 @@ class TestMarchingSquares:
         a, b, c, xs, ys = _triple(lambda x: -0.1,
                                   lambda x: np.sin(3 * x) + 1.0,
                                   lambda y: np.cos(2 * y))
-        first = marching_squares(a, b, c, xs, ys)
+        first = marching_squares(a, b, c, xs, ys, (0.0,))[0]
         again = marching_squares(a.copy(), b.copy(), c.copy(), xs.copy(),
-                                 ys.copy())
+                                 ys.copy(), (0.0,))[0]
         assert _as_tuples(first) == _as_tuples(again)
 
 
@@ -181,31 +181,44 @@ PINNED = [(canonicalize_axis(math.pi / 4, math.pi / 2), SpinState(0.4, 0.0)),
 
 
 def _solver_fields():
-    """(id, (a, b, c), thetas, phis, level) for both levels of the two pinned
-    instances and 20 seeded unfiltered ones, at grids 64 and 256."""
+    """(id, (a, b, c), thetas, phis, levels) with both levels of the two
+    pinned instances and 20 seeded unfiltered ones, at grids 64 and 256."""
     rng = np.random.default_rng(11)
     instances = PINNED + [random_instance(rng) for _ in range(20)]
     for k, (axis, state) in enumerate(instances):
         for n in (64, 256):
             thetas, phis, a, b, c = _overlap_grid(state, n)
-            for level in constraint_levels(axis, state):
-                yield f"{k}-{n}-{level:.6f}", (a, b, c), thetas, phis, level
+            yield (f"{k}-{n}", (a, b, c), thetas, phis,
+                   constraint_levels(axis, state))
 
 
 def _agrees_with_reference(a, b, c, xs, ys, level=0.0):
-    polys = _as_tuples(marching_squares(a, b, c, xs, ys, level))
+    polys = _as_tuples(marching_squares(a, b, c, xs, ys, (level,))[0])
     assert polys == _reference_marching_squares(_dense(a, b, c) - level, xs, ys)
     return polys
+
+
+def _levels_agree_with_reference(a, b, c, xs, ys, levels):
+    """Trace all levels in one call; each level's polylines must be the
+    reference's for that level alone."""
+    traced = marching_squares(a, b, c, xs, ys, levels)
+    assert len(traced) == len(levels)
+    dense = _dense(a, b, c)
+    for level, polys in zip(levels, traced):
+        assert _as_tuples(polys) == \
+            _reference_marching_squares(dense - level, xs, ys), level
+    return traced
 
 
 class TestReferenceOracle:
     def test_solver_fields(self):
         count = 0
-        for case, abc, thetas, phis, level in _solver_fields():
-            assert _as_tuples(marching_squares(*abc, thetas, phis, level)) \
-                == _reference_marching_squares(_dense(*abc) - level, thetas,
-                                               phis), case
-            count += 1
+        for case, abc, thetas, phis, levels in _solver_fields():
+            traced = marching_squares(*abc, thetas, phis, levels)
+            for level, polys in zip(levels, traced):
+                assert _as_tuples(polys) == _reference_marching_squares(
+                    _dense(*abc) - level, thetas, phis), (case, level)
+                count += 1
         assert count == 22 * 2 * 2
 
     def test_solver_field_at_1024(self):
@@ -278,9 +291,9 @@ class TestReferenceOracle:
             a = rng.choice([-1.0, -0.5, 0.0, 0.5], n)
             b = rng.choice([0.0, 1.0, 2.0], n)
             c = rng.choice([-1.0, -0.4, 0.3, 1.0], m)
-            for level in (0.0, 0.5, -0.3):
-                _agrees_with_reference(a, b, c, np.arange(n, dtype=float),
-                                       np.arange(m, dtype=float), level)
+            _levels_agree_with_reference(a, b, c, np.arange(n, dtype=float),
+                                         np.arange(m, dtype=float),
+                                         (0.0, 0.5, -0.3))
 
     @pytest.mark.parametrize("fb", [_one, lambda x: 1.0 + 0.5 * np.sin(3 * x)],
                              ids=["b-one", "b-wavy"])
@@ -324,6 +337,70 @@ class TestReferenceOracle:
         assert _agrees_with_reference(a, b, c, xs, ys)
 
 
+class TestLevels:
+    """Several levels traced in one pass, each checked against the
+    reference for that level alone."""
+
+    def test_level_without_crossings_beside_one_with(self):
+        a, b, c, xs, ys = _triple(lambda x: x * x - 1.0, _one, lambda y: y * y)
+        for levels in ((-2.0, 0.0), (0.0, -2.0), (-2.0, 0.0, 9.0)):
+            traced = _levels_agree_with_reference(a, b, c, xs, ys, levels)
+            assert [len(polys) for polys in traced] == \
+                [1 if level == 0.0 else 0 for level in levels]
+        assert marching_squares(a, b, c, xs, ys, (9.0, -2.0)) == [[], []]
+        assert marching_squares(a, b, c, xs, ys, ()) == []
+
+    def test_rows_missed_in_one_level_only(self):
+        # an axis on node angles puts one level at about a node value, where
+        # the analytic root can land one rank off; the other level's lookup
+        # hits every row
+        rng = np.random.default_rng(16)
+        step = math.pi / 64
+        found = 0
+        for _ in range(40):
+            theta = round(rng.uniform(0.0, math.pi) / step) * step
+            phi = round(rng.uniform(0.0, math.pi) / step) * step
+            axis = canonicalize_axis(theta, phi)
+            state = SpinState(rng.uniform(0.0, 1.0),
+                              rng.uniform(0.0, 2.0 * math.pi))
+            thetas, phis, a, b, c = _overlap_grid(state, 64)
+            levels = constraint_levels(axis, state)
+            missed = [missed_rows(a, b, c, level) for level in levels]
+            if min(missed) == 0 < max(missed):
+                found += 1
+                _levels_agree_with_reference(a, b, c, thetas, phis, levels)
+        assert found > 0
+
+    def test_flat_rows(self):
+        # b == 0 on the middle rows, and on every row; levels at the flat
+        # rows' values put exact zeros on whole rows
+        a, b, c, xs, ys = _triple(lambda x: 0.2 - x * x,
+                                  lambda x: np.where(abs(x) < 0.7, 0.0, 1.0),
+                                  np.sin)
+        flat = float(a[b == 0.0][5])
+        _levels_agree_with_reference(a, b, c, xs, ys, (flat, 0.0, 0.1, flat))
+        zero = np.zeros_like(b)
+        _levels_agree_with_reference(a, zero, c, xs, ys, (0.0, float(a[60])))
+
+    def test_levels_crossing_the_same_edges(self):
+        # levels a hair apart cross the same grid edges, which are told
+        # apart by level in the chaining; each level keeps its own points
+        a, b, c, xs, ys = _triple(lambda x: 0.3 * x,
+                                  lambda x: np.sin(2 * x) + 1.2,
+                                  lambda y: np.cos(5 * y))
+        levels = (0.25, 0.25 + 1e-9, 0.25)
+        traced = _levels_agree_with_reference(a, b, c, xs, ys, levels)
+        row, col, is_v, level_start, _ = _crossed_edges(
+            a, b, c, np.array(levels))
+        edges = np.column_stack((row, col, is_v))
+        first, second, third = np.split(edges, level_start[1:])
+        assert first.size and np.array_equal(first, second)
+        assert np.array_equal(first, third)
+        assert not any(np.array_equal(p, q)
+                       for p, q in zip(traced[0], traced[1]))
+        assert all(np.array_equal(p, q) for p, q in zip(traced[0], traced[2]))
+
+
 class TestEdgeCases:
     XS = np.array([0.0, 1.0])
     C = np.array([0.0, 1.0])  # values[:, 0] = a, values[:, 1] = a + b
@@ -334,7 +411,8 @@ class TestEdgeCases:
         for b in ([-2.0, 3.0], [0.0, -5e-324], [-1.0]):
             with pytest.raises(ValueError, match="b >= 0"):
                 marching_squares(np.zeros(len(b)), np.array(b), self.C,
-                                 np.arange(len(b), dtype=float), self.XS)
+                                 np.arange(len(b), dtype=float), self.XS,
+                                 (0.0,))
 
     def test_level_equals_shifted_field(self):
         # tracing at a level is tracing the field minus the level at 0,
@@ -353,20 +431,21 @@ class TestEdgeCases:
         before = [arr.copy() for arr in (a, b, c)]
         for arr in (a, b, c):
             arr.flags.writeable = False
-        marching_squares(a, b, c, xs, ys)
-        marching_squares(a, b, c, xs, ys, 0.25)
+        marching_squares(a, b, c, xs, ys, (0.0, 0.25))
         assert all(np.array_equal(x, y) for x, y in zip((a, b, c), before))
 
     def test_strided_and_int_input(self):
         a, b, c, xs, ys = _triple(lambda x: -1.0,
                                   lambda x: np.abs(np.round(2 * x)),
                                   lambda y: np.round(2 * y))
-        expected = _as_tuples(marching_squares(a, b, c, xs, ys))
+        expected = _as_tuples(marching_squares(a, b, c, xs, ys, (0.0,))[0])
         assert expected
         assert _as_tuples(marching_squares(
-            *(np.repeat(v, 2)[::2] for v in (a, b, c)), xs, ys)) == expected
+            *(np.repeat(v, 2)[::2] for v in (a, b, c)), xs, ys, (0.0,))[0]) \
+            == expected
         assert _as_tuples(marching_squares(
-            *(v.astype(np.int64) for v in (a, b, c)), xs, ys)) == expected
+            *(v.astype(np.int64) for v in (a, b, c)), xs, ys, (0.0,))[0]) \
+            == expected
 
 
 def test_fine_grid_tracing_builds_no_field():
@@ -400,4 +479,4 @@ def test_every_level_inside_the_node_range_is_traced(rho, tau, n, u):
     for level in (np.nextafter(lo, hi), lo + u * (hi - lo),
                   np.nextafter(hi, lo)):
         if lo < level < hi:
-            assert marching_squares(a, b, c, thetas, phis, float(level))
+            assert marching_squares(a, b, c, thetas, phis, (float(level),))[0]

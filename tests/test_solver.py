@@ -101,6 +101,23 @@ class TestTraceLevelSets:
             b = solver._overlap_grid(SpinState(rho, 0.0), solver.GRID_N_MAX)[3]
             assert (b >= 0.0).all(), rho
 
+    def test_grid_factors_are_shared_and_unchanged(self):
+        # the node factors depend on grid_n alone and are built once; a and
+        # b come out bit for bit as from the node angles directly
+        for n in (64, 256, 1000):
+            thetas, phis, a, b, c = solver._overlap_grid(GENERIC_STATE, n)
+            again = solver._overlap_grid(SpinState(0.7, 1.0), n)
+            assert again[0] is thetas and again[1] is phis
+            assert not thetas.flags.writeable and not phis.flags.writeable
+            rho, tau = GENERIC_STATE.rho, GENERIC_STATE.tau
+            assert np.array_equal(thetas, np.linspace(0.0, PI, n + 1))
+            assert np.array_equal(
+                a, rho * np.cos(thetas / 2.0) ** 2
+                + (1.0 - rho) * np.sin(thetas / 2.0) ** 2)
+            assert np.array_equal(
+                b, math.sqrt(rho * (1.0 - rho)) * np.sin(thetas))
+            assert np.array_equal(c, np.cos(phis - tau))
+
     def test_polar_state_level_half_is_the_equator(self):
         curves = trace_level_sets(SpinState(1.0, 0.0), (0.5,), self.CFG,
                                   axis_i=GENERIC_AXIS)
@@ -125,6 +142,40 @@ class TestTraceLevelSets:
             trace_level_sets(GENERIC_STATE, (0.0,), self.CFG, GENERIC_AXIS)
         with pytest.raises(ValueError):
             trace_level_sets(GENERIC_STATE, (1.0,), self.CFG, GENERIC_AXIS)
+
+    def test_out_of_range_level_rejected_before_tracing(self, monkeypatch):
+        traced = []
+
+        def spy(*args):
+            traced.append(args)
+            return solver.marching_squares(*args)
+
+        monkeypatch.setattr(solver, "marching_squares", spy)
+        for levels in ((0.4, 1.0), (1.5, 0.4), (0.4, float("nan"))):
+            with pytest.raises(ValueError, match="level must be in"):
+                trace_level_sets(GENERIC_STATE, levels, self.CFG, GENERIC_AXIS)
+        assert traced == []
+
+    def test_curves_come_level_by_level(self):
+        # both levels are traced in one pass; the first level's curves come
+        # first, whichever level that is, and component ids count on across
+        # the levels
+        p_same, p_flip = constraint_levels(GENERIC_AXIS, GENERIC_STATE)
+        for levels in ((p_same, p_flip), (p_flip, p_same)):
+            curves = trace_level_sets(GENERIC_STATE, levels, self.CFG,
+                                      axis_i=GENERIC_AXIS)
+            assert [cv.level for cv in curves] == [levels[0], levels[1]]
+            assert [cv.component_id for cv in curves] == [0, 1]
+        rng = np.random.default_rng(4)
+        for axis, state in [random_instance(rng) for _ in range(30)]:
+            levels = constraint_levels(axis, state)
+            if is_trivial(levels[0]):
+                continue
+            curves = trace_level_sets(state, levels, self.CFG, axis_i=axis)
+            index = [levels.index(cv.level) for cv in curves]
+            assert index == sorted(index)
+            assert [cv.component_id for cv in curves] == \
+                list(range(len(curves)))
 
     def test_empty_level_is_allowed(self):
         # the flip level of the death instance has no chart representative
@@ -711,6 +762,36 @@ class TestProjectToLevel:
         assert math.hypot(g.axis_f.theta - c.axis_f.theta,
                           g.axis_f.phi - c.axis_f.phi) <= AXIS_AGREE_TOL
         assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
+
+
+class TestRefineBetween:
+    def test_no_point_is_projected_twice(self, monkeypatch):
+        # Brent returns a point it probed, so the refined extremum reuses
+        # that probe's projection instead of projecting it again
+        project, refine = solver._project_to_level, solver._refine_between
+        calls, per_refinement = [], []
+
+        def counted_project(theta, phi, s, level, h):
+            calls.append((theta, phi))
+            return project(theta, phi, s, level, h)
+
+        def counted_refine(*args):
+            calls.clear()
+            out = refine(*args)
+            per_refinement.append(list(calls))
+            return out
+
+        monkeypatch.setattr(solver, "_project_to_level", counted_project)
+        monkeypatch.setattr(solver, "_refine_between", counted_refine)
+        rng = np.random.default_rng(8)
+        for axis, state in [(GENERIC_AXIS, GENERIC_STATE),
+                            *(random_instance(rng) for _ in range(20))]:
+            solve_collapse(axis, state, SolverConfig(grid_n=256))
+        assert len(per_refinement) > 20
+        for probes in per_refinement:
+            # both chord ends, then the Brent probes between them
+            assert len(probes) >= 2
+            assert len(set(probes)) == len(probes)
 
 
 def instance_at_overlap(rng, c: float):

@@ -11,11 +11,14 @@ originals are put back when the measurement ends:
 
     total            solve_collapse
     field            _overlap_grid (the row and column factors)
-    marching squares marching_squares, both levels
+    marching squares marching_squares: one call traces both levels
+                     (tables made before the levels shared a pass sum one
+                     call per level)
     rest of tracing  trace_level_sets minus the field and marching squares:
-                     chiefly the per-level pass that gives every vertex its
-                     overlap and its tangency (tables made before that pass
-                     was shared count the tangency under candidates)
+                     chiefly the pass that gives every vertex of both
+                     levels its overlap and its tangency (tables made
+                     before that pass was shared count the tangency under
+                     candidates)
     candidates       _curve_candidates over all curves: the sign scan of the
                      curves' tangency, and the refinement
 
