@@ -62,35 +62,33 @@ class SpinState:
 def canonicalize_axis(theta_raw: float, phi_raw: float) -> Axis:
     """Reduce raw spherical angles to the chart [0, pi) x [0, pi).
 
-    theta is first brought into [0, pi] (mod 2pi, folding theta > pi through
-    the antipodal map), then phi into [0, pi) via the antipodal identification
-    (theta, phi) -> (pi - theta, phi + pi), which swaps the up/down labels.
+    theta is first brought into [0, pi] (mod 2pi, folding theta > pi onto
+    2pi - theta with phi + pi, the same direction), then the antipodal map
+    (theta, phi) -> (pi - theta, phi + pi), which swaps the up/down labels,
+    is applied while the axis is off the chart: theta == pi, or phi >= pi
+    away from the pole.  At the pole phi is 0.
     """
     if not (math.isfinite(theta_raw) and math.isfinite(phi_raw)):
         raise ValueError("non-finite axis angles")
 
-    # x % 2pi can round up to exactly 2pi for tiny negative x
     theta = theta_raw % TWO_PI
-    if theta == TWO_PI:
-        theta = 0.0
     phi = phi_raw % TWO_PI
-    if phi == TWO_PI:
+    if phi == TWO_PI:  # a tiny negative phi_raw; 0 keeps theta's bits
         phi = 0.0
     swapped = False
     if theta > math.pi:
-        # (theta, phi) and (2pi - theta, phi + pi) name the same direction
         theta = TWO_PI - theta
         phi = (phi + math.pi) % TWO_PI
-    if theta == math.pi or (theta != 0.0 and phi >= math.pi):
+    # At most two folds.  theta == pi folds onto the pole, where the loop
+    # stops.  theta in (0, pi) with phi >= pi folds to theta in (0, pi] and
+    # phi in [0, pi], since phi + pi can round up to pi past 2pi.  A second
+    # fold then ends on the pole, or at theta in (0, pi) (one of the two
+    # subtractions from pi is exact) with phi + pi >= 2pi reduced below pi.
+    while theta != 0.0 and (theta == math.pi or phi >= math.pi):
         theta = math.pi - theta
         phi = (phi + math.pi) % TWO_PI
-        swapped = True
-        if theta == math.pi:  # pi - theta rounded up for theta ~ 1e-17
-            theta = 0.0
-            swapped = False
+        swapped = not swapped
     if theta == 0.0:
-        phi = 0.0
-    elif phi >= math.pi:  # folded exactly onto the seam
         phi = 0.0
     return Axis(theta, phi, swapped)
 

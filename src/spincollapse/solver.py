@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (
-    TWO_PI,
     Axis,
     SpinState,
     axis_to_bloch,
@@ -51,7 +50,7 @@ class Status(enum.Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     grid_n: int = 1024
-    method: str = "both"  # grid | closed_form | both
+    method: str = "grid"  # grid | closed_form: the automaton's route
 
     def __post_init__(self):
         # a float or a string would pass or fail the range test by accident
@@ -61,7 +60,7 @@ class SolverConfig:
             raise ValueError(f"grid_n must be an integer, not {self.grid_n!r}")
         if not 64 <= self.grid_n <= GRID_N_MAX:
             raise ValueError(f"grid_n must be in [64, {GRID_N_MAX}]")
-        if self.method not in ("grid", "closed_form", "both"):
+        if self.method not in ("grid", "closed_form"):
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -541,11 +540,16 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     circle {n : n . m = c}, whose extremum n_i has overlap 1.  The Trivial
     and zero-entropy rules are the grid route's: is_trivial and EPS_Z.
 
+    The answer is n*'s chart representative, by canonicalize_axis: -n* with
+    the labels swapped when n* lies off the chart.
+
     cfg is accepted so that one SolverConfig can be passed to either route;
     the closed form reads none of its fields.
     """
-    # state_to_bloch, axis_to_bloch, is_trivial and bloch_to_axis_angles,
-    # inlined: the same operations in the same order, so the same bits
+    # state_to_bloch, axis_to_bloch and is_trivial inlined: the same
+    # operations in the same order, so the same bits.  The raw acos/atan2
+    # angles of n* go straight to canonicalize_axis, whose mod-2pi reduction
+    # and pole rule are those of bloch_to_axis_angles.
     rho = s.rho
     r = math.sqrt(rho * (1.0 - rho))
     m0, m1, m2 = (2.0 * r * math.cos(s.tau), 2.0 * r * math.sin(s.tau),
@@ -565,10 +569,7 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     x, y, z = n0 - 2.0 * c * m0, n1 - 2.0 * c * m1, n2 - 2.0 * c * m2
     nrm = math.sqrt(x ** 2 + y ** 2 + z ** 2)
     x, y, z = x / nrm, y / nrm, z / nrm
-    theta = math.acos(min(1.0, max(-1.0, z)))
-    phi = math.atan2(y, x) % TWO_PI
-    if theta == 0.0 or theta == math.pi:
-        phi = 0.0
-    axis_f = canonicalize_axis(theta, phi)
+    axis_f = canonicalize_axis(math.acos(min(1.0, max(-1.0, z))),
+                               math.atan2(y, x))
     return CollapseSolution(Status.NORMAL, axis_f, s_up, s_i,
                             [Candidate(axis_f, 1.0 - c * c, s_up, 0)], [])

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from spincollapse.bloch import (
     Axis,
@@ -118,9 +117,3 @@ def eigvec_overlap_oracle(axis: Axis, state: SpinState) -> float:
     psi = np.array([math.sqrt(state.rho) * np.exp(-1j * state.tau),
                     math.sqrt(1.0 - state.rho)])
     return float(abs(np.vdot(up, psi)) ** 2)
-
-
-@pytest.fixture(scope="session")
-def oracle_instances():
-    """The criterion-3 corpus: 1000 seeded non-degenerate instances."""
-    return nondegenerate_instances(seed=20240817, count=1000)

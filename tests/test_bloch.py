@@ -108,6 +108,56 @@ class TestCanonicalize:
         assert np.linalg.norm(np.cross(n_raw, n_can)) < 1e-9
 
 
+def adversarial_angles() -> np.ndarray:
+    """Every float within 40 ulps of 0 and of the multiples +-pi/2 ... +-4pi
+    where a fold or a mod-2pi reduction can round onto its bound, the
+    powers +-10^-k down to 10^-123, and 20 uniform draws in [-4pi, 4pi]:
+    1,319 angles."""
+    values = set()
+    for centre in (0.0, PI / 2, PI, 1.5 * PI, 2.0 * PI, 3.0 * PI, 4.0 * PI):
+        for start in (centre, -centre):
+            lo = hi = start
+            values.add(start)
+            for _ in range(40):
+                lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+                values.update((lo, hi))
+    for k in range(1, 124):
+        values.update((10.0 ** -k, -(10.0 ** -k)))
+    values.update(np.random.default_rng(0).uniform(-4.0 * PI, 4.0 * PI, 20))
+    return np.array(sorted(values))
+
+
+def test_canonicalize_adversarial_angles():
+    # every (theta, phi) pair of the adversarial set: the image is on the
+    # chart, names the raw axis's Bloch line, and swaps the labels exactly
+    # when it names the antipode
+    angles = adversarial_angles()
+    assert angles.size == 1319
+    theta = np.repeat(angles, angles.size)
+    phi = np.tile(angles, angles.size)
+    ct, cp, swapped = np.array(
+        [(a.theta, a.phi, a.labels_swapped)
+         for a in map(canonicalize_axis, theta.tolist(), phi.tolist())]).T
+    assert ((0.0 <= ct) & (ct < PI) & (0.0 <= cp) & (cp < PI)).all()
+    assert (cp[ct == 0.0] == 0.0).all()
+    n_raw = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                      np.cos(theta)], axis=1)
+    n_can = np.stack([np.sin(ct) * np.cos(cp), np.sin(ct) * np.sin(cp),
+                      np.cos(ct)], axis=1)
+    assert np.linalg.norm(np.cross(n_raw, n_can), axis=1).max() <= 1e-12
+    away = ct != 0.0
+    dot = np.einsum("ij,ij->i", n_raw, n_can)
+    assert ((swapped == 1.0) == (dot < 0.0))[away].all()
+
+
+@pytest.mark.parametrize("phi", [-1e-15, 6.283185307179585,
+                                 -6.283185307179587])
+def test_canonicalize_phi_just_below_a_multiple_of_two_pi(phi):
+    # phi + pi rounds onto pi at the antipodal fold, and a second fold
+    # returns the axis itself
+    assert canonicalize_axis(0.5, phi) == Axis(0.5, 0.0, False)
+
+
 class TestBlochVectors:
     @pytest.mark.parametrize("axis,expected", [
         (Axis(0.0, 0.0), (0.0, 0.0, 1.0)),

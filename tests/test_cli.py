@@ -164,6 +164,18 @@ class TestSolve:
         _, out2, _ = run_cli(capsys, "solve", *GENERIC, "--grid", "256")
         assert out1 == out2
 
+    def test_phi_spellings_of_one_axis(self, capsys):
+        # -1e-15 and the float below 2pi name the axis phi = 0: the chart
+        # folds them twice, back onto (0.5, 0)
+        outs = set()
+        for phi in ("0", "-1e-15", "6.283185307179585"):
+            code, out, _ = run_cli(capsys, "solve", "--theta-i", "0.5",
+                                   f"--phi-i={phi}", "--rho", "0.4",
+                                   "--tau", "1.0", "--grid", "256")
+            assert code == 0
+            outs.add(out)
+        assert len(outs) == 1
+
 
 class TestTrace:
     def test_generic_instance_has_two_components(self, capsys, tmp_path):
@@ -349,6 +361,13 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert err == f"error: config field {field!r} must be float\n"
+
+    def test_float_field_beyond_the_float_range(self, capsys, tmp_path):
+        # a JSON integer literal of 400 digits has no float value
+        cfg_path, _ = self.config(tmp_path, rho=10 ** 399)
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == "error: config field 'rho' must be float\n"
 
     @pytest.mark.parametrize("field, value", [("pfn", 1), ("method", ["grid"])])
     def test_str_fields_take_strings_only(self, capsys, tmp_path, field,
@@ -636,6 +655,13 @@ class TestErrorExit:
                                  "--n", "1")
         assert (code, out) == (1, "")
         assert err == "error: variable s2 exceeds memory depth 1\n"
+
+    def test_bare_s_has_a_caret(self, capsys):
+        code, out, err = run_cli(capsys, "pfn", "table", "--expr", "s")
+        assert (code, out) == (1, "")
+        assert err == ("error: bare 's' needs a memory index at position 0\n"
+                       "  s\n"
+                       "  ^\n")
 
     def test_syntax_error_has_a_caret(self, capsys):
         code, out, err = run_cli(capsys, "pfn", "table", "--expr", "x & (y")

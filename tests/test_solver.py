@@ -482,6 +482,25 @@ class TestSolutionInvariants:
                 assert d <= AXIS_AGREE_TOL
                 assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
 
+    def test_routes_name_one_line_on_the_seam(self):
+        # with n* on the seam the routes may name its line at either side
+        # of the chart, (theta, 0) or (pi - theta, just below pi), which
+        # chart angles put 3 rad apart, but never two different lines
+        rng = np.random.default_rng(3)
+        cfg = SolverConfig(grid_n=256)
+        for _ in range(100):
+            axis, state = seam_instance(rng, 0.0)
+            g = solve_collapse(axis, state, cfg)
+            c = solve_collapse_closed_form(axis, state, cfg)
+            assert g.status is c.status is Status.NORMAL
+            assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
+            d = math.hypot(g.axis_f.theta - c.axis_f.theta,
+                           g.axis_f.phi - c.axis_f.phi)
+            if d > AXIS_AGREE_TOL:
+                ng, nc = axis_to_bloch(g.axis_f), axis_to_bloch(c.axis_f)
+                dot = ng[0] * nc[0] + ng[1] * nc[1] + ng[2] * nc[2]
+                assert abs(dot) >= 1.0 - 1e-9, (axis, state)
+
 
 @pytest.mark.parametrize("instance", CHART_EDGE_INSTANCES.values(),
                          ids=CHART_EDGE_INSTANCES.keys())
@@ -628,9 +647,10 @@ def result_bytes(status, axis_f, s_up, s_i, overlap) -> bytes:
 
 
 class TestClosedFormArithmetic:
-    """solve_collapse_closed_form inlines state_to_bloch, axis_to_bloch,
-    is_trivial and bloch_to_axis_angles; its answers must stay those of the
-    helpers, by IEEE bytes."""
+    """solve_collapse_closed_form inlines state_to_bloch, axis_to_bloch and
+    is_trivial, and hands n*'s raw acos/atan2 angles to canonicalize_axis,
+    whose reduction repeats bloch_to_axis_angles'; its answers must stay
+    those of the helpers, by IEEE bytes."""
 
     # rho at 0 and 1, the pole, the seam and the last float below pi
     EDGES = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
@@ -884,6 +904,9 @@ class TestSolverConfig:
             SolverConfig(grid_n=32)
         with pytest.raises(ValueError):
             SolverConfig(method="newton")
+        # the automaton, the field's one reader, runs one route
+        with pytest.raises(ValueError, match="unknown method 'both'"):
+            SolverConfig(method="both")
 
     def test_grid_n_upper_bound(self):
         # validated before any field is allocated
@@ -903,7 +926,7 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.grid_n == 1024
-        assert cfg.method == "both"
+        assert cfg.method == "grid"
         assert [f.name for f in dataclasses.fields(cfg)] == ["grid_n", "method"]
 
 

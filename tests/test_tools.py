@@ -98,7 +98,8 @@ def test_digest_corpus_reaches_missed_split_rows():
                  rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)]
         assert [rho, tau] == drawn[2:]
         if index % 4 != 3:
-            assert [theta, phi] == drawn[:2]
+            assert theta == drawn[0]
+            assert phi == drawn[1] or index % 8 == 1
             continue
         step = math.pi / grid
         assert theta == round(drawn[0] / step) * step
@@ -108,6 +109,30 @@ def test_digest_corpus_reaches_missed_split_rows():
         for level in solver.constraint_levels(axis, state):
             missed += missed_rows(a, b, c, level)
     assert missed > 0
+
+
+def test_digest_corpus_reaches_two_antipodal_folds():
+    # every eighth instance has phi a few ulps below 0, taking no draw; at
+    # 1 ulp the first antipodal fold rounds phi onto pi and a second fold
+    # returns the axis unswapped, where one fold would swap its labels
+    rng = np.random.default_rng(7)
+    double = single = 0
+    corpus = solve_digest.instances(7, [(64, 40), (128, 40)])
+    for index, (grid, theta, phi, rho, tau) in enumerate(corpus):
+        drawn = [rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi),
+                 rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)]
+        assert [rho, tau] == drawn[2:]
+        if index % 8 != 1:
+            continue
+        assert -4.0 * math.ulp(2.0 * math.pi) < phi < 0.0
+        assert theta == drawn[0]
+        axis = canonicalize_axis(theta, phi)
+        if axis.labels_swapped:
+            single += 1
+        else:
+            assert axis.phi == 0.0 and abs(axis.theta - theta) < 1e-15
+            double += 1
+    assert double > 0 and single > 0
 
 
 def test_floats_are_hashed_by_their_bytes():

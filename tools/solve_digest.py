@@ -9,8 +9,13 @@ instance of the stream has its axis angles rounded to multiples of pi/G,
 the node angles of its grid G, before they are canonicalised.  That puts
 its levels at about node values, where marching squares' analytic lookup
 of a split rank can miss and the row is scanned instead; uniform draws
-almost never reach that path.  The rounding takes no draws, so the stream
-is the same as without it.  Each instance is solved by both
+almost never reach that path.  Every eighth instance, from the second on,
+has its phi replaced by k ulps of 2pi below 0, with k = 1, 2, 3 in turn:
+canonicalize_axis reduces it to just below 2pi and folds it to the
+antipodal axis, whose phi lands just below pi or, for k = 1, rounds onto
+pi, so that a second fold brings the axis back.  Neither change takes a
+draw, so the stream is the same as without them.  Each instance is solved
+by both
 `solve_collapse(axis, state, SolverConfig(grid_n=G))` and
 `solve_collapse_closed_form(axis, state)` of whichever `spincollapse` is
 first on `PYTHONPATH`.  For both routes the digest covers every field of
@@ -56,8 +61,10 @@ def parse_grids(text: str) -> list[tuple[int, int]]:
 
 def instances(seed: int, plan: list[tuple[int, int]]):
     """(grid, theta, phi, rho, tau) of the corpus, in order: every fourth
-    has theta and phi rounded to multiples of pi / grid."""
+    has theta and phi rounded to multiples of pi / grid, and every eighth,
+    from the second on, a phi of 1, 2 or 3 ulps of 2pi below 0."""
     rng = np.random.default_rng(seed)
+    ulp = math.ulp(2.0 * math.pi)
     index = 0
     for grid, count in plan:
         step = math.pi / grid
@@ -69,6 +76,8 @@ def instances(seed: int, plan: list[tuple[int, int]]):
             if index % 4 == 3:
                 theta = round(theta / step) * step
                 phi = round(phi / step) * step
+            if index % 8 == 1:
+                phi = -(index // 8 % 3 + 1) * ulp
             index += 1
             yield grid, theta, phi, rho, tau
 
