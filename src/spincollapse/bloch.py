@@ -75,7 +75,6 @@ def canonicalize_axis(theta_raw: float, phi_raw: float) -> Axis:
     phi = phi_raw % TWO_PI
     if phi == TWO_PI:  # a tiny negative phi_raw; 0 keeps theta's bits
         phi = 0.0
-    swapped = False
     if theta > math.pi:
         theta = TWO_PI - theta
         phi = (phi + math.pi) % TWO_PI
@@ -84,13 +83,18 @@ def canonicalize_axis(theta_raw: float, phi_raw: float) -> Axis:
     # phi in [0, pi], since phi + pi can round up to pi past 2pi.  A second
     # fold then ends on the pole, or at theta in (0, pi) (one of the two
     # subtractions from pi is exact) with phi + pi >= 2pi reduced below pi.
+    # Two folds are the identity on the line, so off the pole the theta
+    # before them is kept: pi - (pi - theta) can round one ulp off it.
+    theta_in, folds = theta, 0
     while theta != 0.0 and (theta == math.pi or phi >= math.pi):
         theta = math.pi - theta
         phi = (phi + math.pi) % TWO_PI
-        swapped = not swapped
+        folds += 1
     if theta == 0.0:
         phi = 0.0
-    return Axis(theta, phi, swapped)
+    elif folds == 2:
+        theta = theta_in
+    return Axis(theta, phi, folds == 1)
 
 
 def axis_to_bloch(a: Axis) -> tuple[float, float, float]:

@@ -23,8 +23,11 @@ def binary_entropy(p: float) -> float:
 def entropy_pair_solutions(s: float, tol: float = 1e-12) -> tuple[float, float]:
     """The two solutions (p, 1-p) of f(p) = s, with p <= 1/2.
 
-    Bisection on [0, 1/2]; f is strictly increasing there.
+    Bisection on [0, 1/2]; f is strictly increasing there.  It stops when
+    the bracket is at most tol wide, or when its ends are adjacent floats.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, not {tol}")
     if not 0.0 <= s <= LN2 + 1e-12:
         raise ValueError(f"entropy out of [0, ln 2]: {s}")
     if s >= LN2:
@@ -34,6 +37,8 @@ def entropy_pair_solutions(s: float, tol: float = 1e-12) -> tuple[float, float]:
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if binary_entropy(mid) < s:
             lo = mid
         else:

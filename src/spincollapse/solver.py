@@ -25,7 +25,7 @@ from .bloch import (
     SpinState,
     axis_to_bloch,
     canonicalize_axis,
-    overlap_from_angles,
+    state_to_bloch,
     up_overlap_prob,
 )
 from .contour import marching_squares
@@ -68,7 +68,7 @@ class SolverConfig:
 class LevelSetCurve:
     """One polyline of a level set, as four float arrays over its vertices:
     the chart angles theta and phi, the eigenbasis overlap with the initial
-    axis, and the tangency condition (_tangency), whose sign changes between
+    axis, and the tangency n . (n_i x m), whose sign changes between
     vertices bracket the overlap's extrema along the curve.  A closed loop
     repeats its first vertex at the end.  contains_zero_entropy is set by
     solve_collapse, for a component with a zero-entropy extremum;
@@ -152,28 +152,39 @@ def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, ...]:
     return thetas, phis, a, b, np.cos(phis - tau)
 
 
-# The vertex formulas below take the sines and cosines of theta, phi and
-# phi - tau (st, ct, sp, cp, sd, cd) as floats or as arrays alike, so the
-# Brent refinement (math values) and the per-level pass of trace_level_sets
-# (numpy arrays) run the same operations in the same order.  Each sum is
-# accumulated into its first product (x += y rebinds a float and writes
-# into an array), so a level's pass allocates fewer temporaries.
+# On the Bloch sphere a level set is the circle n . m = 2 level - 1, and the
+# overlap (1 + n . n_i) / 2 is extremal on it where n, n_i and m are
+# coplanar: where the tangency n . w, with w = n_i x m, changes sign.  So
+# every vertex and refinement quantity is a dot product n(theta, phi) . v,
+# or, for the projection onto a level, the chart gradient of n . m.
+# _axes_dot takes the sines and cosines of theta and phi (st, ct, sp, cp)
+# as floats or as arrays alike, so the Brent refinement (math values) and
+# the vertex pass of trace_level_sets (numpy arrays) run the same
+# operations in the same order.  Each sum is accumulated into its first
+# product (x += y rebinds a float and writes into an array), so the pass
+# allocates fewer temporaries.
 
-def _axes_dot(st, ct, sp, cp, ni: tuple[float, float, float]):
-    """n(theta, phi) . ni = st cp ni[0] + st sp ni[1] + ct ni[2]."""
+def _axes_dot(st, ct, sp, cp, v: tuple[float, float, float]):
+    """n(theta, phi) . v = st cp v[0] + st sp v[1] + ct v[2]."""
     dot = st * cp
-    dot *= ni[0]
+    dot *= v[0]
     term = st * sp
-    term *= ni[1]
+    term *= v[1]
     dot += term
-    dot += ct * ni[2]
+    dot += ct * v[2]
     return dot
 
 
-def _axes_overlap_at(theta: float, phi: float, ni: tuple[float, float, float]) -> float:
-    dot = _axes_dot(math.sin(theta), math.cos(theta), math.sin(phi),
-                    math.cos(phi), ni)
-    return min(1.0, max(0.0, 0.5 * (1.0 + dot)))
+def _dot_at(theta: float, phi: float, v: tuple[float, float, float]) -> float:
+    return _axes_dot(math.sin(theta), math.cos(theta), math.sin(phi),
+                     math.cos(phi), v)
+
+
+def _bloch_vectors(i: Axis, s: SpinState) -> tuple[tuple[float, float, float], ...]:
+    """(n_i, m, w): the axis and state Bloch vectors and w = n_i x m."""
+    ni, m = axis_to_bloch(i), state_to_bloch(s)
+    return ni, m, (ni[1] * m[2] - ni[2] * m[1], ni[2] * m[0] - ni[0] * m[2],
+                   ni[0] * m[1] - ni[1] * m[0])
 
 
 def on_chart_edge(theta, phi):
@@ -208,18 +219,15 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     # slices of these arrays.  The angles are gathered column by column: a
     # (k, 2) temporary at grid 4096 is large enough that freeing it lets
     # malloc trim the heap, which is then paged in again
-    ni = axis_to_bloch(axis_i)
+    ni, _, w = _bloch_vectors(axis_i, s)
     th = np.concatenate([poly[:, 0] for _, poly in polys])
     ph = np.concatenate([poly[:, 1] for _, poly in polys])
     st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-    d = ph - s.tau
-    sd = np.sin(d)
-    cd = np.cos(d, out=d)
     qs = _axes_dot(st, ct, sp, cp, ni)
     qs += 1.0
     qs *= 0.5
     np.minimum(1.0, np.maximum(0.0, qs, out=qs), out=qs)
-    tangs = _tangency_from(st, ct, sp, cp, sd, cd, s, ni)
+    tangs = _axes_dot(st, ct, sp, cp, w)
     curves: list[LevelSetCurve] = []
     start = 0
     for cid, (level, poly) in enumerate(polys):
@@ -228,26 +236,6 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
                                     qs[start:end], tangs[start:end], cid))
         start = end
     return curves
-
-
-def _grad_overlap_from(st, ct, sd, cd, s: SpinState):
-    """The chart gradient of the up-overlap field, with r = sqrt(rho (1 -
-    rho)): (0.5 (1 - 2 rho) st + r ct cd, -r st sd)."""
-    r = math.sqrt(s.rho * (1.0 - s.rho))
-    dth = 0.5 * (1.0 - 2.0 * s.rho) * st
-    term = r * ct
-    term *= cd
-    dth += term
-    dph = -r * st
-    dph *= sd
-    return dth, dph
-
-
-def _grad_overlap(theta: float, phi: float, s: SpinState
-                  ) -> tuple[float, float]:
-    d = phi - s.tau
-    return _grad_overlap_from(math.sin(theta), math.cos(theta), math.sin(d),
-                              math.cos(d), s)
 
 
 def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float
@@ -305,18 +293,23 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float
         f"no convergence after {BRENT_MAXITER} iterations, value is {xcur}")
 
 
-def _project_to_level(theta: float, phi: float, s: SpinState, level: float,
-                      h: float) -> tuple[float, float]:
-    """Move transverse to the curve (along the field gradient) onto the exact
-    level set.  Returns the input point if no bracketing root is found."""
-    gth, gph = _grad_overlap(theta, phi, s)
+def _project_to_level(theta: float, phi: float,
+                      m: tuple[float, float, float], level: float, h: float
+                      ) -> tuple[float, float]:
+    """Move transverse to the curve, along the chart gradient of n . m, onto
+    the exact level set n . m = 2 level - 1.  Returns the input point if no
+    bracketing root is found."""
+    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+    gth = ct * (cp * m[0] + sp * m[1]) - st * m[2]
+    gph = st * (cp * m[1] - sp * m[0])
     norm = math.hypot(gth, gph)
     if norm < 1e-14:
         return theta, phi
+    gth, gph = gth / norm, gph / norm
+    target = 2.0 * level - 1.0
 
     def res(t: float) -> float:
-        return overlap_from_angles(theta + t * gth / norm,
-                                   phi + t * gph / norm, s.rho, s.tau) - level
+        return _dot_at(theta + t * gth, phi + t * gph, m) - target
 
     lo, hi = -h, h
     for _ in range(6):
@@ -328,56 +321,17 @@ def _project_to_level(theta: float, phi: float, s: SpinState, level: float,
     else:
         return theta, phi
     t = _brentq(res, lo, hi, rlo, rhi, 1e-14)
-    return theta + t * gth / norm, phi + t * gph / norm
-
-
-def _grad_axes_overlap_from(st, ct, sp, cp, ni: tuple[float, float, float]):
-    """The chart gradient of the eigenbasis overlap with the axis ni:
-    0.5 (ct cp ni[0] + ct sp ni[1] - st ni[2], -st sp ni[0] + st cp ni[1])."""
-    dth = ct * cp
-    dth *= ni[0]
-    term = ct * sp
-    term *= ni[1]
-    dth += term
-    dth -= st * ni[2]
-    dth *= 0.5
-    dph = -st
-    dph *= sp
-    dph *= ni[0]
-    term = st * cp
-    term *= ni[1]
-    dph += term
-    dph *= 0.5
-    return dth, dph
-
-
-def _tangency_from(st, ct, sp, cp, sd, cd, s: SpinState,
-                   ni: tuple[float, float, float]):
-    """Cross product of the overlap and constraint gradients, h x g =
-    hth gph - hph gth; zero exactly at an extremum of the overlap along the
-    level curve."""
-    gth, gph = _grad_overlap_from(st, ct, sd, cd, s)
-    hth, hph = _grad_axes_overlap_from(st, ct, sp, cp, ni)
-    hth *= gph
-    hph *= gth
-    hth -= hph
-    return hth
-
-
-def _tangency(theta: float, phi: float, s: SpinState,
-              ni: tuple[float, float, float]) -> float:
-    d = phi - s.tau
-    return _tangency_from(math.sin(theta), math.cos(theta), math.sin(phi),
-                          math.cos(phi), math.sin(d), math.cos(d), s, ni)
+    return theta + t * gth, phi + t * gph
 
 
 def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
-                    s: SpinState, level: float,
-                    ni: tuple[float, float, float]
+                    m: tuple[float, float, float], level: float,
+                    ni: tuple[float, float, float],
+                    w: tuple[float, float, float]
                     ) -> tuple[float, float, float]:
     """Locate the overlap extremum on the curve between two polyline vertices.
 
-    The extremum is the root of the tangency condition along the chord,
+    The extremum is the root of the tangency n . w along the chord,
     re-projected onto the exact level set at every probe, found by Brent's
     method.  The overlap itself can be extremely flat in chart coordinates
     (near a pole), where only the tangency condition pins the position.  When
@@ -394,12 +348,12 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
         if t not in projected:
             u = t / total
             raw = (p0[0] + u * (p1[0] - p0[0]), p0[1] + u * (p1[1] - p0[1]))
-            projected[t] = _project_to_level(raw[0], raw[1], s, level, h)
+            projected[t] = _project_to_level(raw[0], raw[1], m, level, h)
         return projected[t]
 
     def tang(t: float) -> float:
         th, ph = point_at(t)
-        return _tangency(th, ph, s, ni)
+        return _dot_at(th, ph, w)
 
     ta, tb = tang(0.0), tang(total)
     if ta * tb < 0.0:
@@ -407,7 +361,7 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
     else:
         t_best = 0.0 if abs(ta) <= abs(tb) else total
     th, ph = point_at(t_best)
-    return th, ph, _axes_overlap_at(th, ph, ni)
+    return th, ph, min(1.0, max(0.0, 0.5 * (1.0 + _dot_at(th, ph, ni))))
 
 
 def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
@@ -435,15 +389,15 @@ def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
     return th[keep], ph[keep], *(x[keep] for x in more)
 
 
-def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
-                      ) -> list[Candidate]:
+def _curve_candidates(curve: LevelSetCurve, ni: tuple[float, float, float],
+                      m: tuple[float, float, float],
+                      w: tuple[float, float, float]) -> list[Candidate]:
     """Refined interior extrema of the eigenbasis overlap along one curve.
 
     Interior extrema are detected as sign changes of the tangency condition
     between consecutive vertices; vertex overlap values alone are too noisy to
     bracket an extremum where the overlap is flat along the curve.
     """
-    ni = axis_to_bloch(i)
     th, ph, tangs = curve.theta, curve.phi, curve.tangency
     closed = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
     if closed:
@@ -457,7 +411,7 @@ def _curve_candidates(curve: LevelSetCurve, s: SpinState, i: Axis
     cur, nxt = (tangs, np.roll(tangs, -1)) if closed else (tangs[:-1], tangs[1:])
     k = np.flatnonzero((cur * nxt < 0.0) | ((cur == 0.0) & (nxt != 0.0)))
     kp = (k + 1) % n
-    found = [_refine_between(p0, p1, s, curve.level, ni)
+    found = [_refine_between(p0, p1, m, curve.level, ni, w)
              for p0, p1 in zip(zip(th[k].tolist(), ph[k].tolist()),
                                zip(th[kp].tolist(), ph[kp].tolist()))]
     # adjacent segments can both straddle the same root through vertex noise
@@ -499,7 +453,9 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
 
     curves = trace_level_sets(s, (p_same, p_flip), cfg, axis_i=i)
-    all_cands = [c for curve in curves for c in _curve_candidates(curve, s, i)]
+    ni, m, w = _bloch_vectors(i, s)
+    all_cands = [c for curve in curves
+                 for c in _curve_candidates(curve, ni, m, w)]
     zero_ids = {c.component_id for c in all_cands if c.s_up <= EPS_Z}
     for curve in curves:
         curve.contains_zero_entropy = curve.component_id in zero_ids

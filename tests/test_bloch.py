@@ -154,8 +154,10 @@ def test_canonicalize_adversarial_angles():
                                  -6.283185307179587])
 def test_canonicalize_phi_just_below_a_multiple_of_two_pi(phi):
     # phi + pi rounds onto pi at the antipodal fold, and a second fold
-    # returns the axis itself
-    assert canonicalize_axis(0.5, phi) == Axis(0.5, 0.0, False)
+    # returns the axis itself, theta bit for bit although pi - (pi - theta)
+    # rounds off it for 0.7, 0.3 and 0.1
+    for theta in (0.5, 0.7, 0.3, 0.1):
+        assert canonicalize_axis(theta, phi) == Axis(theta, 0.0, False)
 
 
 class TestBlochVectors:

@@ -166,15 +166,17 @@ class TestSolve:
 
     def test_phi_spellings_of_one_axis(self, capsys):
         # -1e-15 and the float below 2pi name the axis phi = 0: the chart
-        # folds them twice, back onto (0.5, 0)
-        outs = set()
-        for phi in ("0", "-1e-15", "6.283185307179585"):
-            code, out, _ = run_cli(capsys, "solve", "--theta-i", "0.5",
-                                   f"--phi-i={phi}", "--rho", "0.4",
-                                   "--tau", "1.0", "--grid", "256")
-            assert code == 0
-            outs.add(out)
-        assert len(outs) == 1
+        # folds them twice, back onto (theta, 0) bit for bit, although
+        # pi - (pi - 0.7) rounds off 0.7
+        for theta in ("0.5", "0.7"):
+            outs = set()
+            for phi in ("0", "-1e-15", "6.283185307179585"):
+                code, out, _ = run_cli(capsys, "solve", "--theta-i", theta,
+                                       f"--phi-i={phi}", "--rho", "0.4",
+                                       "--tau", "1.0", "--grid", "256")
+                assert code == 0
+                outs.add(out)
+            assert len(outs) == 1, theta
 
 
 class TestTrace:

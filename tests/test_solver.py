@@ -225,9 +225,9 @@ def _axes_dot_array(theta, phi, ni):
 
 
 def _tangency_array(theta, phi, s, ni):
-    """The per-curve tangency scan that the shared trigonometry replaced:
-    the former _tangency(theta, phi, s, ni, xp=np), its two gradients
-    inlined."""
+    """The chart tangency that n . (n_i x m) replaced: the cross product of
+    the chart gradients of the overlap with n_i and of the up-overlap
+    field, equal to (sin theta / 4) n . (n_i x m)."""
     r = math.sqrt(s.rho * (1.0 - s.rho))
     gth = 0.5 * (1.0 - 2.0 * s.rho) * np.sin(theta) \
         + r * np.cos(theta) * np.cos(phi - s.tau)
@@ -241,27 +241,33 @@ def _tangency_array(theta, phi, s, ni):
 
 class TestVertexGeometry:
     """Every curve's overlap and tangency arrays are, by IEEE bytes, what
-    the separate numpy passes they replaced compute on the same vertices."""
+    separate numpy passes compute on the same vertices: the overlap
+    (1 + n . n_i) / 2 and the tangency n . (n_i x m)."""
 
     @staticmethod
-    def check(axis, state, grid):
-        ni = axis_to_bloch(axis)
+    def vertices(axis, state, grid):
+        """(theta, phi, overlap, tangency) of each level's curves, joined."""
         levels = [q for q in constraint_levels(axis, state) if 0.0 < q < 1.0]
         curves = trace_level_sets(state, tuple(levels),
                                   SolverConfig(grid_n=grid), axis)
         for level in levels:
             mine = [cv for cv in curves if cv.level == level]
-            if not mine:
-                continue
-            th = np.concatenate([cv.theta for cv in mine])
-            ph = np.concatenate([cv.phi for cv in mine])
+            if mine:
+                yield tuple(np.concatenate([getattr(cv, name) for cv in mine])
+                            for name in ("theta", "phi", "overlap", "tangency"))
+
+    @classmethod
+    def check(cls, axis, state, grid):
+        ni = axis_to_bloch(axis)
+        w = tuple(np.cross(ni, state_to_bloch(state)).tolist())
+        levels = 0
+        for th, ph, overlap, tangency in cls.vertices(axis, state, grid):
             qs = np.minimum(1.0, np.maximum(
                 0.0, 0.5 * (1.0 + _axes_dot_array(th, ph, ni))))
-            overlap = np.concatenate([cv.overlap for cv in mine])
-            tangency = np.concatenate([cv.tangency for cv in mine])
             assert overlap.tobytes() == qs.tobytes()
-            assert tangency.tobytes() == _tangency_array(th, ph, state, ni).tobytes()
-        return len(curves)
+            assert tangency.tobytes() == _axes_dot_array(th, ph, w).tobytes()
+            levels += 1
+        return levels
 
     @pytest.mark.parametrize("grid", [256, 1024, 4096])
     def test_pinned_instances(self, grid):
@@ -271,9 +277,26 @@ class TestVertexGeometry:
     @pytest.mark.parametrize("grid", [64, 256, 1024])
     def test_unfiltered_draws(self, grid):
         rng = np.random.default_rng(17)
-        curves = sum(self.check(*random_instance(rng), grid)
+        levels = sum(self.check(*random_instance(rng), grid)
                      for _ in range(200))
-        assert curves > 200
+        assert levels > 200
+
+    @pytest.mark.parametrize("grid", [64, 256, 1024])
+    def test_tangency_signs_match_the_chart_cross_product(self, grid):
+        # the chart tangency is (sin theta / 4) n . (n_i x m), so off the
+        # poles both bracket the same extrema
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(200):
+            axis, state = random_instance(rng)
+            ni = axis_to_bloch(axis)
+            for th, ph, _, tangency in self.vertices(axis, state, grid):
+                off_pole = np.sin(th) > 1e-9
+                chart = _tangency_array(th, ph, state, ni)
+                assert np.array_equal(np.sign(tangency[off_pole]),
+                                      np.sign(chart[off_pole]))
+                checked += int(off_pole.sum())
+        assert checked > 10000
 
     def test_axes_on_node_angles(self):
         rng = np.random.default_rng(18)
@@ -742,14 +765,19 @@ class TestRecords:
 
 class TestProjectToLevel:
     STATE = SpinState(0.4, 0.0)
+    M = state_to_bloch(STATE)
 
     def test_bracket_doubles_until_it_holds_the_level(self):
         theta, phi, h = 1.0, 0.5, 1e-3
-        p = overlap_from_angles(theta, phi, self.STATE.rho, self.STATE.tau)
-        gth, gph = solver._grad_overlap(theta, phi, self.STATE)
+        rho, tau = self.STATE.rho, self.STATE.tau
+        p = overlap_from_angles(theta, phi, rho, tau)
+        r = math.sqrt(rho * (1.0 - rho))
+        gth = 0.5 * (1.0 - 2.0 * rho) * math.sin(theta) \
+            + r * math.cos(theta) * math.cos(phi - tau)
+        gph = -r * math.sin(theta) * math.sin(phi - tau)
         # about 5 h along the gradient: the bracket [-h, h] doubles 3 times
         level = p + 5.0 * h * math.hypot(gth, gph)
-        th, ph = solver._project_to_level(theta, phi, self.STATE, level, h)
+        th, ph = solver._project_to_level(theta, phi, self.M, level, h)
         assert math.hypot(th - theta, ph - phi) > 4.0 * h
         assert overlap_from_angles(th, ph, self.STATE.rho, self.STATE.tau) \
             == pytest.approx(level, abs=1e-12)
@@ -757,7 +785,7 @@ class TestProjectToLevel:
     def test_no_bracket_returns_the_point(self):
         # a level the overlap never reaches within 32 h of the point
         theta, phi = 1.0, 0.5
-        assert solver._project_to_level(theta, phi, self.STATE, 0.99,
+        assert solver._project_to_level(theta, phi, self.M, 0.99,
                                         1e-3) == (theta, phi)
 
     def test_grid_solve_through_the_fallback_agrees(self, monkeypatch):
@@ -766,8 +794,8 @@ class TestProjectToLevel:
         project = solver._project_to_level
         kept = []
 
-        def spy(theta, phi, s, level, h):
-            out = project(theta, phi, s, level, h)
+        def spy(theta, phi, m, level, h):
+            out = project(theta, phi, m, level, h)
             kept.append(out == (theta, phi))
             return out
 
@@ -791,9 +819,9 @@ class TestRefineBetween:
         project, refine = solver._project_to_level, solver._refine_between
         calls, per_refinement = [], []
 
-        def counted_project(theta, phi, s, level, h):
+        def counted_project(theta, phi, m, level, h):
             calls.append((theta, phi))
-            return project(theta, phi, s, level, h)
+            return project(theta, phi, m, level, h)
 
         def counted_refine(*args):
             calls.clear()
