@@ -170,9 +170,11 @@ def eigenstate_as_state(a: Axis, outcome: int) -> SpinState:
 
 
 def bloch_to_axis_angles(n: tuple[float, float, float]) -> tuple[float, float]:
-    """Raw spherical angles of a unit vector (no chart reduction)."""
+    """Raw spherical angles of a unit vector (no chart reduction); theta is
+    atan2(hypot(x, y), z), exact to rounding at the poles as acos(z) is
+    not."""
     x, y, z = n
-    theta = math.acos(min(1.0, max(-1.0, z)))
+    theta = math.atan2(math.hypot(x, y), z)
     phi = math.atan2(y, x) % TWO_PI
     if theta == 0.0 or theta == math.pi:
         phi = 0.0

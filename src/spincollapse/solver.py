@@ -4,9 +4,10 @@ The admissible final axes form the level sets of the up-overlap probability at
 the two values allowed by entropy conservation.  The final axis extremizes the
 eigenbasis overlap on those curves, excluding the zero-entropy points (overlap
 0 or 1).  Two independent routes are provided: a grid solver (marching-squares
-tracing, then a Brent root of the tangency condition between the polyline
-vertices that bracket each extremum) and a closed-form solver working
-directly on the Bloch sphere.
+tracing, then one Brent root of the tangency condition between the
+polyline vertices that bracket each extremum, every probe projected onto
+its level circle in closed form) and a closed-form solver working directly
+on the Bloch sphere.
 """
 
 from __future__ import annotations
@@ -155,14 +156,10 @@ def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, ...]:
 # On the Bloch sphere a level set is the circle n . m = 2 level - 1, and the
 # overlap (1 + n . n_i) / 2 is extremal on it where n, n_i and m are
 # coplanar: where the tangency n . w, with w = n_i x m, changes sign.  So
-# every vertex and refinement quantity is a dot product n(theta, phi) . v,
-# or, for the projection onto a level, the chart gradient of n . m.
-# _axes_dot takes the sines and cosines of theta and phi (st, ct, sp, cp)
-# as floats or as arrays alike, so the Brent refinement (math values) and
-# the vertex pass of trace_level_sets (numpy arrays) run the same
-# operations in the same order.  Each sum is accumulated into its first
-# product (x += y rebinds a float and writes into an array), so the pass
-# allocates fewer temporaries.
+# every vertex and refinement quantity is a dot product n . v.  _axes_dot
+# forms it for the vertex arrays of trace_level_sets from their sines and
+# cosines (st, ct, sp, cp).  Each sum is accumulated in place into its
+# first product, so the pass allocates fewer temporaries.
 
 def _axes_dot(st, ct, sp, cp, v: tuple[float, float, float]):
     """n(theta, phi) . v = st cp v[0] + st sp v[1] + ct v[2]."""
@@ -173,11 +170,6 @@ def _axes_dot(st, ct, sp, cp, v: tuple[float, float, float]):
     dot += term
     dot += ct * v[2]
     return dot
-
-
-def _dot_at(theta: float, phi: float, v: tuple[float, float, float]) -> float:
-    return _axes_dot(math.sin(theta), math.cos(theta), math.sin(phi),
-                     math.cos(phi), v)
 
 
 def _bloch_vectors(i: Axis, s: SpinState) -> tuple[tuple[float, float, float], ...]:
@@ -293,37 +285,6 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float
         f"no convergence after {BRENT_MAXITER} iterations, value is {xcur}")
 
 
-def _project_to_level(theta: float, phi: float,
-                      m: tuple[float, float, float], level: float, h: float
-                      ) -> tuple[float, float]:
-    """Move transverse to the curve, along the chart gradient of n . m, onto
-    the exact level set n . m = 2 level - 1.  Returns the input point if no
-    bracketing root is found."""
-    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
-    gth = ct * (cp * m[0] + sp * m[1]) - st * m[2]
-    gph = st * (cp * m[1] - sp * m[0])
-    norm = math.hypot(gth, gph)
-    if norm < 1e-14:
-        return theta, phi
-    gth, gph = gth / norm, gph / norm
-    target = 2.0 * level - 1.0
-
-    def res(t: float) -> float:
-        return _dot_at(theta + t * gth, phi + t * gph, m) - target
-
-    lo, hi = -h, h
-    for _ in range(6):
-        rlo, rhi = res(lo), res(hi)
-        if rlo * rhi <= 0.0:
-            break
-        lo *= 2.0
-        hi *= 2.0
-    else:
-        return theta, phi
-    t = _brentq(res, lo, hi, rlo, rhi, 1e-14)
-    return theta + t * gth, phi + t * gph
-
-
 def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
                     m: tuple[float, float, float], level: float,
                     ni: tuple[float, float, float],
@@ -331,37 +292,51 @@ def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
                     ) -> tuple[float, float, float]:
     """Locate the overlap extremum on the curve between two polyline vertices.
 
-    The extremum is the root of the tangency n . w along the chord,
-    re-projected onto the exact level set at every probe, found by Brent's
-    method.  The overlap itself can be extremely flat in chart coordinates
-    (near a pole), where only the tangency condition pins the position.  When
-    the projected ends do not change sign, the end nearer tangency is taken.
+    The extremum is the root of the tangency n . w along the chord from p0
+    to p1, found by one Brent search over the chord's chart length.  Each
+    probe is mapped to the sphere and replaced by its nearest point on the
+    level circle n . m = k, k = 2 level - 1: k m + sqrt(1 - k^2) u / |u|,
+    with u = n - (n . m) m.  The overlap itself can be extremely flat in
+    chart coordinates (near a pole), where only the tangency condition pins
+    the position.  When the projected ends do not change sign, the end
+    nearer tangency is taken.  The route stays independent of the closed
+    form: it roots the tangency between traced vertices and never uses the
+    reflection n* = n_i - 2 c m.
+
+    The answer's theta is atan2(hypot(x, y), z), exact at the poles, and its
+    phi the branch of atan2(y, x) nearest p0's, so that one extremum refined
+    from segments on either side of the phi = 0 or pi seam keeps nearby
+    chart angles for the dedup in _curve_candidates.
     """
-    total = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-    h = max(total, 1e-6)
+    k = 2.0 * level - 1.0
+    r = math.sqrt(1.0 - k * k)
+    dth, dph = p1[0] - p0[0], p1[1] - p0[1]
+    total = math.hypot(dth, dph)
 
-    # Brent returns one of the t it probed, so each t's projection is kept
-    # and the answer is never projected twice
-    projected: dict[float, tuple[float, float]] = {}
-
-    def point_at(t: float) -> tuple[float, float]:
-        if t not in projected:
-            u = t / total
-            raw = (p0[0] + u * (p1[0] - p0[0]), p0[1] + u * (p1[1] - p0[1]))
-            projected[t] = _project_to_level(raw[0], raw[1], m, level, h)
-        return projected[t]
+    def point_at(t: float) -> tuple[float, float, float]:
+        f = t / total
+        th, ph = p0[0] + f * dth, p0[1] + f * dph
+        st = math.sin(th)
+        x, y, z = st * math.cos(ph), st * math.sin(ph), math.cos(th)
+        d = x * m[0] + y * m[1] + z * m[2]
+        ux, uy, uz = x - d * m[0], y - d * m[1], z - d * m[2]
+        s = r / math.sqrt(ux * ux + uy * uy + uz * uz)
+        return k * m[0] + s * ux, k * m[1] + s * uy, k * m[2] + s * uz
 
     def tang(t: float) -> float:
-        th, ph = point_at(t)
-        return _dot_at(th, ph, w)
+        x, y, z = point_at(t)
+        return x * w[0] + y * w[1] + z * w[2]
 
     ta, tb = tang(0.0), tang(total)
     if ta * tb < 0.0:
-        t_best = _brentq(tang, 0.0, total, ta, tb, 1e-13)
+        t_best = _brentq(tang, 0.0, total, ta, tb, 1e-15)
     else:
         t_best = 0.0 if abs(ta) <= abs(tb) else total
-    th, ph = point_at(t_best)
-    return th, ph, min(1.0, max(0.0, 0.5 * (1.0 + _dot_at(th, ph, ni))))
+    x, y, z = point_at(t_best)
+    theta = math.atan2(math.hypot(x, y), z)
+    phi = p0[1] + math.remainder(math.atan2(y, x) - p0[1], 2.0 * math.pi)
+    q = 0.5 * (1.0 + x * ni[0] + y * ni[1] + z * ni[2])
+    return theta, phi, min(1.0, max(0.0, q))
 
 
 def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
@@ -503,9 +478,11 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     the closed form reads none of its fields.
     """
     # state_to_bloch, axis_to_bloch and is_trivial inlined: the same
-    # operations in the same order, so the same bits.  The raw acos/atan2
-    # angles of n* go straight to canonicalize_axis, whose mod-2pi reduction
-    # and pole rule are those of bloch_to_axis_angles.
+    # operations in the same order, so the same bits.  The raw angles of n*,
+    # theta = atan2(hypot(x, y), z) (exact at the poles, where acos(z) loses
+    # half the digits) and phi = atan2(y, x), go straight to
+    # canonicalize_axis, whose mod-2pi reduction and pole rule are those of
+    # bloch_to_axis_angles.
     rho = s.rho
     r = math.sqrt(rho * (1.0 - rho))
     m0, m1, m2 = (2.0 * r * math.cos(s.tau), 2.0 * r * math.sin(s.tau),
@@ -525,7 +502,7 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     x, y, z = n0 - 2.0 * c * m0, n1 - 2.0 * c * m1, n2 - 2.0 * c * m2
     nrm = math.sqrt(x ** 2 + y ** 2 + z ** 2)
     x, y, z = x / nrm, y / nrm, z / nrm
-    axis_f = canonicalize_axis(math.acos(min(1.0, max(-1.0, z))),
+    axis_f = canonicalize_axis(math.atan2(math.hypot(x, y), z),
                                math.atan2(y, x))
     return CollapseSolution(Status.NORMAL, axis_f, s_up, s_i,
                             [Candidate(axis_f, 1.0 - c * c, s_up, 0)], [])

@@ -110,6 +110,25 @@ CHART_EDGE_INSTANCES = {
 }
 
 
+# unfiltered draws, labelled seed:index, as canonical (theta_i, phi_i, rho,
+# tau), on which the grid route at grid 256 disagreed with the closed form
+# through a defect of its refinement, not a configuration boundary: on
+# these small circles (rho near 0 or 1) a bracket search for the level
+# found no bracket and left probes off it.  "9:2263" is random_instance's
+# rng 9 draw; the others are perfbench grid_corpus draws at seeds 11, 21
+# and 22, "corpus11:6577" a Normal/DeathPoint split.
+REFINEMENT_GAP_INSTANCES = {
+    "9:2263": (3.084757656086319, 0.1333947071119043, 0.0011539476032513818,
+               5.9801397702181625),
+    "corpus11:6577": (0.1301650507804196, 2.9134884117243125,
+                      0.9953618477915331, 2.8918396429077036),
+    "corpus21:5747": (3.1386561417338483, 2.8805310933352217,
+                      0.008517896053133689, 1.203624684553796),
+    "corpus22:3744": (3.126376846631001, 1.5521533096191549,
+                      0.0036687152312276927, 3.1171751647064365),
+}
+
+
 def eigvec_overlap_oracle(axis: Axis, state: SpinState) -> float:
     """Independent |<up_f|psi>|^2 oracle from raw complex-vector arithmetic."""
     up = np.array([math.cos(axis.theta / 2.0) * np.exp(-1j * axis.phi),

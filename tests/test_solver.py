@@ -8,6 +8,8 @@ import struct
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from spincollapse.bloch import (
     bloch_to_axis_angles,
     canonicalize_axis,
     eigenstate_as_state,
-    overlap_from_angles,
     state_to_bloch,
     up_overlap_prob,
 )
@@ -42,6 +43,7 @@ from spincollapse.solver import (
 
 from conftest import (
     CHART_EDGE_INSTANCES,
+    REFINEMENT_GAP_INSTANCES,
     nondegenerate_instances,
     random_instance,
 )
@@ -525,19 +527,34 @@ class TestSolutionInvariants:
                 assert abs(dot) >= 1.0 - 1e-9, (axis, state)
 
 
-@pytest.mark.parametrize("instance", CHART_EDGE_INSTANCES.values(),
-                         ids=CHART_EDGE_INSTANCES.keys())
-def test_routes_agree_on_axes_next_to_the_chart_edge(instance):
+def assert_routes_agree(instance) -> Status:
+    """Solve a raw (theta_i, phi_i, rho, tau) by both routes at grid 256,
+    require the same status and, for Normal, the CLI's agreement
+    tolerances; return the status."""
     theta, phi, rho, tau = instance
     axis, state = canonicalize_axis(theta, phi), SpinState(rho, tau)
     cfg = SolverConfig(grid_n=256)
     g = solve_collapse(axis, state, cfg)
     c = solve_collapse_closed_form(axis, state, cfg)
-    assert g.status is c.status is Status.NORMAL
-    d = math.hypot(g.axis_f.theta - c.axis_f.theta,
-                   g.axis_f.phi - c.axis_f.phi)
-    assert d <= AXIS_AGREE_TOL
-    assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
+    assert g.status is c.status
+    if g.status is Status.NORMAL:
+        d = math.hypot(g.axis_f.theta - c.axis_f.theta,
+                       g.axis_f.phi - c.axis_f.phi)
+        assert d <= AXIS_AGREE_TOL
+        assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
+    return g.status
+
+
+@pytest.mark.parametrize("instance", CHART_EDGE_INSTANCES.values(),
+                         ids=CHART_EDGE_INSTANCES.keys())
+def test_routes_agree_on_axes_next_to_the_chart_edge(instance):
+    assert assert_routes_agree(instance) is Status.NORMAL
+
+
+@pytest.mark.parametrize("instance", REFINEMENT_GAP_INSTANCES.values(),
+                         ids=REFINEMENT_GAP_INSTANCES.keys())
+def test_routes_agree_where_refinement_left_the_level(instance):
+    assert_routes_agree(instance)
 
 
 def test_no_admissible_extremum_is_a_death_point():
@@ -763,83 +780,197 @@ class TestRecords:
             dataclasses.replace(self.AXIS, theta=theta, phi=phi)
 
 
-class TestProjectToLevel:
-    STATE = SpinState(0.4, 0.0)
-    M = state_to_bloch(STATE)
+EPS = sys.float_info.epsilon
+# bounds on the line error of a Normal answer (line_error against
+# reference_nstar); the largest measured at grid 256 were 24.7 EPS for the
+# grid route (REFINEMENT_GAP_INSTANCES["9:2263"]) and 6.1 EPS for the
+# closed form (uniform draws, rng 7), and 8.7 EPS between mirrored answers
+GRID_LINE_ERR = 32.0 * EPS
+CLOSED_LINE_ERR = 8.0 * EPS
+MIRROR_LINE_ERR = 16.0 * EPS
 
-    def test_bracket_doubles_until_it_holds_the_level(self):
-        theta, phi, h = 1.0, 0.5, 1e-3
-        rho, tau = self.STATE.rho, self.STATE.tau
-        p = overlap_from_angles(theta, phi, rho, tau)
-        r = math.sqrt(rho * (1.0 - rho))
-        gth = 0.5 * (1.0 - 2.0 * rho) * math.sin(theta) \
-            + r * math.cos(theta) * math.cos(phi - tau)
-        gph = -r * math.sin(theta) * math.sin(phi - tau)
-        # about 5 h along the gradient: the bracket [-h, h] doubles 3 times
-        level = p + 5.0 * h * math.hypot(gth, gph)
-        th, ph = solver._project_to_level(theta, phi, self.M, level, h)
-        assert math.hypot(th - theta, ph - phi) > 4.0 * h
-        assert overlap_from_angles(th, ph, self.STATE.rho, self.STATE.tau) \
-            == pytest.approx(level, abs=1e-12)
 
-    def test_no_bracket_returns_the_point(self):
-        # a level the overlap never reaches within 32 h of the point
-        theta, phi = 1.0, 0.5
-        assert solver._project_to_level(theta, phi, self.M, 0.99,
-                                        1e-3) == (theta, phi)
+def bloch_at(theta: float, phi: float) -> tuple[float, float, float]:
+    """The unit vector at raw chart angles, which may lie off the chart."""
+    st = math.sin(theta)
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
-    def test_grid_solve_through_the_fallback_agrees(self, monkeypatch):
-        # at grid 64 eight vertices of this instance find no bracket and
-        # keep their place; the refined answer still matches the closed form
-        project = solver._project_to_level
-        kept = []
 
-        def spy(theta, phi, m, level, h):
-            out = project(theta, phi, m, level, h)
-            kept.append(out == (theta, phi))
-            return out
+def dot3(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-        monkeypatch.setattr(solver, "_project_to_level", spy)
-        axis = canonicalize_axis(3.11944084003499, 0.4649184809692558)
-        state = SpinState(0.7126756760614649, 5.185659862436709)
-        cfg = SolverConfig(grid_n=64)
-        g = solve_collapse(axis, state, cfg)
-        c = solve_collapse_closed_form(axis, state, cfg)
-        assert sum(kept) > 0
-        assert g.status is c.status is Status.NORMAL
-        assert math.hypot(g.axis_f.theta - c.axis_f.theta,
-                          g.axis_f.phi - c.axis_f.phi) <= AXIS_AGREE_TOL
-        assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
+
+def angle_between(u, v) -> float:
+    """The angle between two unit vectors, accurate near 0 and pi."""
+    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+    return math.atan2(math.sqrt(dot3(cross, cross)), dot3(u, v))
 
 
 class TestRefineBetween:
-    def test_no_point_is_projected_twice(self, monkeypatch):
-        # Brent returns a point it probed, so the refined extremum reuses
-        # that probe's projection instead of projecting it again
-        project, refine = solver._project_to_level, solver._refine_between
-        calls, per_refinement = [], []
+    M = state_to_bloch(GENERIC_STATE)
+    NI = axis_to_bloch(GENERIC_AXIS)
 
-        def counted_project(theta, phi, m, level, h):
-            calls.append((theta, phi))
-            return project(theta, phi, m, level, h)
+    def test_a_chord_end_goes_to_its_nearest_circle_point(self):
+        # with w = 0 the tangency changes sign nowhere on the chord, so the
+        # refinement answers with its first end, projected onto the level
+        # circle n . m = k; the nearest point of that circle lies on the
+        # great circle through m and the end, so its distance from the end
+        # is the difference of their polar angles about m
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            p0 = (rng.uniform(0.01, PI - 0.01), rng.uniform(0.0, PI))
+            p1 = (p0[0] + 0.01, p0[1] + 0.01)
+            level = rng.uniform(0.001, 0.999)
+            k = 2.0 * level - 1.0
+            theta, phi, _ = solver._refine_between(p0, p1, self.M, level,
+                                                   self.NI, (0.0, 0.0, 0.0))
+            n, end = bloch_at(theta, phi), bloch_at(*p0)
+            assert abs(dot3(n, self.M) - k) <= 4.0 * EPS
+            polar = math.atan2(math.sqrt(1.0 - k * k), k)
+            assert angle_between(end, n) == pytest.approx(
+                abs(angle_between(end, self.M) - polar), abs=1e-14)
 
-        def counted_refine(*args):
-            calls.clear()
-            out = refine(*args)
-            per_refinement.append(list(calls))
+    def test_refined_points_lie_on_their_circles(self, monkeypatch):
+        refine = solver._refine_between
+        seen = []
+
+        def spy(p0, p1, m, level, ni, w):
+            out = refine(p0, p1, m, level, ni, w)
+            seen.append((out, m, level))
             return out
 
-        monkeypatch.setattr(solver, "_project_to_level", counted_project)
-        monkeypatch.setattr(solver, "_refine_between", counted_refine)
+        monkeypatch.setattr(solver, "_refine_between", spy)
         rng = np.random.default_rng(8)
         for axis, state in [(GENERIC_AXIS, GENERIC_STATE),
                             *(random_instance(rng) for _ in range(20))]:
             solve_collapse(axis, state, SolverConfig(grid_n=256))
-        assert len(per_refinement) > 20
-        for probes in per_refinement:
-            # both chord ends, then the Brent probes between them
-            assert len(probes) >= 2
-            assert len(set(probes)) == len(probes)
+        assert len(seen) > 20
+        for (theta, phi, _), m, level in seen:
+            assert abs(dot3(bloch_at(theta, phi), m) - (2.0 * level - 1.0)) \
+                <= 4.0 * EPS
+
+
+def reference_nstar(axis, state) -> tuple[Fraction, Fraction, Fraction]:
+    """The closed form's answer line n* = n_i - 2 c m, c = n_i . m, from the
+    float Bloch vectors of axis_to_bloch and state_to_bloch: the reflection
+    in exact rational arithmetic, normalized with 40-digit decimals."""
+    ni = [Fraction(x) for x in axis_to_bloch(axis)]
+    m = [Fraction(x) for x in state_to_bloch(state)]
+    c = sum(a * b for a, b in zip(ni, m))
+    v = [a - 2 * c * b for a, b in zip(ni, m)]
+    norm2 = sum(x * x for x in v)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        norm = (Decimal(norm2.numerator) / Decimal(norm2.denominator)).sqrt()
+        return tuple(Fraction(Decimal(x.numerator) / Decimal(x.denominator)
+                              / norm) for x in v)
+
+
+def line_error(u, v) -> float:
+    """|u x v|, computed exactly: for unit vectors, the sine of the angle
+    between their lines, whatever their signs."""
+    u, v = [Fraction(x) for x in u], [Fraction(x) for x in v]
+    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+    return math.sqrt(float(sum(x * x for x in cross)))
+
+
+def near_pole_instance(rng):
+    """An (axis, state) pair whose reflection n* = n_i - 2 (n_i . m) m lies
+    1e-9 to 1e-4 rad from a pole: n* is drawn there (log-uniform distance,
+    uniform azimuth, either pole), m uniformly, and the axis is the
+    reflection n_i = n* - 2 (n* . m) m, canonicalized."""
+    delta = 10.0 ** rng.uniform(-9.0, -4.0)
+    psi = rng.uniform(0.0, 2.0 * PI)
+    nstar = np.array([math.sin(delta) * math.cos(psi),
+                      math.sin(delta) * math.sin(psi),
+                      rng.choice([-1.0, 1.0]) * math.cos(delta)])
+    m = rng.normal(size=3)
+    m /= np.linalg.norm(m)
+    ni = nstar - 2.0 * nstar.dot(m) * m
+    axis = canonicalize_axis(*bloch_to_axis_angles(tuple(ni.tolist())))
+    tau = math.atan2(m[1], m[0]) % (2.0 * PI)
+    return axis, SpinState(0.5 * (1.0 + float(m[2])), tau)
+
+
+class TestLineError:
+    """Every Normal answer of either route names the line of n*, computed
+    from the same float inputs, to a few EPS: on uniform draws, where n*
+    lies next to a pole (there acos(z) lost half the digits), and where the
+    grid route's refinement used to leave the level set."""
+
+    @staticmethod
+    def check(instances, cfg=SolverConfig(grid_n=256)) -> int:
+        """Assert the bounds on every Normal answer; return their number."""
+        normal = 0
+        for axis, state in instances:
+            ref = None
+            for route, bound in ((solve_collapse, GRID_LINE_ERR),
+                                 (solve_collapse_closed_form,
+                                  CLOSED_LINE_ERR)):
+                sol = route(axis, state, cfg)
+                if sol.status is Status.NORMAL:
+                    ref = ref or reference_nstar(axis, state)
+                    assert line_error(axis_to_bloch(sol.axis_f), ref) \
+                        <= bound, (route.__name__, axis, state)
+                    normal += 1
+        return normal
+
+    def test_uniform_draws(self):
+        rng = np.random.default_rng(7)
+        assert self.check(random_instance(rng) for _ in range(700)) > 1000
+
+    def test_near_pole_draws(self):
+        rng = np.random.default_rng(4)
+        assert self.check(near_pole_instance(rng) for _ in range(100)) > 190
+
+    def test_refinement_gap_instances(self):
+        # "corpus11:6577" is a death point on both routes
+        assert self.check((canonicalize_axis(theta, phi),
+                           SpinState(rho, tau)) for theta, phi, rho, tau
+                          in REFINEMENT_GAP_INSTANCES.values()) == 6
+
+    def test_former_fallback_instance_at_grid_64(self):
+        # the old projection found no bracket for eight probes of this
+        # instance at grid 64 and left them off the level set
+        axis = canonicalize_axis(3.11944084003499, 0.4649184809692558)
+        state = SpinState(0.7126756760614649, 5.185659862436709)
+        assert self.check([(axis, state)], SolverConfig(grid_n=64)) == 2
+
+
+def mirror_x(axis, state):
+    """x -> -x: (phi_i, tau) -> (pi - phi_i, pi - tau), and the sign flips
+    that carry an answer to the mirrored instance's answer."""
+    return (canonicalize_axis(axis.theta, PI - axis.phi),
+            SpinState(state.rho, (PI - state.tau) % (2.0 * PI)),
+            (-1.0, 1.0, 1.0))
+
+
+def mirror_z(axis, state):
+    """z -> -z: (theta_i, rho) -> (pi - theta_i, 1 - rho)."""
+    return (canonicalize_axis(PI - axis.theta, axis.phi),
+            SpinState(1.0 - state.rho, state.tau), (1.0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("mirror", [mirror_x, mirror_z], ids=["x", "z"])
+@pytest.mark.parametrize("route", [solve_collapse, solve_collapse_closed_form],
+                         ids=["grid", "closed"])
+def test_mirrored_instance_has_the_mirrored_answer(route, mirror):
+    rng = np.random.default_rng(21)
+    cfg = SolverConfig(grid_n=256)
+    normal = 0
+    for _ in range(300):
+        axis, state = random_instance(rng)
+        axis2, state2, signs = mirror(axis, state)
+        a, b = route(axis, state, cfg), route(axis2, state2, cfg)
+        assert a.status is b.status, (axis, state)
+        if a.status is Status.NORMAL:
+            mirrored = [s * x for s, x in zip(signs, axis_to_bloch(a.axis_f))]
+            assert line_error(mirrored, axis_to_bloch(b.axis_f)) \
+                <= MIRROR_LINE_ERR, (axis, state)
+            normal += 1
+    assert normal > 200
 
 
 def instance_at_overlap(rng, c: float):
