@@ -11,34 +11,14 @@ tolerance.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import json
 import math
 import sys
 
-from .automaton import ObserverAutomaton
+# every subcommand imports the modules it uses when it runs, so a request
+# loads only what it needs: `pfn table` loads no numpy, `solve` no automaton
 from .bloch import SpinState, canonicalize_axis
-from .pfn import (
-    CHART_UNIFORM,
-    SPHERE_AREA,
-    ExprSyntaxError,
-    TruthTable,
-    outcome_probability,
-    parse_expr,
-    render,
-    to_cnf,
-    to_dnf,
-    to_truth_table,
-)
-from .solver import (
-    SolverConfig,
-    constraint_levels,
-    is_trivial,
-    on_chart_edge,
-    solve_collapse,
-    solve_collapse_closed_form,
-    trace_level_sets,
-)
 
 AXIS_AGREE_TOL = 1e-4
 S_UP_AGREE_TOL = 1e-6
@@ -74,6 +54,8 @@ def _solution_dict(sol) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from .solver import SolverConfig, solve_collapse, solve_collapse_closed_form
+
     axis, state = _instance(args)
     cfg = SolverConfig(grid_n=args.grid)
     route = (solve_collapse_closed_form if args.method == "closed"
@@ -106,6 +88,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    import csv
+
+    from .solver import (SolverConfig, constraint_levels, is_trivial,
+                         on_chart_edge, trace_level_sets)
+
     axis, state = _instance(args)
     cfg = SolverConfig(grid_n=args.grid)
     p_same, p_flip = constraint_levels(axis, state)
@@ -156,6 +143,10 @@ def _config_value(typ: type, value: object):
 
 
 def cmd_run(args) -> int:
+    from .automaton import ObserverAutomaton
+    from .pfn import parse_expr
+    from .solver import SolverConfig
+
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -207,6 +198,8 @@ def cmd_run(args) -> int:
 def _parse_or_diagnose(text: str, n: int):
     """parse_expr, with a syntax error's message followed by the text and a
     caret under the failing position."""
+    from .pfn import ExprSyntaxError, parse_expr
+
     try:
         return parse_expr(text, n)
     except ExprSyntaxError as exc:
@@ -215,6 +208,10 @@ def _parse_or_diagnose(text: str, n: int):
 
 
 def cmd_pfn(args) -> int:
+    from .pfn import (CHART_UNIFORM, SPHERE_AREA, TruthTable,
+                      outcome_probability, render, to_cnf, to_dnf,
+                      to_truth_table)
+
     if args.pfn_command == "table":
         expr = _parse_or_diagnose(args.expr, args.n)
         print(to_truth_table(expr, args.n).to_hex())
@@ -308,5 +305,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The process entry of `python -m spincollapse.cli` and of the
+    `spincollapse` console script: main() on the process's arguments.
+
+    The process ends right after, so every object left, numpy's import-time
+    heap the largest part, is frozen first: the interpreter's collections at
+    exit then skip them.  main() itself leaves the collector alone, since
+    tests and benchmarks call it in long-lived processes.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -15,8 +15,6 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
 from .bloch import Axis
 
 MAX_MEMORY_DEPTH = 4
@@ -389,6 +387,8 @@ def outcome_probability(e: BoolExpr, measure: Measure = CHART_UNIFORM,
         raise ValueError(f"samples must be in [1, {MC_SAMPLES_MAX}]")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, not {seed}")
+
+    import numpy as np  # only this branch needs it
 
     rng = np.random.default_rng(seed)
     if measure.kind == "chart_uniform":

@@ -1,6 +1,10 @@
 """Shared helpers: random instance sampling and independent oracles."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -136,3 +140,13 @@ def eigvec_overlap_oracle(axis: Axis, state: SpinState) -> float:
     psi = np.array([math.sqrt(state.rho) * np.exp(-1j * state.tau),
                     math.sqrt(1.0 - state.rho)])
     return float(abs(np.vdot(up, psi)) ** 2)
+
+
+def run_python(*argv: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout bytes and stderr bytes of a fresh interpreter run
+    with argv and this package's source on its path."""
+    src = pathlib.Path(__file__).parents[1] / "src"
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr

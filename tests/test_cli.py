@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output schemas, determinism, and
-diagnostics.  main() is invoked in-process with an argv list."""
+diagnostics.  main() is invoked in-process with an argv list;
+TestProcessEntry holds fresh processes to the same bytes."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import spincollapse
 from spincollapse.cli import main
 from spincollapse.pfn import MAX_NESTING
 
-from conftest import CHART_EDGE_INSTANCES
+from conftest import CHART_EDGE_INSTANCES, run_python
 
 PI = math.pi
 
@@ -679,3 +681,54 @@ class TestLogging:
         code, out, _ = run_cli(capsys, "solve", *GENERIC, "--grid", "256")
         assert code == 0
         json.loads(out)  # stdout is pure JSON
+
+
+# the flip circle enters the chart by less than a grid-256 cell near the
+# pole, so the grid route traces no flip curve: DeathPoint on the grid,
+# Normal in closed form, exit 2
+NEAR_POLE = ["--theta-i", "1.1146400075878837",
+             "--phi-i", "1.5762296533934865",
+             "--rho", "0.07566222706142572",
+             "--tau", "4.7178217269126765", "--grid", "256"]
+ENTRY_CASES = [
+    pytest.param(["solve", *GENERIC], 0, id="exit-0"),
+    pytest.param(["solve", *GENERIC, "--grid", "63"], 1, id="exit-1"),
+    pytest.param(["solve", *NEAR_POLE], 2, id="exit-2"),
+]
+
+
+class TestProcessEntry:
+    """A process started either way answers as main() does in-process."""
+
+    def expect(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        return code, out.encode(), err.encode()
+
+    @pytest.mark.parametrize("argv, code", ENTRY_CASES)
+    def test_module_run_matches_main(self, capsys, argv, code):
+        expected = self.expect(capsys, argv, code)
+        assert run_python("-m", "spincollapse.cli", *argv) == expected
+
+    @pytest.mark.parametrize("argv, code", ENTRY_CASES)
+    def test_console_script_matches_main(self, capsys, argv, code):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["spincollapse"]
+        module, func = target.split(":")
+        # what the script that pip writes for the target does
+        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        expected = self.expect(capsys, argv, code)
+        assert run_python("-c", script, *argv) == expected
+
+    def test_main_freezes_nothing(self, capsys, tmp_path):
+        # only the process entry freezes the heap; main() runs inside
+        # long-lived processes
+        cfg_path, _ = run_config(tmp_path)
+        frozen = gc.get_freeze_count()
+        for argv in (["solve", *GENERIC, "--grid", "256"],
+                     ["run", str(cfg_path)],
+                     ["pfn", "table", "--expr", "x|y"]):
+            assert run_cli(capsys, *argv)[0] == 0
+            assert gc.get_freeze_count() == frozen
