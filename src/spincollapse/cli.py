@@ -142,6 +142,17 @@ def _config_value(typ: type, value: object):
         return None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its key-value pairs; a repeated key is an error,
+    where json.load would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config repeats field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def cmd_run(args) -> int:
     from .automaton import ObserverAutomaton
     from .pfn import parse_expr
@@ -149,7 +160,7 @@ def cmd_run(args) -> int:
 
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:

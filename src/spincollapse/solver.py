@@ -3,11 +3,14 @@
 The admissible final axes form the level sets of the up-overlap probability at
 the two values allowed by entropy conservation.  The final axis extremizes the
 eigenbasis overlap on those curves, excluding the zero-entropy points (overlap
-0 or 1).  Two independent routes are provided: a grid solver (marching-squares
-tracing, then one Brent root of the tangency condition between the
-polyline vertices that bracket each extremum, every probe projected onto
-its level circle in closed form) and a closed-form solver working directly
-on the Bloch sphere.
+0 or 1).  Two independent routes are provided: a grid solver and a
+closed-form solver working directly on the Bloch sphere.  The grid solver
+traces the curves by marching squares; a sign change of the tangency
+condition between consecutive polyline vertices brackets an extremum, and
+the extremum itself is the tangent point of its level circle, in closed
+form.  The trace decides which tangent points lie on which component, so
+which components are dropped and the status; the grid route never forms
+the closed form's reflection n*.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,10 +37,7 @@ from .entropy import binary_entropy
 CHART_EDGE = 1e-12  # angles this close to 0 or pi lie on the chart edge
 EPS_TRIVIAL = 1e-9  # an outcome this improbable makes the state an eigenstate
 EPS_Z = 1e-6  # eigenbasis entropy at or below this is a zero-entropy point
-DEDUP_RADIUS = 1e-6  # refined extrema closer than this are one extremum
 SAME_VERTEX = 1e-12  # consecutive curve vertices closer than this are one
-BRENT_RTOL = 4.0 * sys.float_info.epsilon
-BRENT_MAXITER = 100
 GRID_N_MAX = 8192  # time, grid factors and vertex lists grow with grid_n
 
 
@@ -93,7 +92,7 @@ class LevelSetCurve:
 
 
 class Candidate(NamedTuple):
-    """One refined overlap extremum: an immutable, hashable tuple."""
+    """One overlap extremum: an immutable, hashable tuple."""
 
     axis: Axis
     overlap: float
@@ -156,10 +155,10 @@ def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, ...]:
 # On the Bloch sphere a level set is the circle n . m = 2 level - 1, and the
 # overlap (1 + n . n_i) / 2 is extremal on it where n, n_i and m are
 # coplanar: where the tangency n . w, with w = n_i x m, changes sign.  So
-# every vertex and refinement quantity is a dot product n . v.  _axes_dot
-# forms it for the vertex arrays of trace_level_sets from their sines and
-# cosines (st, ct, sp, cp).  Each sum is accumulated in place into its
-# first product, so the pass allocates fewer temporaries.
+# every vertex quantity is a dot product n . v.  _axes_dot forms it for
+# vertex arrays from their sines and cosines (st, ct, sp, cp).  Each sum is
+# accumulated in place into its first product, so the pass allocates fewer
+# temporaries.
 
 def _axes_dot(st, ct, sp, cp, v: tuple[float, float, float]):
     """n(theta, phi) . v = st cp v[0] + st sp v[1] + ct v[2]."""
@@ -172,11 +171,17 @@ def _axes_dot(st, ct, sp, cp, v: tuple[float, float, float]):
     return dot
 
 
+def _cross(u: tuple[float, float, float], v: tuple[float, float, float]
+           ) -> tuple[float, float, float]:
+    """The cross product u x v."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def _bloch_vectors(i: Axis, s: SpinState) -> tuple[tuple[float, float, float], ...]:
     """(n_i, m, w): the axis and state Bloch vectors and w = n_i x m."""
     ni, m = axis_to_bloch(i), state_to_bloch(s)
-    return ni, m, (ni[1] * m[2] - ni[2] * m[1], ni[2] * m[0] - ni[0] * m[2],
-                   ni[0] * m[1] - ni[1] * m[0])
+    return ni, m, _cross(ni, m)
 
 
 def on_chart_edge(theta, phi):
@@ -230,115 +235,6 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     return curves
 
 
-def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float
-            ) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    fa and fb are f(xa) and f(xb), which every caller has already computed to
-    find the bracket.  Inverse quadratic or secant steps are taken while they
-    stay short, else the bracket is bisected; converged when half the bracket
-    is below (xtol + 4 eps |x|) / 2.  Raises ValueError when fa and fb have
-    the same sign and RuntimeError after BRENT_MAXITER iterations.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = fa, fb
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better end as xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(
-        f"no convergence after {BRENT_MAXITER} iterations, value is {xcur}")
-
-
-def _refine_between(p0: tuple[float, float], p1: tuple[float, float],
-                    m: tuple[float, float, float], level: float,
-                    ni: tuple[float, float, float],
-                    w: tuple[float, float, float]
-                    ) -> tuple[float, float, float]:
-    """Locate the overlap extremum on the curve between two polyline vertices.
-
-    The extremum is the root of the tangency n . w along the chord from p0
-    to p1, found by one Brent search over the chord's chart length.  Each
-    probe is mapped to the sphere and replaced by its nearest point on the
-    level circle n . m = k, k = 2 level - 1: k m + sqrt(1 - k^2) u / |u|,
-    with u = n - (n . m) m.  The overlap itself can be extremely flat in
-    chart coordinates (near a pole), where only the tangency condition pins
-    the position.  When the projected ends do not change sign, the end
-    nearer tangency is taken.  The route stays independent of the closed
-    form: it roots the tangency between traced vertices and never uses the
-    reflection n* = n_i - 2 c m.
-
-    The answer's theta is atan2(hypot(x, y), z), exact at the poles, and its
-    phi the branch of atan2(y, x) nearest p0's, so that one extremum refined
-    from segments on either side of the phi = 0 or pi seam keeps nearby
-    chart angles for the dedup in _curve_candidates.
-    """
-    k = 2.0 * level - 1.0
-    r = math.sqrt(1.0 - k * k)
-    dth, dph = p1[0] - p0[0], p1[1] - p0[1]
-    total = math.hypot(dth, dph)
-
-    def point_at(t: float) -> tuple[float, float, float]:
-        f = t / total
-        th, ph = p0[0] + f * dth, p0[1] + f * dph
-        st = math.sin(th)
-        x, y, z = st * math.cos(ph), st * math.sin(ph), math.cos(th)
-        d = x * m[0] + y * m[1] + z * m[2]
-        ux, uy, uz = x - d * m[0], y - d * m[1], z - d * m[2]
-        s = r / math.sqrt(ux * ux + uy * uy + uz * uz)
-        return k * m[0] + s * ux, k * m[1] + s * uy, k * m[2] + s * uz
-
-    def tang(t: float) -> float:
-        x, y, z = point_at(t)
-        return x * w[0] + y * w[1] + z * w[2]
-
-    ta, tb = tang(0.0), tang(total)
-    if ta * tb < 0.0:
-        t_best = _brentq(tang, 0.0, total, ta, tb, 1e-15)
-    else:
-        t_best = 0.0 if abs(ta) <= abs(tb) else total
-    x, y, z = point_at(t_best)
-    theta = math.atan2(math.hypot(x, y), z)
-    phi = p0[1] + math.remainder(math.atan2(y, x) - p0[1], 2.0 * math.pi)
-    q = 0.5 * (1.0 + x * ni[0] + y * ni[1] + z * ni[2])
-    return theta, phi, min(1.0, max(0.0, q))
-
-
 def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
                   ) -> tuple[np.ndarray, ...]:
     """The vertices left when every vertex within SAME_VERTEX of the last
@@ -366,37 +262,47 @@ def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
 
 def _curve_candidates(curve: LevelSetCurve, ni: tuple[float, float, float],
                       m: tuple[float, float, float],
-                      w: tuple[float, float, float]) -> list[Candidate]:
-    """Refined interior extrema of the eigenbasis overlap along one curve.
+                      t: tuple[float, float, float]) -> list[Candidate]:
+    """The overlap extrema along one curve, each in closed form.
 
-    Interior extrema are detected as sign changes of the tangency condition
-    between consecutive vertices; vertex overlap values alone are too noisy to
-    bracket an extremum where the overlap is flat along the curve.
+    On the level circle n . m = k, k = 2 level - 1, the overlap is extremal
+    at the two tangent points k m +- sqrt(1 - k^2) t / |t|, with t = m x w
+    the part of n_i orthogonal to m.  The trace decides which of them lie
+    on this curve: a segment between consecutive vertices brackets one
+    where the tangency n . w changes sign along it (vertex overlap values
+    alone are too noisy to bracket an extremum where the overlap is flat),
+    and the sign of t . (n0 + n1) over its end vertices names which.  Each
+    tangent point is a candidate once, in the order of its first bracket.
     """
     th, ph, tangs = curve.theta, curve.phi, curve.tangency
     closed = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
     if closed:
         th, ph, tangs = th[:-1], ph[:-1], tangs[:-1]
     th, ph, tangs = _drop_repeats(th, ph, tangs)
-    n = th.size
 
-    # segment k joins vertices k and k + 1 (vertex 0 after the last one on a
+    # segment j joins vertices j and j + 1 (vertex 0 after the last one on a
     # closed curve) and brackets an extremum when the tangency changes sign
     # along it, or leaves zero
     cur, nxt = (tangs, np.roll(tangs, -1)) if closed else (tangs[:-1], tangs[1:])
-    k = np.flatnonzero((cur * nxt < 0.0) | ((cur == 0.0) & (nxt != 0.0)))
-    kp = (k + 1) % n
-    found = [_refine_between(p0, p1, m, curve.level, ni, w)
-             for p0, p1 in zip(zip(th[k].tolist(), ph[k].tolist()),
-                               zip(th[kp].tolist(), ph[kp].tolist()))]
-    # adjacent segments can both straddle the same root through vertex noise
-    uniq: list[tuple[float, float, float]] = []
-    for theta, phi, q in found:
-        if all(math.hypot(theta - a, phi - b) > DEDUP_RADIUS
-               for a, b, _ in uniq):
-            uniq.append((theta, phi, q))
-    return [Candidate(canonicalize_axis(theta, phi), q, binary_entropy(q),
-                      curve.component_id) for theta, phi, q in uniq]
+    j = np.flatnonzero((cur * nxt < 0.0) | ((cur == 0.0) & (nxt != 0.0)))
+    # t . n at the segments' first vertices, then at their second ones: a
+    # curve has few brackets (at most two on uniform draws), so in floats
+    ends = np.concatenate((j, (j + 1) % th.size))
+    along = [math.sin(a) * (math.cos(b) * t[0] + math.sin(b) * t[1])
+             + math.cos(a) * t[2]
+             for a, b in zip(th[ends].tolist(), ph[ends].tolist())]
+    k = 2.0 * curve.level - 1.0
+    scale = math.sqrt(1.0 - k * k) / math.hypot(*t)
+    cands = []
+    for s in dict.fromkeys(scale if first + second >= 0.0 else -scale
+                           for first, second in zip(along[:j.size],
+                                                    along[j.size:])):
+        x, y, z = k * m[0] + s * t[0], k * m[1] + s * t[1], k * m[2] + s * t[2]
+        q = min(1.0, max(0.0, 0.5 * (1.0 + x * ni[0] + y * ni[1] + z * ni[2])))
+        cands.append(Candidate(
+            canonicalize_axis(math.atan2(math.hypot(x, y), z), math.atan2(y, x)),
+            q, binary_entropy(q), curve.component_id))
+    return cands
 
 
 def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
@@ -405,8 +311,13 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     zero-entropy extremum, and return the overlap extremum with minimal
     eigenbasis entropy.
 
-    The candidates are the refined interior extrema of every curve; a
-    curve's open ends on the chart edge are never candidates.  A component
+    The candidates are the interior extrema of every curve: each tangent
+    point k m +- sqrt(1 - k^2) t / |t| of a level circle n . m = k, with
+    t = m x (n_i x m), that a sign change of the traced tangency brackets on
+    the curve (see _curve_candidates).  The trace decides which tangent
+    points lie on which component, and so the drops and the status; the
+    route never forms the reflection n* = n_i - 2 c m.  A curve's open ends
+    on the chart edge are never candidates.  A component
     is dropped when one of its candidates has s_up <= EPS_Z, the rule the
     closed form applies to its extremum n*; the dropped components are
     marked by LevelSetCurve.contains_zero_entropy.  The answer is the least
@@ -429,8 +340,9 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
 
     curves = trace_level_sets(s, (p_same, p_flip), cfg, axis_i=i)
     ni, m, w = _bloch_vectors(i, s)
+    t = _cross(m, w)
     all_cands = [c for curve in curves
-                 for c in _curve_candidates(curve, ni, m, w)]
+                 for c in _curve_candidates(curve, ni, m, t)]
     zero_ids = {c.component_id for c in all_cands if c.s_up <= EPS_Z}
     for curve in curves:
         curve.contains_zero_entropy = curve.component_id in zero_ids

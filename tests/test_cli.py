@@ -624,6 +624,16 @@ class TestErrorExit:
         assert (code, out) == (1, "")
         assert err == "error: unknown config fields: ['bogus', 'zeta']\n"
 
+    def test_repeated_field(self, capsys, tmp_path):
+        # json.load alone would run with the last value
+        cfg_path, out_path = run_config(tmp_path)
+        text = cfg_path.read_text()
+        cfg_path.write_text(text[:-1] + ', "theta_i": 1.0}')
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == "error: config repeats field 'theta_i'\n"
+        assert not os.path.exists(out_path)
+
     def test_unwritable_run_trace(self, capsys, tmp_path):
         target = tmp_path / "missing" / "trace.jsonl"
         cfg_path, _ = run_config(tmp_path, out=str(target))

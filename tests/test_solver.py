@@ -29,7 +29,6 @@ from spincollapse import solver
 from spincollapse.cli import AXIS_AGREE_TOL, S_UP_AGREE_TOL
 from spincollapse.entropy import binary_entropy
 from spincollapse.solver import (
-    _brentq,
     EPS_TRIVIAL,
     EPS_Z,
     SolverConfig,
@@ -807,48 +806,69 @@ def angle_between(u, v) -> float:
     return math.atan2(math.sqrt(dot3(cross, cross)), dot3(u, v))
 
 
-class TestRefineBetween:
-    M = state_to_bloch(GENERIC_STATE)
-    NI = axis_to_bloch(GENERIC_AXIS)
-
-    def test_a_chord_end_goes_to_its_nearest_circle_point(self):
-        # with w = 0 the tangency changes sign nowhere on the chord, so the
-        # refinement answers with its first end, projected onto the level
-        # circle n . m = k; the nearest point of that circle lies on the
-        # great circle through m and the end, so its distance from the end
-        # is the difference of their polar angles about m
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            p0 = (rng.uniform(0.01, PI - 0.01), rng.uniform(0.0, PI))
-            p1 = (p0[0] + 0.01, p0[1] + 0.01)
-            level = rng.uniform(0.001, 0.999)
-            k = 2.0 * level - 1.0
-            theta, phi, _ = solver._refine_between(p0, p1, self.M, level,
-                                                   self.NI, (0.0, 0.0, 0.0))
-            n, end = bloch_at(theta, phi), bloch_at(*p0)
-            assert abs(dot3(n, self.M) - k) <= 4.0 * EPS
-            polar = math.atan2(math.sqrt(1.0 - k * k), k)
-            assert angle_between(end, n) == pytest.approx(
-                abs(angle_between(end, self.M) - polar), abs=1e-14)
-
-    def test_refined_points_lie_on_their_circles(self, monkeypatch):
-        refine = solver._refine_between
-        seen = []
-
-        def spy(p0, p1, m, level, ni, w):
-            out = refine(p0, p1, m, level, ni, w)
-            seen.append((out, m, level))
-            return out
-
-        monkeypatch.setattr(solver, "_refine_between", spy)
+class TestTangentPoints:
+    def test_candidates_are_tangent_points_of_their_own_curves(self):
+        # every grid candidate is a tangent point k m +- sqrt(1 - k^2) t / |t|
+        # of its level circle n . m = k: on the circle, where n . w = 0,
+        # within two cell diagonals of a traced vertex of its own component,
+        # and at most one per curve on each side of m
         rng = np.random.default_rng(8)
-        for axis, state in [(GENERIC_AXIS, GENERIC_STATE),
-                            *(random_instance(rng) for _ in range(20))]:
-            solve_collapse(axis, state, SolverConfig(grid_n=256))
-        assert len(seen) > 20
-        for (theta, phi, _), m, level in seen:
-            assert abs(dot3(bloch_at(theta, phi), m) - (2.0 * level - 1.0)) \
-                <= 4.0 * EPS
+        instances = [(GENERIC_AXIS, GENERIC_STATE),
+                     *(random_instance(rng) for _ in range(200))]
+        seen = 0
+        for grid in (64, 256):
+            reach = 2.0 * math.sqrt(2.0) * PI / grid
+            for axis, state in instances:
+                sol = solve_collapse(axis, state, SolverConfig(grid_n=grid))
+                ni, m = axis_to_bloch(axis), state_to_bloch(state)
+                w = np.cross(ni, m)
+                t = np.cross(m, w)
+                curves = {c.component_id: c for c in sol.curves}
+                sides = {}
+                for cand in sol.candidates:
+                    curve = curves[cand.component_id]
+                    n = np.array(axis_to_bloch(cand.axis))
+                    if cand.axis.labels_swapped:
+                        n = -n
+                    assert abs(n.dot(m) - (2.0 * curve.level - 1.0)) \
+                        <= 4.0 * EPS, (axis, state, grid)
+                    assert abs(n.dot(w)) <= 4.0 * EPS, (axis, state, grid)
+                    st = np.sin(curve.theta)
+                    vertices = np.stack((st * np.cos(curve.phi),
+                                         st * np.sin(curve.phi),
+                                         np.cos(curve.theta)), axis=1)
+                    assert np.linalg.norm(vertices - n, axis=1).min() \
+                        <= reach, (axis, state, grid)
+                    sides.setdefault(cand.component_id, []).append(
+                        n.dot(t) > 0.0)
+                    seen += 1
+                for side in sides.values():
+                    assert len(side) == len(set(side)), (axis, state, grid)
+        assert seen > 700
+
+    def test_vertex_noise_gives_one_candidate_per_tangent_point(self):
+        # five vertices around the flip circle's tangent point n*, with a
+        # tangency that changes sign at every segment, as vertex noise can
+        # make it: four brackets, all on one side of m, name one candidate
+        ni = axis_to_bloch(GENERIC_AXIS)
+        m = state_to_bloch(GENERIC_STATE)
+        _, level = constraint_levels(GENERIC_AXIS, GENERIC_STATE)
+        k = 2.0 * level - 1.0
+        r = math.sqrt(1.0 - k * k)
+        t = np.cross(m, np.cross(ni, m))
+        u = t / np.linalg.norm(t)
+        v = np.cross(m, u)
+        points = [k * np.array(m) + r * (math.cos(a) * u + math.sin(a) * v)
+                  for a in (-0.02, -0.01, 0.0, 0.01, 0.02)]
+        theta = np.array([math.atan2(math.hypot(x, y), z) for x, y, z in points])
+        phi = np.array([math.atan2(y, x) for x, y, _ in points])
+        curve = solver.LevelSetCurve(level, theta, phi, np.zeros(5),
+                                     np.array([1.0, -1.0, 1.0, -1.0, 1.0]), 3)
+        (cand,) = solver._curve_candidates(curve, ni, m, tuple(t.tolist()))
+        assert cand.component_id == 3
+        assert np.linalg.norm(np.array(axis_to_bloch(cand.axis)) - points[2]) \
+            <= 4.0 * EPS
+        assert cand.overlap == pytest.approx(1.0 - k * k, abs=4.0 * EPS)
 
 
 def reference_nstar(axis, state) -> tuple[Fraction, Fraction, Fraction]:
@@ -1087,48 +1107,6 @@ class TestSolverConfig:
         assert cfg.grid_n == 1024
         assert cfg.method == "grid"
         assert [f.name for f in dataclasses.fields(cfg)] == ["grid_n", "method"]
-
-
-def brent(f, xa, xb, xtol):
-    return _brentq(f, xa, xb, f(xa), f(xb), xtol)
-
-
-class TestBrentq:
-    def test_analytic_root(self):
-        root = brent(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14)
-        assert root == pytest.approx(0.7390851332151607, abs=1e-14)
-
-    def test_bracket_ends_are_not_evaluated_again(self):
-        probes = []
-
-        def f(x):
-            probes.append(x)
-            return math.cos(x) - x
-
-        _brentq(f, 0.0, 1.0, 1.0, math.cos(1.0) - 1.0, 1e-14)
-        assert probes and 0.0 not in probes and 1.0 not in probes
-
-    def test_root_at_bracket_end(self):
-        assert brent(lambda x: x - 2.0, 0.0, 2.0, 1e-14) == 2.0
-        assert brent(lambda x: x * x - 4.0, -2.0, 0.0, 1e-14) == -2.0
-
-    def test_no_sign_change_is_value_error(self):
-        with pytest.raises(ValueError):
-            brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
-
-    @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 1e-13])
-    def test_converges_within_xtol(self, xtol):
-        for f, lo, hi, root in (
-                (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
-                (lambda x: math.exp(x) - 3.0, -5.0, 5.0, math.log(3.0)),
-                (lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 4.0, 0.3)):
-            x = brent(f, lo, hi, xtol)
-            assert abs(x - root) <= xtol + 4.0 * sys.float_info.epsilon * abs(root)
-
-    def test_iteration_cap_is_runtime_error(self, monkeypatch):
-        monkeypatch.setattr(solver, "BRENT_MAXITER", 2)
-        with pytest.raises(RuntimeError):
-            brent(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14)
 
 
 def test_solving_does_not_import_scipy():

@@ -20,7 +20,9 @@ originals are put back when the measurement ends:
                      before that pass was shared count the tangency under
                      candidates)
     candidates       _curve_candidates over all curves: the sign scan of the
-                     curves' tangency, and the refinement
+                     curves' tangency, and the tangent point of each bracket
+                     (tables made before it was taken in closed form count
+                     a Brent search per bracket)
 
 Each round solves every grid --solves times, grid after grid, and keeps
 each phase's minimum over those solves; the table gives the median of each
