@@ -4,13 +4,17 @@ The admissible final axes form the level sets of the up-overlap probability at
 the two values allowed by entropy conservation.  The final axis extremizes the
 eigenbasis overlap on those curves, excluding the zero-entropy points (overlap
 0 or 1).  Two independent routes are provided: a grid solver and a
-closed-form solver working directly on the Bloch sphere.  The grid solver
-traces the curves by marching squares; a sign change of the tangency
-condition between consecutive polyline vertices brackets an extremum, and
-the extremum itself is the tangent point of its level circle, in closed
-form.  The trace decides which tangent points lie on which component, so
-which components are dropped and the status; the grid route never forms
-the closed form's reflection n*.
+closed-form solver working directly on the Bloch sphere.  On the sphere the
+level sets are two circles whose overlap extrema are four known points: n_i
+and -n* on the same-level circle, n* and -n_i on the flip circle, with n*
+the reflection of n_i that the closed form answers; both routes name n*
+through one helper.  The grid solver traces the curves by marching
+squares, and the trace alone decides which of the four lie on the chart
+and on which component: a sign change of the tangency condition between
+consecutive polyline vertices brackets an extremum, and the bracket's
+vertex overlaps say which of its circle's two it is.  So the trace decides
+the chart presence of each extremum, the dropped components and the
+status, and a Normal answer of either route is the same axis.
 """
 
 from __future__ import annotations
@@ -171,17 +175,11 @@ def _axes_dot(st, ct, sp, cp, v: tuple[float, float, float]):
     return dot
 
 
-def _cross(u: tuple[float, float, float], v: tuple[float, float, float]
-           ) -> tuple[float, float, float]:
-    """The cross product u x v."""
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _bloch_vectors(i: Axis, s: SpinState) -> tuple[tuple[float, float, float], ...]:
     """(n_i, m, w): the axis and state Bloch vectors and w = n_i x m."""
     ni, m = axis_to_bloch(i), state_to_bloch(s)
-    return ni, m, _cross(ni, m)
+    return ni, m, (ni[1] * m[2] - ni[2] * m[1], ni[2] * m[0] - ni[0] * m[2],
+                   ni[0] * m[1] - ni[1] * m[0])
 
 
 def on_chart_edge(theta, phi):
@@ -260,49 +258,48 @@ def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
     return th[keep], ph[keep], *(x[keep] for x in more)
 
 
-def _curve_candidates(curve: LevelSetCurve, ni: tuple[float, float, float],
-                      m: tuple[float, float, float],
-                      t: tuple[float, float, float]) -> list[Candidate]:
-    """The overlap extrema along one curve, each in closed form.
+def _curve_candidates(curve: LevelSetCurve,
+                      extrema: tuple[Candidate, Candidate]) -> list[Candidate]:
+    """Which of its level circle's two overlap extrema, extrema = (highest,
+    lowest), lie on one curve, as candidates with its component id.
 
-    On the level circle n . m = k, k = 2 level - 1, the overlap is extremal
-    at the two tangent points k m +- sqrt(1 - k^2) t / |t|, with t = m x w
-    the part of n_i orthogonal to m.  The trace decides which of them lie
-    on this curve: a segment between consecutive vertices brackets one
-    where the tangency n . w changes sign along it (vertex overlap values
-    alone are too noisy to bracket an extremum where the overlap is flat),
-    and the sign of t . (n0 + n1) over its end vertices names which.  Each
-    tangent point is a candidate once, in the order of its first bracket.
+    A segment between consecutive vertices brackets an extremum where the
+    tangency n . w changes sign along it (vertex overlap values alone are
+    too noisy to bracket one where the overlap is flat).  Along the circle
+    the overlap is affine in t . n, t the part of n_i orthogonal to m, and
+    largest at the highest extremum, so a bracket holds that one when its
+    end vertices' overlaps sum to at least the two extrema's.  Each
+    extremum is a candidate once, in the order of its first bracket.
     """
-    th, ph, tangs = curve.theta, curve.phi, curve.tangency
+    th, ph, qs, tangs = curve.theta, curve.phi, curve.overlap, curve.tangency
     closed = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
     if closed:
-        th, ph, tangs = th[:-1], ph[:-1], tangs[:-1]
-    th, ph, tangs = _drop_repeats(th, ph, tangs)
+        th, ph, qs, tangs = th[:-1], ph[:-1], qs[:-1], tangs[:-1]
+    th, ph, qs, tangs = _drop_repeats(th, ph, qs, tangs)
 
     # segment j joins vertices j and j + 1 (vertex 0 after the last one on a
     # closed curve) and brackets an extremum when the tangency changes sign
     # along it, or leaves zero
     cur, nxt = (tangs, np.roll(tangs, -1)) if closed else (tangs[:-1], tangs[1:])
     j = np.flatnonzero((cur * nxt < 0.0) | ((cur == 0.0) & (nxt != 0.0)))
-    # t . n at the segments' first vertices, then at their second ones: a
-    # curve has few brackets (at most two on uniform draws), so in floats
-    ends = np.concatenate((j, (j + 1) % th.size))
-    along = [math.sin(a) * (math.cos(b) * t[0] + math.sin(b) * t[1])
-             + math.cos(a) * t[2]
-             for a, b in zip(th[ends].tolist(), ph[ends].tolist())]
-    k = 2.0 * curve.level - 1.0
-    scale = math.sqrt(1.0 - k * k) / math.hypot(*t)
-    cands = []
-    for s in dict.fromkeys(scale if first + second >= 0.0 else -scale
-                           for first, second in zip(along[:j.size],
-                                                    along[j.size:])):
-        x, y, z = k * m[0] + s * t[0], k * m[1] + s * t[1], k * m[2] + s * t[2]
-        q = min(1.0, max(0.0, 0.5 * (1.0 + x * ni[0] + y * ni[1] + z * ni[2])))
-        cands.append(Candidate(
-            canonicalize_axis(math.atan2(math.hypot(x, y), z), math.atan2(y, x)),
-            q, binary_entropy(q), curve.component_id))
-    return cands
+    high, low = extrema
+    ends = qs[j] + qs[(j + 1) % qs.size]
+    return [(high if above else low)._replace(component_id=curve.component_id)
+            for above in dict.fromkeys(
+                (ends >= high.overlap + low.overlap).tolist())]
+
+
+def _reflection(ni: tuple[float, float, float], m: tuple[float, float, float],
+                c: float) -> Axis:
+    """The chart axis of n* = n_i - 2 c m, c = n_i . m, with labels_swapped
+    when that is -n*.  theta = atan2(hypot(x, y), z) is exact at the poles,
+    where acos(z) loses half the digits; canonicalize_axis reduces the raw
+    angles as bloch_to_axis_angles would."""
+    x, y, z = (ni[0] - 2.0 * c * m[0], ni[1] - 2.0 * c * m[1],
+               ni[2] - 2.0 * c * m[2])
+    nrm = math.sqrt(x ** 2 + y ** 2 + z ** 2)
+    x, y, z = x / nrm, y / nrm, z / nrm
+    return canonicalize_axis(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
 
 def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
@@ -311,26 +308,21 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     zero-entropy extremum, and return the overlap extremum with minimal
     eigenbasis entropy.
 
-    The candidates are the interior extrema of every curve: each tangent
-    point k m +- sqrt(1 - k^2) t / |t| of a level circle n . m = k, with
-    t = m x (n_i x m), that a sign change of the traced tangency brackets on
-    the curve (see _curve_candidates).  The trace decides which tangent
-    points lie on which component, and so the drops and the status; the
-    route never forms the reflection n* = n_i - 2 c m.  A curve's open ends
-    on the chart edge are never candidates.  A component
-    is dropped when one of its candidates has s_up <= EPS_Z, the rule the
-    closed form applies to its extremum n*; the dropped components are
-    marked by LevelSetCurve.contains_zero_entropy.  The answer is the least
-    (s_up, theta, phi) among the admissible candidates, those with
-    s_up > EPS_Z, wherever they lie.  One list suffices: with c = n_i . m,
-    the extrema on the flip circle {n . m = -c} are n* (overlap 1 - c^2) and
-    -n_i (overlap 0), and on the same-level circle {n . m = c} they are n_i
-    (overlap 1) and -n* (overlap c^2).  So every admissible candidate is n*
-    or its chart representative -n*, both with s_up = f(c^2), whether its
-    component is kept or not; a dropped component holds -n* when n* lies
-    off the chart.  If no component survives the drop, or no candidate is
-    admissible, the configuration is a death point and the axis cannot
-    move.
+    The extrema are four known points, built once per solve.  With
+    c = n_i . m and n* = n_i - 2 c m, the same-level circle {n . m = c}
+    has n_i (overlap 1, s_up 0) and -n* (overlap c^2, s_up f(c^2)); the
+    flip circle {n . m = -c} has n* (overlap 1 - c^2, s_up f(c^2)) and -n_i
+    (overlap 0, s_up 0).  Both directions of a line carry its chart axis,
+    (theta_i, phi_i) or _reflection's, with opposite labels_swapped.  The
+    trace alone decides which extrema lie on the chart and on which
+    component (see _curve_candidates; a curve's open ends on the chart edge
+    are never candidates), and so the drops and the status.  A component
+    is dropped, and marked by LevelSetCurve.contains_zero_entropy, when
+    one of its candidates has s_up <= EPS_Z, the rule the closed form
+    applies to n*.  If no component survives, or no candidate anywhere is
+    admissible (s_up > EPS_Z), the configuration is a death point and the
+    axis cannot move.  Otherwise every admissible candidate is n* or -n*,
+    one line with one s_up, and the answer is n*: the closed form's.
     """
     cfg = cfg or SolverConfig()
     p_same, p_flip = constraint_levels(i, s)
@@ -339,22 +331,29 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
 
     curves = trace_level_sets(s, (p_same, p_flip), cfg, axis_i=i)
-    ni, m, w = _bloch_vectors(i, s)
-    t = _cross(m, w)
-    all_cands = [c for curve in curves
-                 for c in _curve_candidates(curve, ni, m, t)]
-    zero_ids = {c.component_id for c in all_cands if c.s_up <= EPS_Z}
+    ni, m = axis_to_bloch(i), state_to_bloch(s)
+    c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
+    s_star = binary_entropy(min(1.0, max(0.0, c * c)))
+    star = _reflection(ni, m, c)
+    # (highest, lowest) per circle; _curve_candidates sets component ids
+    same = (Candidate(Axis(i.theta, i.phi), 1.0, 0.0, -1),
+            Candidate(Axis(star.theta, star.phi, not star.labels_swapped),
+                      c * c, s_star, -1))
+    flip = (Candidate(star, 1.0 - c * c, s_star, -1),
+            Candidate(Axis(i.theta, i.phi, True), 0.0, 0.0, -1))
+    all_cands = [cand for curve in curves for cand in _curve_candidates(
+        curve, same if curve.level == p_same else flip)]
+    zero_ids = {cand.component_id for cand in all_cands
+                if cand.s_up <= EPS_Z}
     for curve in curves:
         curve.contains_zero_entropy = curve.component_id in zero_ids
 
-    retained_ids = {c.component_id for c in curves} - zero_ids
-    admissible = [c for c in all_cands if c.s_up > EPS_Z]
-    if not retained_ids or not admissible:
+    retained_ids = {curve.component_id for curve in curves} - zero_ids
+    if not retained_ids or not any(cand.s_up > EPS_Z for cand in all_cands):
         return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i,
                                 all_cands, curves)
-    chosen = min(admissible, key=lambda c: (c.s_up, c.axis.theta, c.axis.phi))
-    return CollapseSolution(Status.NORMAL, chosen.axis, chosen.s_up, s_i,
-                            all_cands, curves)
+    return CollapseSolution(Status.NORMAL, star, s_star, s_i, all_cands,
+                            curves)
 
 
 def solve_collapse_closed_form(i: Axis, s: SpinState,
@@ -377,24 +376,19 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     (n_i . y = 0) with m in the plane of n_i and y, c^2 + m_y^2 = 1 exactly,
     and when c m_y < 0 the highest point is 2|c m_y| > 0, well inside the
     chart, while the float sum can round above 1.  The clause alone keeps
-    those instances Normal.  The
-    zero-entropy rule is the grid route's, which drops every component with
-    a zero-entropy extremum: the one through n* then, and always the other
-    circle {n : n . m = c}, whose extremum n_i has overlap 1.  The Trivial
-    and zero-entropy rules are the grid route's: is_trivial and EPS_Z.
+    those instances Normal.  The Trivial and zero-entropy rules are the grid
+    route's, is_trivial and EPS_Z; the latter drops the component through
+    n* then, and always the other circle {n : n . m = c}, whose extremum
+    n_i has overlap 1.
 
-    The answer is n*'s chart representative, by canonicalize_axis: -n* with
-    the labels swapped when n* lies off the chart.
+    The answer is n*'s chart axis by _reflection: -n* with the labels
+    swapped when n* lies off the chart.
 
     cfg is accepted so that one SolverConfig can be passed to either route;
     the closed form reads none of its fields.
     """
     # state_to_bloch, axis_to_bloch and is_trivial inlined: the same
-    # operations in the same order, so the same bits.  The raw angles of n*,
-    # theta = atan2(hypot(x, y), z) (exact at the poles, where acos(z) loses
-    # half the digits) and phi = atan2(y, x), go straight to
-    # canonicalize_axis, whose mod-2pi reduction and pole rule are those of
-    # bloch_to_axis_angles.
+    # operations in the same order, so the same bits as the grid route's
     rho = s.rho
     r = math.sqrt(rho * (1.0 - rho))
     m0, m1, m2 = (2.0 * r * math.cos(s.tau), 2.0 * r * math.sin(s.tau),
@@ -411,10 +405,6 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     if (c * m1 > 0.0 and c * c + m1 * m1 > 1.0) or s_up <= EPS_Z:
         return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i, [], [])
 
-    x, y, z = n0 - 2.0 * c * m0, n1 - 2.0 * c * m1, n2 - 2.0 * c * m2
-    nrm = math.sqrt(x ** 2 + y ** 2 + z ** 2)
-    x, y, z = x / nrm, y / nrm, z / nrm
-    axis_f = canonicalize_axis(math.atan2(math.hypot(x, y), z),
-                               math.atan2(y, x))
+    axis_f = _reflection((n0, n1, n2), (m0, m1, m2), c)
     return CollapseSolution(Status.NORMAL, axis_f, s_up, s_i,
                             [Candidate(axis_f, 1.0 - c * c, s_up, 0)], [])

@@ -507,23 +507,44 @@ class TestSolutionInvariants:
                 assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
 
     def test_routes_name_one_line_on_the_seam(self):
-        # with n* on the seam the routes may name its line at either side
-        # of the chart, (theta, 0) or (pi - theta, just below pi), which
-        # chart angles put 3 rad apart, but never two different lines
+        # with n* on the seam its line has two chart names, (theta, 0) and
+        # (pi - theta, just below pi), 3 rad apart in chart angles, and the
+        # draws reach both; both routes take the name of one reflection
         rng = np.random.default_rng(3)
-        cfg = SolverConfig(grid_n=256)
-        for _ in range(100):
-            axis, state = seam_instance(rng, 0.0)
-            g = solve_collapse(axis, state, cfg)
-            c = solve_collapse_closed_form(axis, state, cfg)
-            assert g.status is c.status is Status.NORMAL
-            assert abs(g.s_up - c.s_up) <= S_UP_AGREE_TOL
-            d = math.hypot(g.axis_f.theta - c.axis_f.theta,
-                           g.axis_f.phi - c.axis_f.phi)
-            if d > AXIS_AGREE_TOL:
-                ng, nc = axis_to_bloch(g.axis_f), axis_to_bloch(c.axis_f)
-                dot = ng[0] * nc[0] + ng[1] * nc[1] + ng[2] * nc[2]
-                assert abs(dot) >= 1.0 - 1e-9, (axis, state)
+        instances = [seam_instance(rng, 0.0) for _ in range(400)]
+        assert routes_agree_exactly(instances, 256) == 400
+        phis = [solve_collapse_closed_form(a, s).axis_f.phi
+                for a, s in instances]
+        assert min(phis) < AXIS_AGREE_TOL and max(phis) > PI - AXIS_AGREE_TOL
+
+
+def answer_bytes(sol) -> bytes:
+    """The IEEE-754 bytes of a solution's final axis, its labels_swapped
+    flag included, and s_up."""
+    return struct.pack("<3d?", sol.axis_f.theta, sol.axis_f.phi, sol.s_up,
+                       sol.axis_f.labels_swapped)
+
+
+def routes_agree_exactly(instances, grid) -> int:
+    """Assert that wherever both routes are Normal they return one final
+    axis and one s_up, bit for bit (both name n* through one reflection);
+    return how many such instances there were."""
+    cfg = SolverConfig(grid_n=grid)
+    normal = 0
+    for axis, state in instances:
+        g = solve_collapse(axis, state, cfg)
+        c = solve_collapse_closed_form(axis, state, cfg)
+        if g.status is c.status is Status.NORMAL:
+            assert answer_bytes(g) == answer_bytes(c), (axis, state, grid)
+            normal += 1
+    return normal
+
+
+@pytest.mark.parametrize("grid", [64, 256])
+def test_normal_answers_are_bit_identical(grid):
+    rng = np.random.default_rng(12)
+    assert routes_agree_exactly([random_instance(rng) for _ in range(300)],
+                                grid) > 220
 
 
 def assert_routes_agree(instance) -> Status:
@@ -781,11 +802,10 @@ class TestRecords:
 
 EPS = sys.float_info.epsilon
 # bounds on the line error of a Normal answer (line_error against
-# reference_nstar); the largest measured at grid 256 were 24.7 EPS for the
-# grid route (REFINEMENT_GAP_INSTANCES["9:2263"]) and 6.1 EPS for the
-# closed form (uniform draws, rng 7), and 8.7 EPS between mirrored answers
-GRID_LINE_ERR = 32.0 * EPS
-CLOSED_LINE_ERR = 8.0 * EPS
+# reference_nstar), which is the same axis on both routes; the largest
+# measured at grid 256 was 6.1 EPS (uniform draws, rng 7), and 8.7 EPS
+# between mirrored answers
+LINE_ERR = 8.0 * EPS
 MIRROR_LINE_ERR = 16.0 * EPS
 
 
@@ -847,28 +867,105 @@ class TestTangentPoints:
         assert seen > 700
 
     def test_vertex_noise_gives_one_candidate_per_tangent_point(self):
-        # five vertices around the flip circle's tangent point n*, with a
-        # tangency that changes sign at every segment, as vertex noise can
-        # make it: four brackets, all on one side of m, name one candidate
+        # five vertices around one of the flip circle's extrema, n* or -n_i,
+        # with a tangency that changes sign at every segment, as vertex
+        # noise can make it: four brackets, all on one side of m, name one
+        # candidate, the extremum they surround
         ni = axis_to_bloch(GENERIC_AXIS)
         m = state_to_bloch(GENERIC_STATE)
         _, level = constraint_levels(GENERIC_AXIS, GENERIC_STATE)
         k = 2.0 * level - 1.0
         r = math.sqrt(1.0 - k * k)
         t = np.cross(m, np.cross(ni, m))
-        u = t / np.linalg.norm(t)
-        v = np.cross(m, u)
-        points = [k * np.array(m) + r * (math.cos(a) * u + math.sin(a) * v)
-                  for a in (-0.02, -0.01, 0.0, 0.01, 0.02)]
-        theta = np.array([math.atan2(math.hypot(x, y), z) for x, y, z in points])
-        phi = np.array([math.atan2(y, x) for x, y, _ in points])
-        curve = solver.LevelSetCurve(level, theta, phi, np.zeros(5),
-                                     np.array([1.0, -1.0, 1.0, -1.0, 1.0]), 3)
-        (cand,) = solver._curve_candidates(curve, ni, m, tuple(t.tolist()))
-        assert cand.component_id == 3
-        assert np.linalg.norm(np.array(axis_to_bloch(cand.axis)) - points[2]) \
-            <= 4.0 * EPS
-        assert cand.overlap == pytest.approx(1.0 - k * k, abs=4.0 * EPS)
+        nstar = solve_collapse_closed_form(GENERIC_AXIS, GENERIC_STATE).axis_f
+        high = solver.Candidate(nstar, 1.0 - k * k, binary_entropy(k * k), -1)
+        low = solver.Candidate(solver.Axis(GENERIC_AXIS.theta,
+                                           GENERIC_AXIS.phi, True),
+                               0.0, 0.0, -1)
+        for side, extremum in ((1.0, high), (-1.0, low)):
+            u = side * t / np.linalg.norm(t)
+            v = np.cross(m, u)
+            points = [k * np.array(m) + r * (math.cos(a) * u + math.sin(a) * v)
+                      for a in (-0.02, -0.01, 0.0, 0.01, 0.02)]
+            theta = np.array([math.atan2(math.hypot(x, y), z)
+                              for x, y, z in points])
+            phi = np.array([math.atan2(y, x) for x, y, _ in points])
+            overlap = np.array([0.5 * (1.0 + p.dot(ni)) for p in points])
+            curve = solver.LevelSetCurve(
+                level, theta, phi, overlap,
+                np.array([1.0, -1.0, 1.0, -1.0, 1.0]), 3)
+            assert solver._curve_candidates(curve, (high, low)) == \
+                [extremum._replace(component_id=3)]
+        # n* is the middle vertex of its five, on the chart
+        assert np.linalg.norm(np.array(axis_to_bloch(nstar)) - k * np.array(m)
+                              - r * t / np.linalg.norm(t)) <= 4.0 * EPS
+
+
+def pole_axis_instances(rng, count):
+    """The pole axis (0, 0) with uniform states: n_i and -n_i both lie on
+    the chart edge theta in {0, pi}, so one solve can hold both."""
+    return [(canonicalize_axis(0.0, 0.0),
+             SpinState(rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * PI)))
+            for _ in range(count)]
+
+
+class TestFourExtrema:
+    """Every candidate is one of the four extrema, built once per solve:
+    n_i and -n* on the same-level circle, n* and -n_i on the flip circle."""
+
+    @staticmethod
+    def instances(seed):
+        rng = np.random.default_rng(seed)
+        return ([random_instance(rng) for _ in range(200)]
+                + pole_axis_instances(rng, 100))
+
+    @pytest.mark.parametrize("grid", [64, 256])
+    def test_axis_candidates_are_exact(self, grid):
+        # a candidate on the axis's line is n_i (overlap 1) or -n_i (overlap
+        # 0), with s_up 0 and named (theta_i, phi_i), labels swapped for -n_i
+        exact = 0
+        for axis, state in self.instances(13):
+            sol = solve_collapse(axis, state, SolverConfig(grid_n=grid))
+            ni = axis_to_bloch(axis)
+            for cand in sol.candidates:
+                if abs(dot3(axis_to_bloch(cand.axis), ni)) < 1.0 - 1e-9:
+                    continue
+                assert cand.overlap in (0.0, 1.0), (axis, state)
+                assert cand.s_up == 0.0
+                assert cand.axis == solver.Axis(axis.theta, axis.phi,
+                                                cand.overlap == 0.0)
+                exact += 1
+        assert exact > 200
+
+    def test_components_through_the_axis_hold_it(self):
+        # away from the chart edge n_i lies inside the chart, on a traced
+        # same-level component, and that component holds n_i's candidate
+        for grid in (64, 256):
+            for axis, state in nondegenerate_instances(seed=14, count=60):
+                sol = solve_collapse(axis, state, SolverConfig(grid_n=grid))
+                assert solver.Candidate(solver.Axis(axis.theta, axis.phi),
+                                        1.0, 0.0, 0) in [
+                    c._replace(component_id=0) for c in sol.candidates], \
+                    (axis, state, grid)
+
+    @pytest.mark.parametrize("grid", [64, 256])
+    def test_one_line_has_one_name(self, grid):
+        # two candidates on one line have equal angles, and opposite flags
+        # when they are its two directions; pole axes hold +-n_i at once
+        pairs = 0
+        for axis, state in self.instances(15):
+            sol = solve_collapse(axis, state, SolverConfig(grid_n=grid))
+            for i, a in enumerate(sol.candidates):
+                for b in sol.candidates[i + 1:]:
+                    na, nb = axis_to_bloch(a.axis), axis_to_bloch(b.axis)
+                    if abs(dot3(na, nb)) < 1.0 - 1e-9:
+                        continue
+                    assert (a.axis.theta, a.axis.phi) == \
+                        (b.axis.theta, b.axis.phi), (axis, state)
+                    assert (a.axis.labels_swapped != b.axis.labels_swapped) \
+                        == (a.overlap != b.overlap), (axis, state)
+                    pairs += a.overlap != b.overlap
+        assert pairs > 3
 
 
 def reference_nstar(axis, state) -> tuple[Fraction, Fraction, Fraction]:
@@ -926,14 +1023,12 @@ class TestLineError:
         normal = 0
         for axis, state in instances:
             ref = None
-            for route, bound in ((solve_collapse, GRID_LINE_ERR),
-                                 (solve_collapse_closed_form,
-                                  CLOSED_LINE_ERR)):
+            for route in (solve_collapse, solve_collapse_closed_form):
                 sol = route(axis, state, cfg)
                 if sol.status is Status.NORMAL:
                     ref = ref or reference_nstar(axis, state)
                     assert line_error(axis_to_bloch(sol.axis_f), ref) \
-                        <= bound, (route.__name__, axis, state)
+                        <= LINE_ERR, (route.__name__, axis, state)
                     normal += 1
         return normal
 

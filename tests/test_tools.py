@@ -87,6 +87,45 @@ def test_digest_covers_the_label_swap(capsys, monkeypatch):
     assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
 
 
+def disagreements(capsys, *argv) -> int:
+    """The last count of the digest's stderr line."""
+    assert solve_digest.main(list(argv)) == 0
+    err = capsys.readouterr().err
+    return int(re.search(r", (\d+) disagreements; [\d.]+ s\n$", err)[1])
+
+
+def test_digest_counts_route_disagreements(capsys, monkeypatch):
+    # the routes agree on this corpus; a closed form that flips the swap
+    # flag of every Normal answer and turns every other status into
+    # Trivial then disagrees on every instance
+    assert disagreements(capsys, "--seed", "3", "--grids", "64:20") == 0
+    closed_form = solver.solve_collapse_closed_form
+    normal = []
+
+    def changed(axis, state):
+        sol = closed_form(axis, state)
+        if sol.status is solver.Status.NORMAL:
+            normal.append(sol)
+            return dataclasses.replace(sol, axis_f=dataclasses.replace(
+                sol.axis_f, labels_swapped=not sol.axis_f.labels_swapped))
+        return dataclasses.replace(sol, status=solver.Status.TRIVIAL)
+
+    monkeypatch.setattr(solver, "solve_collapse_closed_form", changed)
+    assert disagreements(capsys, "--seed", "3", "--grids", "64:20") == 20
+    assert 0 < len(normal) < 20
+    # a grid answer one ulp off the closed form's s_up is a disagreement
+    monkeypatch.setattr(solver, "solve_collapse_closed_form", closed_form)
+    grid_route = solver.solve_collapse
+
+    def nudged(axis, state, cfg):
+        sol = grid_route(axis, state, cfg)
+        return dataclasses.replace(sol, s_up=math.nextafter(sol.s_up, 1.0))
+
+    monkeypatch.setattr(solver, "solve_collapse", nudged)
+    assert disagreements(capsys, "--seed", "3", "--grids", "64:20") == \
+        len(normal)
+
+
 def test_digest_corpus_reaches_missed_split_rows():
     # every fourth instance has its axis on node angles, which puts its
     # levels at about node values; the draws are those of a uniform corpus

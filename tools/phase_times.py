@@ -20,9 +20,10 @@ originals are put back when the measurement ends:
                      before that pass was shared count the tangency under
                      candidates)
     candidates       _curve_candidates over all curves: the sign scan of the
-                     curves' tangency, and the tangent point of each bracket
-                     (tables made before it was taken in closed form count
-                     a Brent search per bracket)
+                     curves' tangency, and which of its circle's two known
+                     extrema each bracket holds (tables made before the
+                     extrema were taken in closed form count a Brent search
+                     per bracket)
 
 Each round solves every grid --solves times, grid after grid, and keeps
 each phase's minimum over those solves; the table gives the median of each

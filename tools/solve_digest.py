@@ -36,6 +36,10 @@ per tree, with the same flags:
     git worktree remove ../parent
 
 The digest goes to stdout; the package path and the counts go to stderr.
+The last count, disagreements, is the number of instances where the two
+routes' statuses differ, or where both are Normal and their final axes
+(angles and `labels_swapped`) or `s_up` are not bit-identical; an instance
+where a route raised is counted among the errors instead.
 """
 
 from __future__ import annotations
@@ -121,6 +125,13 @@ def add_solution(digest: Digest, sol, counts: dict) -> None:
     counts["candidates"] += len(sol.candidates)
 
 
+def answer_bytes(sol) -> bytes:
+    """The IEEE-754 bytes of a solution's final axis and s_up."""
+    axis = sol.axis_f
+    return struct.pack("<3d?", axis.theta, axis.phi, sol.s_up,
+                       axis.labels_swapped)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -130,17 +141,18 @@ def main(argv: list[str] | None = None) -> int:
 
     import spincollapse
     from spincollapse.bloch import SpinState, canonicalize_axis
-    from spincollapse.solver import (SolverConfig, solve_collapse,
+    from spincollapse.solver import (SolverConfig, Status, solve_collapse,
                                      solve_collapse_closed_form)
 
     digest = Digest()
     counts = {"instances": 0, "errors": 0, "curves": 0, "vertices": 0,
-              "candidates": 0}
+              "candidates": 0, "disagreements": 0}
     start = time.perf_counter()
     for grid, theta, phi, rho, tau in instances(args.seed,
                                                  parse_grids(args.grids)):
         axis, state = canonicalize_axis(theta, phi), SpinState(rho, tau)
         digest.text(grid)
+        sol = closed = None
         try:
             sol = solve_collapse(axis, state, SolverConfig(grid_n=grid))
         except Exception as exc:  # part of the compared behaviour
@@ -155,6 +167,11 @@ def main(argv: list[str] | None = None) -> int:
             counts["errors"] += 1
         else:
             add_solution(digest, closed, counts)
+        if sol is not None and closed is not None and (
+                sol.status is not closed.status
+                or (sol.status is Status.NORMAL
+                    and answer_bytes(sol) != answer_bytes(closed))):
+            counts["disagreements"] += 1
         counts["instances"] += 1
     print(digest.hash.hexdigest())
     print(f"spincollapse from {spincollapse.__file__}; "
