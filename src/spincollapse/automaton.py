@@ -10,9 +10,9 @@ trivial or death-point configuration halts it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
+from ._values import Record
 from .bloch import Axis, SpinState, eigenstate_as_state
 from .entropy import collapse_entropies
 from .pfn import BoolExpr, BoolProjection, HistoryError, decide_outcome, \
@@ -21,18 +21,25 @@ from .solver import CollapseSolution, SolverConfig, Status, \
     solve_collapse, solve_collapse_closed_form
 
 
-@dataclass
-class StepRecord:
-    step_index: int
-    state_before: SpinState
-    axis_before: Axis
-    status: Status
-    axis_after: Axis
-    outcome: Optional[int]
-    state_after: SpinState
-    s_i: float
-    s_up: float
-    world_id: str
+class StepRecord(Record):
+    __slots__ = ("step_index", "state_before", "axis_before", "status",
+                 "axis_after", "outcome", "state_after", "s_i", "s_up",
+                 "world_id")
+
+    def __init__(self, step_index: int, state_before: SpinState,
+                 axis_before: Axis, status: Status, axis_after: Axis,
+                 outcome: Optional[int], state_after: SpinState, s_i: float,
+                 s_up: float, world_id: str):
+        self.step_index = step_index
+        self.state_before = state_before
+        self.axis_before = axis_before
+        self.status = status
+        self.axis_after = axis_after
+        self.outcome = outcome
+        self.state_after = state_after
+        self.s_i = s_i
+        self.s_up = s_up
+        self.world_id = world_id
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,23 +60,29 @@ class StepRecord:
         }
 
 
-@dataclass
-class RunResult:
-    records: list[StepRecord]
-    halted: bool
-    halt_reason: str  # death_point | trivial | max_steps
-    death_step: Optional[int] = None
+class RunResult(Record):
+    __slots__ = ("records", "halted", "halt_reason", "death_step")
+
+    def __init__(self, records: list[StepRecord], halted: bool,
+                 halt_reason: str, death_step: Optional[int] = None):
+        self.records = records
+        self.halted = halted
+        self.halt_reason = halt_reason  # death_point | trivial | max_steps
+        self.death_step = death_step
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r.to_json_dict(), sort_keys=False) + "\n"
                        for r in self.records)
 
 
-@dataclass
-class WorldSwitch:
-    step_index: int
-    old_world_id: str
-    new_world_id: str
+class WorldSwitch(Record):
+    __slots__ = ("step_index", "old_world_id", "new_world_id")
+
+    def __init__(self, step_index: int, old_world_id: str,
+                 new_world_id: str):
+        self.step_index = step_index
+        self.old_world_id = old_world_id
+        self.new_world_id = new_world_id
 
 
 _HALT_REASONS = {Status.TRIVIAL: "trivial", Status.DEATH_POINT: "death_point"}

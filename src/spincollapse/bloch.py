@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+from ._values import Value
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, init=False)
-class Axis:
+class Axis(Value, namedtuple("Axis", ("theta", "phi", "labels_swapped"))):
     """A measurement axis on the restricted chart.
 
     theta, phi are radians in [0, pi).  labels_swapped is True when
@@ -24,39 +25,31 @@ class Axis:
     up/down eigenvector labels.
     """
 
-    theta: float
-    phi: float
-    labels_swapped: bool = False
+    __slots__ = ()
 
-    def __init__(self, theta: float, phi: float, labels_swapped: bool = False):
+    def __new__(cls, theta: float, phi: float, labels_swapped: bool = False):
         if not (0.0 <= theta < math.pi):
             raise ValueError(f"theta out of chart: {theta}")
         if not (0.0 <= phi < math.pi):
             raise ValueError(f"phi out of chart: {phi}")
         if theta == 0.0 and phi != 0.0:
             raise ValueError("pole convention: theta=0 requires phi=0")
-        # the frozen class's __setattr__ raises, but its __dict__ takes
-        # stores, at half the cost of three object.__setattr__ calls
-        fields = self.__dict__
-        fields["theta"] = theta
-        fields["phi"] = phi
-        fields["labels_swapped"] = labels_swapped
+        return tuple.__new__(cls, (theta, phi, labels_swapped))
 
 
-@dataclass(frozen=True)
-class SpinState:
+class SpinState(Value, namedtuple("SpinState", ("rho", "tau"))):
     """A pure spin state (sqrt(rho) e^{-i tau}, sqrt(1-rho))."""
 
-    rho: float
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho out of [0,1]: {self.rho}")
-        if not (0.0 <= self.tau < TWO_PI):
-            raise ValueError(f"tau out of [0, 2pi): {self.tau}")
-        if self.rho in (0.0, 1.0) and self.tau != 0.0:
+    def __new__(cls, rho: float, tau: float):
+        if not (0.0 <= rho <= 1.0):
+            raise ValueError(f"rho out of [0,1]: {rho}")
+        if not (0.0 <= tau < TWO_PI):
+            raise ValueError(f"tau out of [0, 2pi): {tau}")
+        if rho in (0.0, 1.0) and tau != 0.0:
             raise ValueError("canonical phase: rho in {0,1} requires tau=0")
+        return tuple.__new__(cls, (rho, tau))
 
 
 def canonicalize_axis(theta_raw: float, phi_raw: float) -> Axis:

@@ -11,9 +11,9 @@ tolerance.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
+import os
 import sys
 
 # every subcommand imports the modules it uses when it runs, so a request
@@ -320,15 +320,23 @@ def entry() -> int:
     """The process entry of `python -m spincollapse.cli` and of the
     `spincollapse` console script: main() on the process's arguments.
 
-    The process ends right after, so every object left, numpy's import-time
-    heap the largest part, is frozen first: the interpreter's collections at
-    exit then skip them.  main() itself leaves the collector alone, since
-    tests and benchmarks call it in long-lived processes.
+    Once main() returns a code, stdout and stderr are flushed and the
+    process ends at once with that code, skipping interpreter teardown:
+    nothing is left to run at exit, and tearing down the modules and heap
+    the imports built, numpy's included, is a fixed cost of every request.
+    A SystemExit or an exception from main() ends the process the usual
+    way, and so does a failed flush, which the interpreter's exit then
+    reports as it always has.  main() itself neither flushes nor exits,
+    since tests and benchmarks call it in long-lived processes.
     """
+    code = main()
     try:
-        return main()
-    finally:
-        gc.freeze()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
+from ._values import Value
 from .bloch import Axis
 
 MAX_MEMORY_DEPTH = 4
@@ -30,13 +31,14 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 # expression AST
 
 class BoolExpr:
+    __slots__ = ()
+
     def __call__(self, env: dict[str, int]) -> int:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Const(BoolExpr):
-    value: int
+class Const(BoolExpr, Value, namedtuple("Const", ("value",))):
+    __slots__ = ()
 
     def __call__(self, env):
         return self.value
@@ -45,9 +47,8 @@ class Const(BoolExpr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Var(BoolExpr):
-    name: str
+class Var(BoolExpr, Value, namedtuple("Var", ("name",))):
+    __slots__ = ()
 
     def __call__(self, env):
         return env[self.name]
@@ -56,9 +57,8 @@ class Var(BoolExpr):
         return self.name
 
 
-@dataclass(frozen=True)
-class Not(BoolExpr):
-    arg: BoolExpr
+class Not(BoolExpr, Value, namedtuple("Not", ("arg",))):
+    __slots__ = ()
 
     def __call__(self, env):
         return 1 - self.arg(env)
@@ -75,12 +75,10 @@ _RANK = {sym: rank for rank, (sym, _) in enumerate(_OPERATORS)}
 _APPLY = dict(_OPERATORS)
 
 
-@dataclass(frozen=True)
-class Op(BoolExpr):
+class Op(BoolExpr, Value, namedtuple("Op", ("op", "args"))):
     """The operator op folded left to right over two or more operands."""
 
-    op: str
-    args: tuple[BoolExpr, ...]
+    __slots__ = ()
 
     def __call__(self, env):
         return reduce(_APPLY[self.op], (a(env) for a in self.args))
@@ -217,23 +215,22 @@ def render(e: BoolExpr) -> str:
 # ---------------------------------------------------------------------------
 # truth tables
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Value, namedtuple("TruthTable", ("memory_depth", "bits"))):
     """Exhaustive value table over the fixed variable order, row 0 being the
     all-zero assignment and x the most significant bit."""
 
-    memory_depth: int
-    bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.memory_depth
+    def __new__(cls, memory_depth: int, bits: tuple[int, ...]):
+        n = memory_depth
         _check_memory_depth(n)
-        if len(self.bits) != 1 << (2 + 3 * n):
+        if len(bits) != 1 << (2 + 3 * n):
             raise ValueError(
                 f"table for depth {n} needs {1 << (2 + 3 * n)} rows, "
-                f"got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
+                f"got {len(bits)}")
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("table entries must be bits")
+        return tuple.__new__(cls, (memory_depth, bits))
 
     def to_hex(self) -> str:
         value = 0
@@ -306,14 +303,13 @@ def to_cnf(t: TruthTable) -> BoolExpr:
 # ---------------------------------------------------------------------------
 # projections and outcomes
 
-@dataclass(frozen=True)
-class BoolProjection:
-    xi: int
-    eta: int
+class BoolProjection(Value, namedtuple("BoolProjection", ("xi", "eta"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.xi not in (0, 1) or self.eta not in (0, 1):
+    def __new__(cls, xi: int, eta: int):
+        if xi not in (0, 1) or eta not in (0, 1):
             raise ValueError("projection bits must be 0 or 1")
+        return tuple.__new__(cls, (xi, eta))
 
 
 def _step(x: float) -> int:
@@ -353,13 +349,13 @@ def decide_outcome(e: BoolExpr, axis_f: Axis,
 # ---------------------------------------------------------------------------
 # geometric outcome probabilities
 
-@dataclass(frozen=True)
-class Measure:
-    kind: str  # chart_uniform | sphere_area
+class Measure(Value, namedtuple("Measure", ("kind",))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("chart_uniform", "sphere_area"):
-            raise ValueError(f"unknown measure {self.kind!r}")
+    def __new__(cls, kind: str):  # chart_uniform | sphere_area
+        if kind not in ("chart_uniform", "sphere_area"):
+            raise ValueError(f"unknown measure {kind!r}")
+        return tuple.__new__(cls, (kind,))
 
 
 CHART_UNIFORM = Measure("chart_uniform")

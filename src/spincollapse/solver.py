@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +35,7 @@ from .bloch import (
     state_to_bloch,
     up_overlap_prob,
 )
+from ._values import Record, Value
 from .contour import marching_squares
 from .entropy import binary_entropy
 
@@ -51,40 +52,50 @@ class Status(enum.Enum):
     TRIVIAL = "Trivial"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    grid_n: int = 1024
-    method: str = "grid"  # grid | closed_form: the automaton's route
+class SolverConfig(Value, namedtuple("SolverConfig", ("grid_n", "method"))):
+    """grid_n is the grid route's samples per chart dimension; method is
+    the route the automaton solves with, grid or closed_form."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, grid_n: int = 1024, method: str = "grid"):
         # a float or a string would pass or fail the range test by accident
         # and break the solve later; a bool is not a grid size
-        if (isinstance(self.grid_n, bool)
-                or not isinstance(self.grid_n, (int, np.integer))):
-            raise ValueError(f"grid_n must be an integer, not {self.grid_n!r}")
-        if not 64 <= self.grid_n <= GRID_N_MAX:
+        if (isinstance(grid_n, bool)
+                or not isinstance(grid_n, (int, np.integer))):
+            raise ValueError(f"grid_n must be an integer, not {grid_n!r}")
+        if not 64 <= grid_n <= GRID_N_MAX:
             raise ValueError(f"grid_n must be in [64, {GRID_N_MAX}]")
-        if self.method not in ("grid", "closed_form"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if method not in ("grid", "closed_form"):
+            raise ValueError(f"unknown method {method!r}")
+        return tuple.__new__(cls, (grid_n, method))
 
 
-@dataclass(eq=False)
-class LevelSetCurve:
+class LevelSetCurve(Record):
     """One polyline of a level set, as four float arrays over its vertices:
     the chart angles theta and phi, the eigenbasis overlap with the initial
     axis, and the tangency n . (n_i x m), whose sign changes between
     vertices bracket the overlap's extrema along the curve.  A closed loop
     repeats its first vertex at the end.  contains_zero_entropy is set by
     solve_collapse, for a component with a zero-entropy extremum;
-    trace_level_sets leaves it False."""
+    trace_level_sets leaves it False.  Curves are equal only to
+    themselves."""
 
-    level: float
-    theta: np.ndarray
-    phi: np.ndarray
-    overlap: np.ndarray
-    tangency: np.ndarray
-    component_id: int
-    contains_zero_entropy: bool = False
+    __slots__ = ("level", "theta", "phi", "overlap", "tangency",
+                 "component_id", "contains_zero_entropy")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, level: float, theta: np.ndarray, phi: np.ndarray,
+                 overlap: np.ndarray, tangency: np.ndarray,
+                 component_id: int, contains_zero_entropy: bool = False):
+        self.level = level
+        self.theta = theta
+        self.phi = phi
+        self.overlap = overlap
+        self.tangency = tangency
+        self.component_id = component_id
+        self.contains_zero_entropy = contains_zero_entropy
 
     @property
     def vertices(self) -> list[tuple[float, float, float, float]]:
@@ -104,14 +115,21 @@ class Candidate(NamedTuple):
     component_id: int
 
 
-@dataclass(slots=True)
-class CollapseSolution:
-    status: Status
-    axis_f: Axis
-    s_up: float
-    s_i: float
-    candidates: list[Candidate] = field(default_factory=list)
-    curves: list[LevelSetCurve] = field(default_factory=list)
+class CollapseSolution(Record):
+    """A solve's answer.  Each solution has its own candidates and curves
+    lists, empty unless given."""
+
+    __slots__ = ("status", "axis_f", "s_up", "s_i", "candidates", "curves")
+
+    def __init__(self, status: Status, axis_f: Axis, s_up: float, s_i: float,
+                 candidates: list[Candidate] | None = None,
+                 curves: list[LevelSetCurve] | None = None):
+        self.status = status
+        self.axis_f = axis_f
+        self.s_up = s_up
+        self.s_i = s_i
+        self.candidates = [] if candidates is None else candidates
+        self.curves = [] if curves is None else curves
 
 
 class DegenerateGridError(RuntimeError):

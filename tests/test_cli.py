@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import spincollapse
+from spincollapse import cli
 from spincollapse.cli import main
 from spincollapse.pfn import MAX_NESTING
 
@@ -707,6 +708,24 @@ ENTRY_CASES = [
 ]
 
 
+# the two ways a process reaches cli.entry
+FORMS = ["module", "script"]
+
+
+def entry_flags(form: str) -> list[str]:
+    """The python flags that start the process entry: the module run, or
+    what the script that pip writes for pyproject's console-script target
+    does."""
+    if form == "module":
+        return ["-m", "spincollapse.cli"]
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["spincollapse"]
+    module, func = target.split(":")
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
 class TestProcessEntry:
     """A process started either way answers as main() does in-process."""
 
@@ -722,23 +741,93 @@ class TestProcessEntry:
 
     @pytest.mark.parametrize("argv, code", ENTRY_CASES)
     def test_console_script_matches_main(self, capsys, argv, code):
-        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
-        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
-        with open(pyproject, "rb") as fh:
-            target = tomllib.load(fh)["project"]["scripts"]["spincollapse"]
-        module, func = target.split(":")
-        # what the script that pip writes for the target does
-        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        flags = entry_flags("script")
         expected = self.expect(capsys, argv, code)
-        assert run_python("-c", script, *argv) == expected
+        assert run_python(*flags, *argv) == expected
 
-    def test_main_freezes_nothing(self, capsys, tmp_path):
-        # only the process entry freezes the heap; main() runs inside
-        # long-lived processes
+    @pytest.mark.parametrize("form", FORMS)
+    def test_help_matches_main(self, capsys, monkeypatch, form):
+        # argparse wraps the help to COLUMNS, in both processes alike
+        monkeypatch.setenv("COLUMNS", "80")
+        flags = entry_flags(form)
+        expected = self.expect(capsys, ["--help"], 0)
+        assert expected[1].startswith(b"usage: spincollapse")
+        assert run_python(*flags, "--help") == expected
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_grid_run_matches_main(self, capsys, tmp_path, form):
+        flags = entry_flags(form)
+        cfg_path, out_path = run_config(tmp_path)
+        expected = self.expect(capsys, ["run", str(cfg_path)], 0)
+        jsonl = pathlib.Path(out_path).read_bytes()
+        os.remove(out_path)
+        assert run_python(*flags, "run", str(cfg_path)) == expected
+        assert pathlib.Path(out_path).read_bytes() == jsonl
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("argv, code", ENTRY_CASES)
+    def test_output_to_files_is_flushed(self, capsys, tmp_path, form, argv,
+                                        code):
+        # without PYTHONUNBUFFERED, stdout to a file is block-buffered: its
+        # bytes reach the file only if they are flushed before the exit
+        flags = entry_flags(form)
+        expected = self.expect(capsys, argv, code)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[1] / "src")
+        out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
+        with open(out_path, "wb") as out, open(err_path, "wb") as err:
+            proc = subprocess.run([sys.executable, *flags, *argv], stdout=out,
+                                  stderr=err, env=env, timeout=120)
+        assert (proc.returncode, out_path.read_bytes(),
+                err_path.read_bytes()) == expected
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX pipe semantics")
+    def test_failed_flush_exits_as_the_interpreter_does(self):
+        # stdout is a pipe nobody reads: the flush fails, and the
+        # interpreter's exit reports it and exits 120, as it always has
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[1] / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *entry_flags("module"), "pfn", "table",
+                 "--expr", "x|y"], stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120
+        assert b"BrokenPipeError" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    def test_entry_exits_with_the_code_of_main(self, capsys, monkeypatch):
+        exits = []
+        monkeypatch.setattr(cli.os, "_exit", exits.append)
+        monkeypatch.setattr(sys, "argv",
+                            ["spincollapse", "solve", *GENERIC, "--grid", "63"])
+        cli.entry()
+        assert exits == [1]
+        # a SystemExit from main() leaves as it always has
+        monkeypatch.setattr(sys, "argv", ["spincollapse", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert (exc.value.code, exits) == (0, [1])
+        capsys.readouterr()
+
+    def test_main_returns_and_leaves_the_process_alone(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # only the process entry ends the process; main() runs inside
+        # long-lived processes, and leaves their collector as it was
+        def no_exit(code):
+            raise AssertionError(f"main() ended the process with {code}")
+
+        monkeypatch.setattr(cli.os, "_exit", no_exit)
         cfg_path, _ = run_config(tmp_path)
-        frozen = gc.get_freeze_count()
-        for argv in (["solve", *GENERIC, "--grid", "256"],
-                     ["run", str(cfg_path)],
-                     ["pfn", "table", "--expr", "x|y"]):
-            assert run_cli(capsys, *argv)[0] == 0
-            assert gc.get_freeze_count() == frozen
+        collector = (gc.isenabled(), gc.get_freeze_count())
+        for argv, code in ((["solve", *GENERIC, "--grid", "256"], 0),
+                           (["solve", *GENERIC, "--grid", "63"], 1),
+                           (["run", str(cfg_path)], 0),
+                           (["pfn", "table", "--expr", "x|y"], 0)):
+            assert main(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == collector
+        capsys.readouterr()

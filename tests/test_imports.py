@@ -88,3 +88,31 @@ class TestSubcommandImports:
         assert "spincollapse.pfn" in loaded
         assert "numpy" not in loaded
         assert "spincollapse.solver" not in loaded
+
+
+class TestNoClassFactory:
+    """The value types are plain class statements, so no request loads
+    dataclasses, whose class factory generates code at import, nor, for
+    the numpy-free policy commands, the inspect module that dataclasses
+    loads."""
+
+    def test_requests_load_no_dataclasses(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "theta_i": 0.7853981633974483, "phi_i": 1.5707963267948966,
+            "rho": 0.4, "tau": 0.0, "pfn": "x|y", "memory_depth": 0,
+            "max_steps": 10, "grid_n": 256, "method": "grid", "seed": 0,
+            "out": str(tmp_path / "run.jsonl")}))
+        for argv in (["solve", *GENERIC], ["run", str(config)],
+                     ["trace", *GENERIC, "--out", str(tmp_path / "t.csv")],
+                     ["pfn", "table", "--expr", "x|y"]):
+            assert "dataclasses" not in loaded_after_main(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["pfn", "table", "--expr", "x|y"], id="table"),
+        pytest.param(["pfn", "prob", "--expr", "x|y"], id="analytic-prob"),
+    ])
+    def test_policy_commands_load_no_inspect(self, argv):
+        loaded = loaded_after_main(argv)
+        assert "inspect" not in loaded
+        assert "dataclasses" not in loaded

@@ -1,7 +1,6 @@
 """Collapse solver: level-set tracing, status classification, grid vs
 closed-form agreement, and the pinned worked instances."""
 
-import dataclasses
 import math
 import os
 import struct
@@ -745,8 +744,8 @@ class TestClosedFormArithmetic:
 
 
 class TestRecords:
-    """Candidate is a NamedTuple, Axis a frozen dataclass and
-    CollapseSolution a slotted dataclass; these pin what callers may rely
+    """Candidate is a NamedTuple, Axis an immutable value and
+    CollapseSolution a slotted record; these pin what callers may rely
     on."""
 
     AXIS = canonicalize_axis(0.862, 1.197)
@@ -778,7 +777,7 @@ class TestRecords:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         assert a != b._replace(component_id=4)
-        assert a.axis != dataclasses.replace(a.axis, labels_swapped=True)
+        assert a.axis != a.axis._replace(labels_swapped=True)
 
     def test_solutions_do_not_share_default_lists(self):
         first = solver.CollapseSolution(Status.TRIVIAL, self.AXIS, 0.0, 0.5)
@@ -797,7 +796,7 @@ class TestRecords:
         with pytest.raises(ValueError):
             solver.Axis(theta, phi)
         with pytest.raises(ValueError):
-            dataclasses.replace(self.AXIS, theta=theta, phi=phi)
+            self.AXIS._replace(theta=theta, phi=phi)
 
 
 EPS = sys.float_info.epsilon
@@ -1201,7 +1200,7 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.grid_n == 1024
         assert cfg.method == "grid"
-        assert [f.name for f in dataclasses.fields(cfg)] == ["grid_n", "method"]
+        assert cfg._fields == ("grid_n", "method")
 
 
 def test_solving_does_not_import_scipy():

@@ -1,7 +1,7 @@
-"""tools/: one digest over a seeded corpus solved by both routes, and the
-per-phase timing table with its closed-form row."""
+"""tools/: one digest over a seeded corpus solved by both routes, the
+per-phase timing table with its closed-form row, and the CLI start-up
+table."""
 
-import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -13,7 +13,7 @@ import pytest
 from spincollapse import contour, solver
 from spincollapse.bloch import SpinState, canonicalize_axis
 
-from conftest import missed_rows
+from conftest import missed_rows, run_python
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -49,7 +49,7 @@ def test_digest_covers_the_closed_form(capsys, monkeypatch):
 
     def shifted(axis, state):
         sol = closed_form(axis, state)
-        return dataclasses.replace(sol, s_i=math.nextafter(sol.s_i, 1.0))
+        return sol._replace(s_i=math.nextafter(sol.s_i, 1.0))
 
     monkeypatch.setattr(solver, "solve_collapse_closed_form", shifted)
     assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
@@ -78,8 +78,8 @@ def test_digest_covers_the_label_swap(capsys, monkeypatch):
 
     def swapped(axis, state, cfg):
         sol = grid_route(axis, state, cfg)
-        sol.candidates = [c._replace(axis=dataclasses.replace(
-            c.axis, labels_swapped=not c.axis.labels_swapped))
+        sol.candidates = [c._replace(axis=c.axis._replace(
+            labels_swapped=not c.axis.labels_swapped))
             for c in sol.candidates]
         return sol
 
@@ -106,9 +106,9 @@ def test_digest_counts_route_disagreements(capsys, monkeypatch):
         sol = closed_form(axis, state)
         if sol.status is solver.Status.NORMAL:
             normal.append(sol)
-            return dataclasses.replace(sol, axis_f=dataclasses.replace(
-                sol.axis_f, labels_swapped=not sol.axis_f.labels_swapped))
-        return dataclasses.replace(sol, status=solver.Status.TRIVIAL)
+            return sol._replace(axis_f=sol.axis_f._replace(
+                labels_swapped=not sol.axis_f.labels_swapped))
+        return sol._replace(status=solver.Status.TRIVIAL)
 
     monkeypatch.setattr(solver, "solve_collapse_closed_form", changed)
     assert disagreements(capsys, "--seed", "3", "--grids", "64:20") == 20
@@ -119,7 +119,7 @@ def test_digest_counts_route_disagreements(capsys, monkeypatch):
 
     def nudged(axis, state, cfg):
         sol = grid_route(axis, state, cfg)
-        return dataclasses.replace(sol, s_up=math.nextafter(sol.s_up, 1.0))
+        return sol._replace(s_up=math.nextafter(sol.s_up, 1.0))
 
     monkeypatch.setattr(solver, "solve_collapse", nudged)
     assert disagreements(capsys, "--seed", "3", "--grids", "64:20") == \
@@ -202,3 +202,20 @@ def test_phase_times_prints_one_row_per_grid(capsys):
     # the solver's bindings are the originals again
     assert {name: getattr(solver, name) for name in bindings} == bindings
     assert solver.marching_squares is contour.marching_squares
+
+
+def test_cli_times_prints_one_row_per_request():
+    # a fresh process, since the tool pins itself to one CPU
+    src = str(TOOLS.parent / "src")
+    code, out, err = run_python(str(TOOLS / "cli_times.py"), "--rounds", "1",
+                                "--src", src, "--src", src)
+    assert code == 0, err.decode()
+    lines = out.decode().splitlines()
+    assert re.fullmatch(r"# \d+ CPUs, (cpu \d+|unpinned), Python \S+; "
+                        r"median \[quartiles\] of 1 rounds, ms", lines[0])
+    assert lines[1] == f"| command | {src} | {src} |"
+    assert [line.split(" | ")[0] for line in lines[3:]] == [
+        "| bare python", "| import numpy", "| solve",
+        "| solve --method closed", "| run (grid)", "| pfn table", "| trace"]
+    for line in lines[3:]:
+        assert re.fullmatch(r"\| [^|]+( \| \d+\.\d){2} \|", line)
