@@ -253,26 +253,14 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
 
 def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
                   ) -> tuple[np.ndarray, ...]:
-    """The vertices left when every vertex within SAME_VERTEX of the last
-    vertex kept before it is dropped (crossings collapsing onto a grid node):
-    th and ph, then each array of more filtered by the same mask.
-
-    A vertex more than 3 SAME_VERTEX from its predecessor is always kept:
-    the predecessor is either kept or within SAME_VERTEX of the last kept
-    vertex, so the last kept vertex is more than 2 SAME_VERTEX away.  The
-    scalar comparison with the last kept vertex therefore runs only on the
-    vertices close to their predecessor.
-    """
+    """The vertices left when every vertex within SAME_VERTEX of its
+    predecessor is dropped (crossings collapsing onto a grid node): th and
+    ph, then each array of more filtered by the same mask."""
     dth, dph = th[1:] - th[:-1], ph[1:] - ph[:-1]
-    close = np.flatnonzero(dth * dth + dph * dph <= (3.0 * SAME_VERTEX) ** 2)
-    if not close.size:
+    far = dth * dth + dph * dph > SAME_VERTEX ** 2
+    if far.all():
         return th, ph, *more
-    keep = np.ones(th.size, dtype=bool)
-    last = 0
-    for k in (close + 1).tolist():
-        if keep[k - 1]:
-            last = k - 1
-        keep[k] = math.hypot(th[k] - th[last], ph[k] - ph[last]) > SAME_VERTEX
+    keep = np.concatenate(([True], far))
     return th[keep], ph[keep], *(x[keep] for x in more)
 
 
@@ -340,7 +328,8 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     applies to n*.  If no component survives, or no candidate anywhere is
     admissible (s_up > EPS_Z), the configuration is a death point and the
     axis cannot move.  Otherwise every admissible candidate is n* or -n*,
-    one line with one s_up, and the answer is n*: the closed form's.
+    one line with one s_up, and the answer is n*: the closed form's.  The
+    curves of the answer are what `spincollapse trace` writes.
     """
     cfg = cfg or SolverConfig()
     p_same, p_flip = constraint_levels(i, s)

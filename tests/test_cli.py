@@ -108,6 +108,27 @@ class TestSolve:
         payload = json.loads(out)
         assert not payload["method_agreement"]["within_tolerance"]
 
+    def test_one_ulp_value_split_is_exit_2(self, capsys, monkeypatch):
+        # no tolerance hides a split: a closed form whose Normal answer has
+        # theta one ulp off the grid route's disagrees with it
+        from spincollapse import solver
+
+        closed_form = solver.solve_collapse_closed_form
+
+        def nudged(axis, state, cfg=None):
+            sol = closed_form(axis, state, cfg)
+            return sol._replace(axis_f=sol.axis_f._replace(
+                theta=math.nextafter(sol.axis_f.theta, 0.0)))
+
+        monkeypatch.setattr(solver, "solve_collapse_closed_form", nudged)
+        code, out, err = run_cli(capsys, "solve", *GENERIC, "--grid", "256")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "Normal"
+        assert payload["method_agreement"] == {"status_match": True,
+                                               "within_tolerance": False}
+        assert err.startswith("ERROR grid and closed-form routes disagree")
+
     def test_every_call_writes_its_own_disagreement_line(self, capsys):
         # the line goes to the stderr of the call that found the
         # disagreement, not to a stream fixed by an earlier call

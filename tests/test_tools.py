@@ -87,18 +87,22 @@ def test_digest_covers_the_label_swap(capsys, monkeypatch):
     assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
 
 
-def disagreements(capsys, *argv) -> int:
-    """The last count of the digest's stderr line."""
-    assert solve_digest.main(list(argv)) == 0
+def splits(capsys, *argv, code=0) -> tuple[int, int]:
+    """The last two counts of the digest's stderr line, status_splits and
+    value_splits, from a run that exits with code."""
+    assert solve_digest.main(list(argv)) == code
     err = capsys.readouterr().err
-    return int(re.search(r", (\d+) disagreements; [\d.]+ s\n$", err)[1])
+    found = re.search(r", (\d+) status_splits, (\d+) value_splits; "
+                      r"[\d.]+ s\n$", err)
+    return int(found[1]), int(found[2])
 
 
 def test_digest_counts_route_disagreements(capsys, monkeypatch):
     # the routes agree on this corpus; a closed form that flips the swap
     # flag of every Normal answer and turns every other status into
-    # Trivial then disagrees on every instance
-    assert disagreements(capsys, "--seed", "3", "--grids", "64:20") == 0
+    # Trivial then splits a value on each Normal instance and the status
+    # on each other one, and the value splits fail the run
+    assert splits(capsys, "--seed", "3", "--grids", "64:20") == (0, 0)
     closed_form = solver.solve_collapse_closed_form
     normal = []
 
@@ -111,9 +115,10 @@ def test_digest_counts_route_disagreements(capsys, monkeypatch):
         return sol._replace(status=solver.Status.TRIVIAL)
 
     monkeypatch.setattr(solver, "solve_collapse_closed_form", changed)
-    assert disagreements(capsys, "--seed", "3", "--grids", "64:20") == 20
+    assert splits(capsys, "--seed", "3", "--grids", "64:20", code=1) == \
+        (20 - len(normal), len(normal))
     assert 0 < len(normal) < 20
-    # a grid answer one ulp off the closed form's s_up is a disagreement
+    # a grid answer one ulp off the closed form's s_up is a value split
     monkeypatch.setattr(solver, "solve_collapse_closed_form", closed_form)
     grid_route = solver.solve_collapse
 
@@ -122,8 +127,8 @@ def test_digest_counts_route_disagreements(capsys, monkeypatch):
         return sol._replace(s_up=math.nextafter(sol.s_up, 1.0))
 
     monkeypatch.setattr(solver, "solve_collapse", nudged)
-    assert disagreements(capsys, "--seed", "3", "--grids", "64:20") == \
-        len(normal)
+    assert splits(capsys, "--seed", "3", "--grids", "64:20", code=1) == \
+        (0, len(normal))
 
 
 def test_digest_corpus_reaches_missed_split_rows():

@@ -36,10 +36,13 @@ per tree, with the same flags:
     git worktree remove ../parent
 
 The digest goes to stdout; the package path and the counts go to stderr.
-The last count, disagreements, is the number of instances where the two
-routes' statuses differ, or where both are Normal and their final axes
-(angles and `labels_swapped`) or `s_up` are not bit-identical; an instance
-where a route raised is counted among the errors instead.
+The last two counts are the routes' splits: status_splits, the instances
+where the two routes' statuses differ, and value_splits, those where both
+are Normal and their final axes (angles and `labels_swapped`) or `s_up`
+are not bit-identical.  An instance where a route raised is counted among
+the errors instead.  Both routes name a Normal answer through one
+reflection, so a value split is a bug: the script then exits 1, after
+printing the digest and the counts.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
 
     digest = Digest()
     counts = {"instances": 0, "errors": 0, "curves": 0, "vertices": 0,
-              "candidates": 0, "disagreements": 0}
+              "candidates": 0, "status_splits": 0, "value_splits": 0}
     start = time.perf_counter()
     for grid, theta, phi, rho, tau in instances(args.seed,
                                                  parse_grids(args.grids)):
@@ -167,17 +170,18 @@ def main(argv: list[str] | None = None) -> int:
             counts["errors"] += 1
         else:
             add_solution(digest, closed, counts)
-        if sol is not None and closed is not None and (
-                sol.status is not closed.status
-                or (sol.status is Status.NORMAL
-                    and answer_bytes(sol) != answer_bytes(closed))):
-            counts["disagreements"] += 1
+        if sol is not None and closed is not None:
+            if sol.status is not closed.status:
+                counts["status_splits"] += 1
+            elif (sol.status is Status.NORMAL
+                  and answer_bytes(sol) != answer_bytes(closed)):
+                counts["value_splits"] += 1
         counts["instances"] += 1
     print(digest.hash.hexdigest())
     print(f"spincollapse from {spincollapse.__file__}; "
           + ", ".join(f"{v} {k}" for k, v in counts.items())
           + f"; {time.perf_counter() - start:.1f} s", file=sys.stderr)
-    return 0
+    return 1 if counts["value_splits"] else 0
 
 
 if __name__ == "__main__":
