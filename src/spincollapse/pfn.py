@@ -20,6 +20,7 @@ from .bloch import Axis
 
 MAX_MEMORY_DEPTH = 4
 MC_SAMPLES_MAX = 10**7  # ten times the default Monte Carlo sample count
+MC_BLOCK = 1 << 16  # Monte Carlo samples drawn and counted at a time
 # precedence levels, parentheses and NOTs a policy may nest: the deepest
 # policy admitted still renders and evaluates within the interpreter's
 # default recursion limit when called from 300 frames deep
@@ -29,6 +30,13 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 # ---------------------------------------------------------------------------
 # expression AST
+
+# The env key of the value true.  A policy evaluated on one row of
+# variables, each 0 or 1, needs no such key: true is 1.  to_truth_table
+# evaluates it on every row at once: each variable is an int whose bit r is
+# its value on row r, and true is the int with every row's bit set.
+_TRUE = "true"
+
 
 class BoolExpr:
     __slots__ = ()
@@ -41,7 +49,7 @@ class Const(BoolExpr, Value, namedtuple("Const", ("value",))):
     __slots__ = ()
 
     def __call__(self, env):
-        return self.value
+        return env.get(_TRUE, 1) if self.value else 0
 
     def __str__(self):
         return str(self.value)
@@ -61,7 +69,7 @@ class Not(BoolExpr, Value, namedtuple("Not", ("arg",))):
     __slots__ = ()
 
     def __call__(self, env):
-        return 1 - self.arg(env)
+        return env.get(_TRUE, 1) ^ self.arg(env)
 
     def __str__(self):
         return f"!({self.arg})" if isinstance(self.arg, Op) \
@@ -188,7 +196,14 @@ class _Parser:
         self.error(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
 
+def _check_integer(name: str, value) -> None:
+    """A bool or a float is not read as a count: True would pass as 1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def _check_memory_depth(n: int) -> None:
+    _check_integer("memory depth", n)
     if not 0 <= n <= MAX_MEMORY_DEPTH:
         raise ValueError(f"memory depth must be in [0, {MAX_MEMORY_DEPTH}]")
 
@@ -262,14 +277,24 @@ def _row_env(row: int, names: list[str]) -> dict[str, int]:
 
 
 def to_truth_table(e: BoolExpr, n: int = 0) -> TruthTable:
+    """The policy evaluated once on all rows, as the _TRUE key describes."""
     _check_memory_depth(n)
     names = variable_order(n)
+    rows = 1 << len(names)
+    every = (1 << rows) - 1
+    env = {_TRUE: every}
+    for k, name in enumerate(names):
+        # on row r the variable is bit len(names) - 1 - k of r: runs of
+        # `run` 0s and `run` 1s in turn, one period repeated over every row
+        run = rows >> (k + 1)
+        period = ((1 << run) - 1) << run
+        env[name] = period * (every // ((1 << 2 * run) - 1))
     try:
-        bits = tuple(e(_row_env(row, names)) for row in range(1 << len(names)))
+        value = e(env)
     except KeyError as exc:
         raise ExprArityError(
             f"variable {exc.args[0]} exceeds memory depth {n}") from None
-    return TruthTable(n, bits)
+    return TruthTable(n, tuple((value >> row) & 1 for row in range(rows)))
 
 
 def _canonical(t: TruthTable, bit: int) -> BoolExpr:
@@ -365,20 +390,31 @@ SPHERE_AREA = Measure("sphere_area")
 def outcome_probability(e: BoolExpr, measure: Measure = CHART_UNIFORM,
                         method: str = "analytic", samples: int = 1_000_000,
                         seed: int = 0, n: int = 0) -> float:
-    """Probability of the up outcome for a random axis under the measure.
+    """Probability of the up outcome for a random axis under the measure:
+    the summed weight of the 1-rows of the policy's truth table at memory
+    depth n.
 
-    Analytic route: the chart splits into four quadrants at theta = pi/2
-    and phi = pi/2 on which the projections are constant, both measures
-    weight each quadrant 1/4, and the memory variables are fair coins, so
-    the probability is the share of 1-rows in the truth table.  Monte Carlo
-    draws axes from the measure with a seeded generator; memory variables
-    are sampled uniformly.
+    The analytic route computes the weights.  The chart splits into four
+    quadrants at theta = pi/2 and phi = pi/2 on which the projections are
+    constant, both measures weight each quadrant 1/4, and the memory
+    variables are fair coins, so every row weighs 1/len(bits) and the
+    probability is the share of 1-rows.  Monte Carlo counts them: it draws
+    axes from the measure with a seeded generator and the memory variables
+    as fair coins, packs each sample into its row index, counts the samples
+    per row, and returns (samples on 1-rows) / samples.  It draws and counts
+    MC_BLOCK samples at a time and holds one uint16 row index per sample,
+    about 2 bytes a sample.  The generator's stream is that of one call per
+    variable over all samples (every theta, every phi, then x1, y1, s1, x2,
+    ...), so the estimates are those of evaluating the policy over whole
+    sample arrays, bit for bit.
     """
-    if method == "analytic":
-        bits = to_truth_table(e, n).bits
-        return sum(bits) / len(bits)
-    if method != "monte_carlo":
+    if method not in ("analytic", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
+    bits = to_truth_table(e, n).bits
+    if method == "analytic":
+        return sum(bits) / len(bits)
+    _check_integer("samples", samples)
+    _check_integer("seed", seed)
     if not 1 <= samples <= MC_SAMPLES_MAX:
         raise ValueError(f"samples must be in [1, {MC_SAMPLES_MAX}]")
     if seed < 0:
@@ -387,18 +423,26 @@ def outcome_probability(e: BoolExpr, measure: Measure = CHART_UNIFORM,
     import numpy as np  # only this branch needs it
 
     rng = np.random.default_rng(seed)
-    if measure.kind == "chart_uniform":
-        thetas = rng.uniform(0.0, math.pi, samples)
-    else:
-        thetas = np.arccos(rng.uniform(-1.0, 1.0, samples))
-    phis = rng.uniform(0.0, math.pi, samples)
-    env = {
-        "x": (np.cos(thetas) > 0.0).astype(np.int64),
-        "y": (np.cos(phis) > 0.0).astype(np.int64),
-    }
-    for k in range(1, n + 1):
-        env[f"x{k}"] = rng.integers(0, 2, samples)
-        env[f"y{k}"] = rng.integers(0, 2, samples)
-        env[f"s{k}"] = rng.integers(0, 2, samples)
-    values = e(env)
-    return float(np.mean(values))
+
+    def draw(name: str, size: int):
+        if name == "x" and measure.kind == "sphere_area":
+            return np.cos(np.arccos(rng.uniform(-1.0, 1.0, size))) > 0.0
+        if name in ("x", "y"):
+            return np.cos(rng.uniform(0.0, math.pi, size)) > 0.0
+        return rng.integers(0, 2, size)
+
+    names = variable_order(n)
+    rows = np.zeros(samples, np.uint16)
+    blocks = [slice(start, start + MC_BLOCK)
+              for start in range(0, samples, MC_BLOCK)]
+    # each variable over all samples in turn, setting its bit of the row
+    # index as _row_env reads it, x being the most significant
+    for k, name in enumerate(names):
+        shift = len(names) - 1 - k
+        for block in blocks:
+            bit = draw(name, len(rows[block]))
+            rows[block] |= bit.astype(np.uint16) << shift
+    # per block: bincount copies its input to intp
+    counts = sum(np.bincount(rows[block], minlength=len(bits))
+                 for block in blocks)
+    return int(counts[np.flatnonzero(bits)].sum()) / samples

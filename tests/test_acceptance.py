@@ -46,6 +46,7 @@ from spincollapse.solver import (
 
 from conftest import nondegenerate_instances
 from test_pfn import random_expr
+from test_solver import answer_bytes
 
 PI = math.pi
 
@@ -122,6 +123,20 @@ def test_criterion_3_oracle_equivalence(oracle_corpus):
     print(f"\nPASS criterion 3: 1000 instances, statuses agree, "
           f"max axis gap {max_axis:.2e} rad, max S_up gap {max_sup:.2e}, "
           f"{elapsed:.1f}s")
+
+
+def test_oracle_corpus_answers_are_bit_identical(oracle_corpus):
+    # criterion 3's bounds would pass a one-ulp value split
+    results, _ = oracle_corpus
+    normal = 0
+    for axis, state, g, c in results:
+        assert g.status is c.status, (axis, state)
+        if g.status is Status.NORMAL:
+            assert answer_bytes(g) == answer_bytes(c), (axis, state)
+            normal += 1
+    assert normal > 0
+    print(f"\nPASS oracle corpus: 1000 statuses agree, {normal} Normal "
+          f"answers bit-identical")
 
 
 def test_criterion_4_entropy_conservation_properties(oracle_corpus):

@@ -4,6 +4,7 @@ exhaustive-evaluation oracle."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from spincollapse.bloch import Axis, canonicalize_axis
 from spincollapse.pfn import (
     MAX_NESTING,
+    MC_BLOCK,
     BoolProjection,
     CHART_UNIFORM,
     Const,
@@ -165,6 +167,19 @@ class TestTruthTable:
         table = to_truth_table(parse_expr("x&!y"))
         assert table.bits == (0, 0, 1, 0)
 
+    @pytest.mark.parametrize("n, count", [(0, 200), (1, 200), (2, 50),
+                                          (3, 10), (4, 3)])
+    def test_all_rows_at_once_equal_row_by_row(self, n, count):
+        # to_truth_table evaluates every row in one pass over bit columns;
+        # decide_outcome evaluates one row of 0/1 values
+        rng = np.random.default_rng(31 + n)
+        names = variable_order(n)
+        for _ in range(count):
+            e = random_expr(rng, names)
+            assert to_truth_table(e, n).bits == tuple(
+                e(dict(zip(names, row)))
+                for row in itertools.product((0, 1), repeat=len(names)))
+
     def test_hex_round_trip(self):
         t = to_truth_table(parse_expr("x|y"))
         assert t.to_hex() == "7"
@@ -297,6 +312,40 @@ class TestDecideOutcome:
 MEMORY_POLICIES = [("s1", 1, 0.5), ("x&s1&!y2", 2, 0.125), ("x1^y1|s1", 1, 0.75)]
 
 
+def monte_carlo_reference(e, measure, samples, seed, n=0):
+    """The Monte Carlo estimate by evaluating the policy over whole sample
+    arrays, one int64 per sample and variable: the draws in the library's
+    order (every theta, every phi, then x1, y1, s1, x2, ...) and the mean of
+    the policy's values."""
+    rng = np.random.default_rng(seed)
+    if measure.kind == "chart_uniform":
+        thetas = rng.uniform(0.0, PI, samples)
+    else:
+        thetas = np.arccos(rng.uniform(-1.0, 1.0, samples))
+    phis = rng.uniform(0.0, PI, samples)
+    env = {
+        "x": (np.cos(thetas) > 0.0).astype(np.int64),
+        "y": (np.cos(phis) > 0.0).astype(np.int64),
+    }
+    for k in range(1, n + 1):
+        env[f"x{k}"] = rng.integers(0, 2, samples)
+        env[f"y{k}"] = rng.integers(0, 2, samples)
+        env[f"s{k}"] = rng.integers(0, 2, samples)
+    return float(np.mean(e(env)))
+
+
+# sample counts on both sides of a block edge, and the benchmark's count
+BLOCK_EDGE_SAMPLES = [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1,
+                      3 * MC_BLOCK + 7, 200_000]
+# every memoryless table, and policies at memory depths 1, 2 and 4
+REFERENCE_POLICIES = [
+    (to_dnf(TruthTable(0, bits)), 0)
+    for bits in itertools.product((0, 1), repeat=4)] + [
+    (parse_expr(text, n), n) for text, n in (
+        ("s1", 1), ("x1^y1|s1", 1), ("x&s1&!y2", 2),
+        ("!(x4|y4)^x&y1|s3&x2", 4))]
+
+
 class TestOutcomeProbability:
     def test_analytic_pinned(self):
         assert outcome_probability(P_OR) == 0.75
@@ -355,6 +404,56 @@ class TestOutcomeProbability:
 
     def test_induced_measure_is_not_uniform(self):
         assert outcome_probability(P_OR) != 0.5
+
+    @pytest.mark.parametrize("samples", BLOCK_EDGE_SAMPLES)
+    def test_monte_carlo_equals_array_evaluation(self, samples):
+        # counting truth-table rows block by block gives the estimate of
+        # evaluating the policy over whole arrays, bit for bit
+        for measure in (CHART_UNIFORM, SPHERE_AREA):
+            for e, n in REFERENCE_POLICIES:
+                assert outcome_probability(
+                    e, measure, "monte_carlo", samples, 42, n) == \
+                    monte_carlo_reference(e, measure, samples, 42, n), \
+                    (render(e), n, measure, samples)
+
+    def test_monte_carlo_holds_about_two_bytes_a_sample(self):
+        # evaluating the policy over whole arrays peaked at 40.1 MB
+        tracemalloc.start()
+        try:
+            outcome_probability(P_OR, SPHERE_AREA, "monte_carlo",
+                                samples=1_000_000, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
+
+    def test_monte_carlo_checks_the_policy_as_analytic_does(self):
+        for method in ("analytic", "monte_carlo"):
+            with pytest.raises(ValueError, match="memory depth must be in"):
+                outcome_probability(P_OR, method=method, samples=10, n=5)
+            with pytest.raises(ExprArityError,
+                               match="x1 exceeds memory depth 0"):
+                outcome_probability(parse_expr("x|x1", 1), method=method,
+                                    samples=10, n=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", True), ("samples", 1000.0),
+        ("seed", True), ("seed", 1.0), ("seed", "1"),
+        ("n", True), ("n", 1.0)])
+    def test_non_integer_counts_are_rejected(self, field, value):
+        kwargs = {"samples": 10, "seed": 0, "n": 0, field: value}
+        with pytest.raises(ValueError, match="must be an integer"):
+            outcome_probability(P_OR, method="monte_carlo", **kwargs)
+        if field == "n":
+            with pytest.raises(ValueError, match="must be an integer"):
+                outcome_probability(P_OR, n=value)
+
+    def test_numpy_integer_counts_are_taken(self):
+        assert outcome_probability(P_OR, method="monte_carlo",
+                                   samples=np.int64(1000), seed=np.int64(3),
+                                   n=np.int64(0)) == \
+            outcome_probability(P_OR, method="monte_carlo", samples=1000,
+                                seed=3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

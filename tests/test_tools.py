@@ -217,10 +217,17 @@ def test_cli_times_prints_one_row_per_request():
     assert code == 0, err.decode()
     lines = out.decode().splitlines()
     assert re.fullmatch(r"# \d+ CPUs, (cpu \d+|unpinned), Python \S+; "
-                        r"median \[quartiles\] of 1 rounds, ms", lines[0])
+                        r"median \[quartiles\] of 1 rounds, ms, and median "
+                        r"peak RSS", lines[0])
     assert lines[1] == f"| command | {src} | {src} |"
     assert [line.split(" | ")[0] for line in lines[3:]] == [
         "| bare python", "| import numpy", "| solve",
-        "| solve --method closed", "| run (grid)", "| pfn table", "| trace"]
+        "| solve --method closed", "| run (grid)", "| pfn table",
+        "| pfn prob --method mc", "| trace"]
     for line in lines[3:]:
-        assert re.fullmatch(r"\| [^|]+( \| \d+\.\d){2} \|", line)
+        assert re.fullmatch(r"\| [^|]+( \| \d+\.\d, \d+\.\d MB){2} \|",
+                            line)
+    # a fresh python holds some megabytes; Monte Carlo at 10^6 samples more
+    rss = {line.split(" | ")[0]: float(line.split(", ")[1].split()[0])
+           for line in lines[3:]}
+    assert 1.0 < rss["| bare python"] < rss["| pfn prob --method mc"]

@@ -1,10 +1,12 @@
-"""Wall time of fresh CLI processes, as in ROADMAP's "CLI start-up" table.
+"""Wall time and peak RSS of fresh CLI processes, as in ROADMAP's "CLI
+start-up" table.
 
     python tools/cli_times.py --rounds 15
     python tools/cli_times.py --rounds 25 --src ../parent/src --src src
 
 Each request is one fresh `python` process, timed from its start to its
-exit with its output discarded:
+exit with its output discarded, its peak resident set read from the
+rusage that os.wait4 returns:
 
     bare python            python -c pass
     import numpy           python -c "import numpy"
@@ -14,6 +16,8 @@ exit with its output discarded:
     run (grid)             spincollapse run on a grid-route config of
                            RUN_STEPS steps at grid RUN_GRID
     pfn table              spincollapse pfn table --expr "x|y"
+    pfn prob --method mc   spincollapse pfn prob --expr "x&y" --method mc
+                           --samples 1000000 --seed 42
     trace                  spincollapse trace of the README's instance at
                            grid 1024, to a CSV file
 
@@ -24,8 +28,9 @@ every tree, in order, so that slow spells of the host fall on all columns
 alike; the process and its children are pinned to one CPU, the last one
 this process may run on, where the platform allows.  Each cell is the
 median over --rounds rounds, with the quartiles in brackets, in
-milliseconds.  Every request must exit 0.  The first line names the
-machine.
+milliseconds, then the median peak RSS in MB (ru_maxrss / 1024, as the
+benchmark's peak_rss_mb).  Every request must exit 0.  The first line
+names the machine.
 """
 
 from __future__ import annotations
@@ -39,12 +44,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 INSTANCE = ["--theta-i", "0.7853981633974483", "--phi-i",
             "1.5707963267948966", "--rho", "0.4", "--tau", "0"]
 RUN_GRID, RUN_STEPS = 256, 10
+TIMEOUT_S = 120
 
 
 def requests(tmp: str) -> list[tuple[str, list[str]]]:
@@ -66,6 +73,9 @@ def requests(tmp: str) -> list[tuple[str, list[str]]]:
                                    "--method", "closed"]),
         ("run (grid)", [*cli, "run", config]),
         ("pfn table", [*cli, "pfn", "table", "--expr", "x|y"]),
+        ("pfn prob --method mc", [*cli, "pfn", "prob", "--expr", "x&y",
+                                  "--method", "mc", "--samples", "1000000",
+                                  "--seed", "42"]),
         ("trace", [*cli, "trace", *INSTANCE,
                    "--out", os.path.join(tmp, "trace.csv")]),
     ]
@@ -81,26 +91,35 @@ def pin() -> str:
     return f"cpu {cpu}"
 
 
-def time_once(argv: list[str], src: str) -> float:
-    """Seconds from the start of `python argv` to its exit."""
+def run_once(argv: list[str], src: str) -> tuple[float, float]:
+    """Seconds from the start of `python argv` to its exit, and its peak
+    RSS in MB; the process is killed after TIMEOUT_S seconds."""
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *argv], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          timeout=120)
-    elapsed = time.perf_counter() - start
+    with subprocess.Popen([sys.executable, *argv], env=env,
+                          stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE) as proc:
+        killer = threading.Timer(TIMEOUT_S, proc.kill)
+        killer.start()
+        stderr = proc.stderr.read()
+        # wait4 reaps the process, so Popen is told its exit code
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - start
+        killer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise RuntimeError(f"python {' '.join(argv)} exited "
-                           f"{proc.returncode}: {proc.stderr.decode()}")
-    return elapsed
+                           f"{proc.returncode}: {stderr.decode()}")
+    return elapsed, usage.ru_maxrss / 1024.0  # KiB on Linux
 
 
-def cell(times: list[float]) -> str:
-    ms = sorted(1e3 * t for t in times)
+def cell(runs: list[tuple[float, float]]) -> str:
+    ms = sorted(1e3 * t for t, _ in runs)
+    rss = f"{statistics.median(mb for _, mb in runs):.1f} MB"
     if len(ms) < 2:
-        return f"{ms[0]:.1f}"
+        return f"{ms[0]:.1f}, {rss}"
     q1, _, q3 = statistics.quantiles(ms, n=4)
-    return f"{statistics.median(ms):.1f} [{q1:.1f}, {q3:.1f}]"
+    return f"{statistics.median(ms):.1f} [{q1:.1f}, {q3:.1f}], {rss}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,20 +138,20 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         rows = requests(tmp)
-        times = {name: [[] for _ in srcs] for name, _ in rows}
+        runs = {name: [[] for _ in srcs] for name, _ in rows}
         for _ in range(args.rounds):
             for name, flags in rows:
-                for column, src in zip(times[name], srcs):
-                    column.append(time_once(flags, src))
+                for column, src in zip(runs[name], srcs):
+                    column.append(run_once(flags, src))
 
     print(f"# {os.cpu_count()} CPUs, {pinned}, Python "
           f"{platform.python_version()}; median [quartiles] of "
-          f"{args.rounds} rounds, ms")
+          f"{args.rounds} rounds, ms, and median peak RSS")
     print("| command | " + " | ".join(srcs) + " |")
     print("|---|" + "---|" * len(srcs))
     for name, _ in rows:
         print(f"| {name} | "
-              + " | ".join(map(cell, times[name])) + " |")
+              + " | ".join(map(cell, runs[name])) + " |")
     return 0
 
 
