@@ -119,14 +119,15 @@ def state_to_bloch(s: SpinState) -> tuple[float, float, float]:
 
 
 def overlap_from_angles(theta: float, phi: float, rho: float, tau: float) -> float:
-    """|<up(theta,phi)|state(rho,tau)>|^2 for raw, possibly off-chart angles."""
-    half = theta / 2.0
-    p = (
-        rho * math.cos(half) ** 2
-        + (1.0 - rho) * math.sin(half) ** 2
-        + math.sqrt(rho * (1.0 - rho)) * math.sin(theta) * math.cos(phi - tau)
-    )
-    return min(1.0, max(0.0, p))
+    """|<up(theta,phi)|state(rho,tau)>|^2 = (1 + n . m) / 2 in [0, 1] for raw,
+    possibly off-chart angles: the one up-overlap formula, by the closed
+    form's operations in the same order, so both routes get its bits."""
+    r = math.sqrt(rho * (1.0 - rho))
+    st = math.sin(theta)
+    c = (st * math.cos(phi) * (2.0 * r * math.cos(tau))
+         + st * math.sin(phi) * (2.0 * r * math.sin(tau))
+         + math.cos(theta) * (2.0 * rho - 1.0))
+    return min(1.0, max(0.0, 0.5 * (1.0 + c)))
 
 
 def up_overlap_prob(a: Axis, s: SpinState) -> float:

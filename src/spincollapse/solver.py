@@ -151,13 +151,12 @@ def is_trivial(p_same: float) -> bool:
 
 @functools.lru_cache(maxsize=8)
 def _node_factors(n: int) -> tuple[np.ndarray, ...]:
-    """(thetas, phis, cos(theta / 2)^2, sin(theta / 2)^2, sin(theta)) of
-    the (n + 1)^2 chart grid, which depend on n alone; the arrays are
-    read-only, since every solve at this n shares them."""
+    """(thetas, phis, cos(theta), sin(theta)) of the (n + 1)^2 chart grid,
+    which depend on n alone; the arrays are read-only, since every solve at
+    this n shares them."""
     thetas = np.linspace(0.0, math.pi, n + 1)
     phis = np.linspace(0.0, math.pi, n + 1)
-    factors = (thetas, phis, np.cos(thetas / 2.0) ** 2,
-               np.sin(thetas / 2.0) ** 2, np.sin(thetas))
+    factors = (thetas, phis, np.cos(thetas), np.sin(thetas))
     for x in factors:
         x.flags.writeable = False
     return factors
@@ -165,11 +164,12 @@ def _node_factors(n: int) -> tuple[np.ndarray, ...]:
 
 def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, ...]:
     """(thetas, phis, a, b, c) of the (n + 1)^2 chart grid, where the
-    up-overlap field is p[i, j] = b[i] * c[j] + a[i], each operation rounded
-    once; the field itself is never built.  thetas and phis are read-only."""
-    thetas, phis, cos2, sin2, sin = _node_factors(n)
+    up-overlap field (1 + n . m) / 2 is p[i, j] = b[i] * c[j] + a[i], each
+    operation rounded once, a being (1 + m_z cos(theta)) / 2; the field
+    itself is never built.  thetas and phis are read-only."""
+    thetas, phis, cos, sin = _node_factors(n)
     rho, tau = s.rho, s.tau
-    a = rho * cos2 + (1.0 - rho) * sin2
+    a = 0.5 * (1.0 + (2.0 * rho - 1.0) * cos)
     b = math.sqrt(rho * (1.0 - rho)) * sin
     return thetas, phis, a, b, np.cos(phis - tau)
 
@@ -193,13 +193,6 @@ def _axes_dot(st, ct, sp, cp, v: tuple[float, float, float]):
     return dot
 
 
-def _bloch_vectors(i: Axis, s: SpinState) -> tuple[tuple[float, float, float], ...]:
-    """(n_i, m, w): the axis and state Bloch vectors and w = n_i x m."""
-    ni, m = axis_to_bloch(i), state_to_bloch(s)
-    return ni, m, (ni[1] * m[2] - ni[2] * m[1], ni[2] * m[0] - ni[0] * m[2],
-                   ni[0] * m[1] - ni[1] * m[0])
-
-
 def on_chart_edge(theta, phi):
     """Whether a chart point lies on the edge of [0, pi] x [0, pi];
     elementwise for arrays."""
@@ -208,7 +201,7 @@ def on_chart_edge(theta, phi):
 
 
 def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
-                     axis_i: Axis) -> list[LevelSetCurve]:
+                     axis_i: Axis, bloch: tuple = ()) -> list[LevelSetCurve]:
     """Extract the chart-restricted level curves of the up-overlap field.
 
     Every level is checked before any is traced, and all are traced in one
@@ -216,7 +209,7 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     ids numbered across levels.  An empty result for a level is allowed:
     the level may be unattained on the chart.  The initial axis axis_i is
     required: every vertex carries its eigenbasis overlap with it and the
-    tangency condition.
+    tangency condition.  bloch, when given, is (n_i, m) of axis_i and s.
     """
     for level in levels:
         if not 0.0 < level < 1.0:
@@ -232,7 +225,9 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     # slices of these arrays.  The angles are gathered column by column: a
     # (k, 2) temporary at grid 4096 is large enough that freeing it lets
     # malloc trim the heap, which is then paged in again
-    ni, _, w = _bloch_vectors(axis_i, s)
+    ni, m = bloch or (axis_to_bloch(axis_i), state_to_bloch(s))
+    w = (ni[1] * m[2] - ni[2] * m[1], ni[2] * m[0] - ni[0] * m[2],
+         ni[0] * m[1] - ni[1] * m[0])  # n_i x m
     th = np.concatenate([poly[:, 0] for _, poly in polys])
     ph = np.concatenate([poly[:, 1] for _, poly in polys])
     st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
@@ -332,14 +327,15 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     curves of the answer are what `spincollapse trace` writes.
     """
     cfg = cfg or SolverConfig()
-    p_same, p_flip = constraint_levels(i, s)
+    ni, m = axis_to_bloch(i), state_to_bloch(s)
+    c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
+    p_same = min(1.0, max(0.0, 0.5 * (1.0 + c)))  # up_overlap_prob(i, s)
     s_i = binary_entropy(p_same)
     if is_trivial(p_same):
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
 
-    curves = trace_level_sets(s, (p_same, p_flip), cfg, axis_i=i)
-    ni, m = axis_to_bloch(i), state_to_bloch(s)
-    c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
+    curves = trace_level_sets(s, (p_same, 1.0 - p_same), cfg, axis_i=i,
+                              bloch=(ni, m))
     s_star = binary_entropy(min(1.0, max(0.0, c * c)))
     star = _reflection(ni, m, c)
     # (highest, lowest) per circle; _curve_candidates sets component ids
@@ -383,10 +379,11 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     (n_i . y = 0) with m in the plane of n_i and y, c^2 + m_y^2 = 1 exactly,
     and when c m_y < 0 the highest point is 2|c m_y| > 0, well inside the
     chart, while the float sum can round above 1.  The clause alone keeps
-    those instances Normal.  The Trivial and zero-entropy rules are the grid
-    route's, is_trivial and EPS_Z; the latter drops the component through
-    n* then, and always the other circle {n : n . m = c}, whose extremum
-    n_i has overlap 1.
+    those instances Normal.  p_same = (1 + c) / 2 is up_overlap_prob's, so
+    s_i and the Trivial decision (is_trivial) are the grid route's bit for
+    bit.  The zero-entropy rule is the grid route's, EPS_Z: it drops the
+    component through n* then, and always the other circle
+    {n : n . m = c}, whose extremum n_i has overlap 1.
 
     The answer is n*'s chart axis by _reflection: -n* with the labels
     swapped when n* lies off the chart.
@@ -394,8 +391,8 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     cfg is accepted so that one SolverConfig can be passed to either route;
     the closed form reads none of its fields.
     """
-    # state_to_bloch, axis_to_bloch and is_trivial inlined: the same
-    # operations in the same order, so the same bits as the grid route's
+    # state_to_bloch, axis_to_bloch, up_overlap_prob and is_trivial
+    # inlined: the same operations in the same order, so the same bits
     rho = s.rho
     r = math.sqrt(rho * (1.0 - rho))
     m0, m1, m2 = (2.0 * r * math.cos(s.tau), 2.0 * r * math.sin(s.tau),

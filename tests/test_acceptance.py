@@ -7,6 +7,7 @@ captured output) so the suite doubles as a release checklist.
 import itertools
 import json
 import math
+import struct
 import time
 
 import numpy as np
@@ -137,6 +138,16 @@ def test_oracle_corpus_answers_are_bit_identical(oracle_corpus):
     assert normal > 0
     print(f"\nPASS oracle corpus: 1000 statuses agree, {normal} Normal "
           f"answers bit-identical")
+
+
+def test_oracle_corpus_s_i_is_bit_identical(oracle_corpus):
+    # both routes take p_same from one formula, so s_i agrees whatever the
+    # status
+    results, _ = oracle_corpus
+    for axis, state, g, c in results:
+        assert struct.pack("<d", g.s_i) == struct.pack("<d", c.s_i), \
+            (axis, state)
+    print("\nPASS oracle corpus: 1000 s_i bit-identical")
 
 
 def test_criterion_4_entropy_conservation_properties(oracle_corpus):

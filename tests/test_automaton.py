@@ -4,6 +4,7 @@ switching, and trace replay."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spincollapse.automaton import ObserverAutomaton, replay_entropies
@@ -133,6 +134,20 @@ class TestRun:
             if rec.status is Status.NORMAL:
                 s_i, s_f = replay_entropies(rec)
                 assert abs(s_f - s_i) <= 1e-6
+
+    @pytest.mark.parametrize("method", ["grid", "closed_form"])
+    def test_replay_recomputes_s_i_exactly(self, method):
+        cfg = SolverConfig(grid_n=256, method=method)
+        rng = np.random.default_rng(28)
+        records = 0
+        for _ in range(20):
+            state = SpinState(rng.uniform(0.0, 1.0),
+                              rng.uniform(0.0, 2.0 * PI))
+            m = ObserverAutomaton(START_AXIS, P_OR, solver_cfg=cfg)
+            for rec in m.run(state, max_steps=10).records:
+                assert replay_entropies(rec)[0] == rec.s_i, rec
+                records += 1
+        assert records > 20
 
 
 class TestTraceSchema:

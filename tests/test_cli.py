@@ -32,6 +32,18 @@ COARSE_DISAGREE = ["--theta-i", "1.0211529639366868",
                    "--phi-i", "0.11857080550292924",
                    "--rho", "0.7622022120425378",
                    "--tau", "0.058755822715722696"]
+# instances with p_same next to EPS_TRIVIAL, where the routes split Trivial
+# from the rest while the grid route took p_same from a second formula:
+# grid Trivial and closed DeathPoint, grid DeathPoint and closed Trivial,
+# and a third split
+TRIVIAL_THRESHOLD = {
+    "grid-trivial": ("2.406990101858639", "2.415044533677107",
+                     "0.8710698050142086", "5.5566371872669"),
+    "closed-trivial": ("1.6128127723601748", "0.9835509640354732",
+                       "0.5210336368985076", "4.125143617625266"),
+    "third": ("0.34785601745248684", "1.2510413071765178",
+              "0.02995792050245022", "4.392633960766311"),
+}
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +169,14 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["status"] == "Normal"
         assert payload["method_agreement"]["within_tolerance"]
+
+    @pytest.mark.parametrize("label", sorted(TRIVIAL_THRESHOLD))
+    def test_routes_agree_at_the_trivial_threshold(self, capsys, label):
+        theta, phi, rho, tau = TRIVIAL_THRESHOLD[label]
+        code, out, err = run_cli(capsys, "solve", "--theta-i", theta,
+                                 "--phi-i", phi, "--rho", rho, "--tau", tau)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["method_agreement"]["status_match"]
 
     def test_usage_error_is_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--theta-i", "0.5")

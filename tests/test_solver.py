@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from spincollapse.bloch import (
+    Axis,
     SpinState,
     axes_up_overlap,
     axis_to_bloch,
@@ -114,8 +115,7 @@ class TestTraceLevelSets:
             rho, tau = GENERIC_STATE.rho, GENERIC_STATE.tau
             assert np.array_equal(thetas, np.linspace(0.0, PI, n + 1))
             assert np.array_equal(
-                a, rho * np.cos(thetas / 2.0) ** 2
-                + (1.0 - rho) * np.sin(thetas / 2.0) ** 2)
+                a, 0.5 * (1.0 + (2.0 * rho - 1.0) * np.cos(thetas)))
             assert np.array_equal(
                 b, math.sqrt(rho * (1.0 - rho)) * np.sin(thetas))
             assert np.array_equal(c, np.cos(phis - tau))
@@ -539,6 +539,66 @@ def test_normal_answers_are_bit_identical(grid):
     rng = np.random.default_rng(12)
     assert routes_agree_exactly([random_instance(rng) for _ in range(300)],
                                 grid) > 220
+
+
+def trivial_threshold_states(axis: Axis) -> tuple[SpinState, SpinState]:
+    """The axis's down eigenstate with rho moved by bisection to two
+    adjacent floats between which up_overlap_prob crosses EPS_TRIVIAL: the
+    first state is Trivial by is_trivial, the second is not."""
+    down = eigenstate_as_state(axis, 0)
+    lo = down.rho
+    hi = lo + 1e-3 if lo < 0.5 else lo - 1e-3
+
+    def p_same(rho):
+        return up_overlap_prob(axis, SpinState(rho, down.tau))
+
+    assert p_same(lo) <= EPS_TRIVIAL < p_same(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if p_same(mid) <= EPS_TRIVIAL:
+            lo = mid
+        else:
+            hi = mid
+    return SpinState(lo, down.tau), SpinState(hi, down.tau)
+
+
+class TestOneUpOverlap:
+    """Both routes take p_same from up_overlap_prob's formula, bit for bit,
+    so their s_i and their Trivial decisions agree."""
+
+    def test_routes_take_p_same_from_up_overlap_prob(self, monkeypatch):
+        # the first entropy a solve takes is s_i = f(p_same): record its
+        # argument
+        seen = []
+        monkeypatch.setattr(solver, "binary_entropy",
+                            lambda p: seen.append(p) or binary_entropy(p))
+        rng = np.random.default_rng(28)
+        instances = [random_instance(rng) for _ in range(200)]
+        for _ in range(20):
+            axis = canonicalize_axis(rng.uniform(0.0, PI),
+                                     rng.uniform(0.0, PI))
+            instances += [(axis, s) for s in trivial_threshold_states(axis)]
+        cfg = SolverConfig(grid_n=64)
+        for axis, state in instances:
+            want = struct.pack("<d", up_overlap_prob(axis, state))
+            for route in (solve_collapse, solve_collapse_closed_form):
+                seen.clear()
+                route(axis, state, cfg)
+                assert struct.pack("<d", seen[0]) == want, (route, axis, state)
+
+    def test_routes_split_no_trivial_decision_at_the_threshold(self):
+        # small grids can split Normal from DeathPoint here, on circles
+        # smaller than a cell, so only the Trivial decision is compared
+        rng = np.random.default_rng(29)
+        cfg = SolverConfig(grid_n=64)
+        for _ in range(60):
+            axis = canonicalize_axis(rng.uniform(0.0, PI),
+                                     rng.uniform(0.0, PI))
+            for state, trivial in zip(trivial_threshold_states(axis),
+                                      (True, False)):
+                g = solve_collapse(axis, state, cfg)
+                c = solve_collapse_closed_form(axis, state, cfg)
+                assert (g.status is Status.TRIVIAL) is trivial, (axis, state)
+                assert (c.status is Status.TRIVIAL) is trivial, (axis, state)
 
 
 def assert_routes_agree(instance) -> Status:

@@ -29,8 +29,8 @@ solve_digest = load_tool("solve_digest")
 phase_times = load_tool("phase_times")
 
 
-def digest(capsys, *argv):
-    assert solve_digest.main(list(argv)) == 0
+def digest(capsys, *argv, code=0):
+    assert solve_digest.main(list(argv)) == code
     out = capsys.readouterr().out
     assert re.fullmatch(r"[0-9a-f]{64}\n", out)
     return out
@@ -52,7 +52,8 @@ def test_digest_covers_the_closed_form(capsys, monkeypatch):
         return sol._replace(s_i=math.nextafter(sol.s_i, 1.0))
 
     monkeypatch.setattr(solver, "solve_collapse_closed_form", shifted)
-    assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
+    # an s_i split is a value split, so the run fails after the digest
+    assert digest(capsys, "--seed", "3", "--grids", "64:4", code=1) != first
 
 
 def test_digest_covers_the_closed_form_candidates(capsys, monkeypatch):
@@ -129,6 +130,20 @@ def test_digest_counts_route_disagreements(capsys, monkeypatch):
     monkeypatch.setattr(solver, "solve_collapse", nudged)
     assert splits(capsys, "--seed", "3", "--grids", "64:20", code=1) == \
         (0, len(normal))
+
+
+def test_digest_counts_an_s_i_split_of_any_status(capsys, monkeypatch):
+    # both routes take p_same from one formula: a grid s_i one ulp off the
+    # closed form's is a value split on every instance, whatever its status
+    grid_route = solver.solve_collapse
+
+    def nudged(axis, state, cfg):
+        sol = grid_route(axis, state, cfg)
+        return sol._replace(s_i=math.nextafter(sol.s_i, 1.0))
+
+    monkeypatch.setattr(solver, "solve_collapse", nudged)
+    assert splits(capsys, "--seed", "3", "--grids", "64:20", code=1) == \
+        (0, 20)
 
 
 def test_digest_corpus_reaches_missed_split_rows():

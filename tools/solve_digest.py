@@ -37,12 +37,13 @@ per tree, with the same flags:
 
 The digest goes to stdout; the package path and the counts go to stderr.
 The last two counts are the routes' splits: status_splits, the instances
-where the two routes' statuses differ, and value_splits, those where both
-are Normal and their final axes (angles and `labels_swapped`) or `s_up`
-are not bit-identical.  An instance where a route raised is counted among
-the errors instead.  Both routes name a Normal answer through one
-reflection, so a value split is a bug: the script then exits 1, after
-printing the digest and the counts.
+where the two routes' statuses differ, and value_splits, those where the
+two `s_i` are not bit-identical, whatever the statuses, or where both are
+Normal and their final axes (angles and `labels_swapped`) or `s_up` are
+not bit-identical.  An instance where a route raised is counted among the
+errors instead.  Both routes take `p_same` from one formula and name a
+Normal answer through one reflection, so a value split is a bug: the
+script then exits 1, after printing the digest and the counts.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         if sol is not None and closed is not None:
             if sol.status is not closed.status:
                 counts["status_splits"] += 1
-            elif (sol.status is Status.NORMAL
-                  and answer_bytes(sol) != answer_bytes(closed)):
+            if (struct.pack("<d", sol.s_i) != struct.pack("<d", closed.s_i)
+                    or sol.status is closed.status is Status.NORMAL
+                    and answer_bytes(sol) != answer_bytes(closed)):
                 counts["value_splits"] += 1
         counts["instances"] += 1
     print(digest.hash.hexdigest())
