@@ -68,8 +68,8 @@ def cmd_solve(args) -> int:
         closed = solve_collapse_closed_form(axis, state, cfg)
         # both routes build their answers by the same arithmetic, so they
         # agree only when equal; the key keeps its name, which perfbench reads
-        agree = ((out.status, out.axis_f, out.s_up)
-                 == (closed.status, closed.axis_f, closed.s_up))
+        agree = ((out.status, out.axis_f, out.s_up, out.s_i)
+                 == (closed.status, closed.axis_f, closed.s_up, closed.s_i))
         agreement = {"status_match": out.status == closed.status,
                      "within_tolerance": agree}
         if not agree:

@@ -201,7 +201,7 @@ def on_chart_edge(theta, phi):
 
 
 def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
-                     axis_i: Axis, bloch: tuple = ()) -> list[LevelSetCurve]:
+                     axis_i: Axis) -> list[LevelSetCurve]:
     """Extract the chart-restricted level curves of the up-overlap field.
 
     Every level is checked before any is traced, and all are traced in one
@@ -209,7 +209,7 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     ids numbered across levels.  An empty result for a level is allowed:
     the level may be unattained on the chart.  The initial axis axis_i is
     required: every vertex carries its eigenbasis overlap with it and the
-    tangency condition.  bloch, when given, is (n_i, m) of axis_i and s.
+    tangency condition.
     """
     for level in levels:
         if not 0.0 < level < 1.0:
@@ -225,7 +225,7 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     # slices of these arrays.  The angles are gathered column by column: a
     # (k, 2) temporary at grid 4096 is large enough that freeing it lets
     # malloc trim the heap, which is then paged in again
-    ni, m = bloch or (axis_to_bloch(axis_i), state_to_bloch(s))
+    ni, m = axis_to_bloch(axis_i), state_to_bloch(s)
     w = (ni[1] * m[2] - ni[2] * m[1], ni[2] * m[0] - ni[0] * m[2],
          ni[0] * m[1] - ni[1] * m[0])  # n_i x m
     th = np.concatenate([poly[:, 0] for _, poly in polys])
@@ -334,8 +334,7 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     if is_trivial(p_same):
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
 
-    curves = trace_level_sets(s, (p_same, 1.0 - p_same), cfg, axis_i=i,
-                              bloch=(ni, m))
+    curves = trace_level_sets(s, (p_same, 1.0 - p_same), cfg, axis_i=i)
     s_star = binary_entropy(min(1.0, max(0.0, c * c)))
     star = _reflection(ni, m, c)
     # (highest, lowest) per circle; _curve_candidates sets component ids

@@ -141,6 +141,30 @@ class TestSolve:
                                                "within_tolerance": False}
         assert err.startswith("ERROR grid and closed-form routes disagree")
 
+    @pytest.mark.parametrize("argv", [
+        GENERIC, DEATH,
+        ["--theta-i", "0", "--phi-i", "0", "--rho", "0.99999999925",
+         "--tau", "0"],
+    ], ids=["normal", "death-point", "trivial"])
+    def test_one_ulp_s_i_split_is_exit_2(self, capsys, monkeypatch, argv):
+        # s_i is part of the answer too, whatever the status: a closed form
+        # whose s_i is one ulp off the grid route's disagrees with it
+        from spincollapse import solver
+
+        closed_form = solver.solve_collapse_closed_form
+
+        def nudged(axis, state, cfg=None):
+            sol = closed_form(axis, state, cfg)
+            return sol._replace(s_i=math.nextafter(sol.s_i, math.inf))
+
+        monkeypatch.setattr(solver, "solve_collapse_closed_form", nudged)
+        code, out, err = run_cli(capsys, "solve", *argv, "--grid", "256")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["method_agreement"] == {"status_match": True,
+                                               "within_tolerance": False}
+        assert err.startswith("ERROR grid and closed-form routes disagree")
+
     def test_every_call_writes_its_own_disagreement_line(self, capsys):
         # the line goes to the stderr of the call that found the
         # disagreement, not to a stream fixed by an earlier call
