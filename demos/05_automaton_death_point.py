@@ -36,16 +36,16 @@ def main():
     print("\n== The JSON-lines trace (replayable byte-for-byte) ==")
     print(result.to_jsonl().rstrip())
 
-    print("\n== World switching cannot revive a halted machine ==")
+    print("\n== World switching cannot revive a death point ==")
     dead = ObserverAutomaton(canonicalize_axis(0.862, 1.197), P_OR,
                              solver_cfg=SolverConfig(grid_n=512))
     state = SpinState(math.cos(PI / 8) ** 2, PI / 2)
-    dead.step(state)
-    print(f"after the death step: halted={dead.halted}")
+    _, rec = dead.step(state)
+    print(f"in {rec.world_id}: status={rec.status.value}")
     dead.switch_world(P_AND, "world-1")
     _, rec = dead.step(state)
-    print(f"after switching policy and stepping again: "
-          f"status={rec.status.value}, still halted={dead.halted}")
+    print(f"after switching policy, in {rec.world_id}: "
+          f"status={rec.status.value}")
     print("(the transition never depends on the policy, so no choice of")
     print(" policy brings the collapse back)")
 

@@ -15,6 +15,12 @@ builds the copy through the constructor and so through its validation.
 """
 
 
+def check_integer(name: str, value) -> None:
+    """A bool or a float is not read as a count: True would pass as 1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 class Value:
     """Mixin of the immutable value types; see the module docstring."""
 

@@ -75,16 +75,6 @@ class RunResult(Record):
                        for r in self.records)
 
 
-class WorldSwitch(Record):
-    __slots__ = ("step_index", "old_world_id", "new_world_id")
-
-    def __init__(self, step_index: int, old_world_id: str,
-                 new_world_id: str):
-        self.step_index = step_index
-        self.old_world_id = old_world_id
-        self.new_world_id = new_world_id
-
-
 _HALT_REASONS = {Status.TRIVIAL: "trivial", Status.DEATH_POINT: "death_point"}
 
 
@@ -93,7 +83,6 @@ class ObserverAutomaton:
 
     def __init__(self, axis: Axis, pfn: BoolExpr, memory_depth: int = 0,
                  solver_cfg: SolverConfig | None = None,
-                 world_id: str = "world-0",
                  seed_history: list[tuple[BoolProjection, int]] | None = None):
         if memory_depth > 0 and len(seed_history or []) < memory_depth:
             raise HistoryError(
@@ -103,12 +92,9 @@ class ObserverAutomaton:
         self.pfn = pfn
         self.memory_depth = memory_depth
         self.solver_cfg = solver_cfg or SolverConfig()
-        self.world_id = world_id
+        self.world_id = "world-0"
         self.history: list[tuple[BoolProjection, int]] = \
             list(seed_history or [])[:memory_depth]
-        self.halted = False
-        self.halt_reason: Optional[str] = None
-        self.world_switches: list[WorldSwitch] = []
         self._step_count = 0
 
     def _solve(self, state: SpinState) -> CollapseSolution:
@@ -119,8 +105,10 @@ class ObserverAutomaton:
 
     def step(self, input_state: SpinState) -> tuple[SpinState, StepRecord]:
         """One measurement: transition the axis, decide the outcome, collapse
-        the state.  Trivial and death-point configurations halt the machine
-        and pass the state through unchanged."""
+        the state.  A Trivial or DeathPoint step halts: it passes the state
+        through unchanged and leaves the axis and history as they were.
+        Halting is the step's status, not the machine's: a later step on
+        another input may be Normal."""
         self._step_count += 1
         axis_before = self.current_axis
         sol = self._solve(input_state)
@@ -135,8 +123,6 @@ class ObserverAutomaton:
         else:
             outcome = None
             output_state = input_state
-            self.halted = True
-            self.halt_reason = _HALT_REASONS[sol.status]
         record = StepRecord(
             step_index=self._step_count,
             state_before=input_state,
@@ -154,8 +140,8 @@ class ObserverAutomaton:
     def run(self, initial_state: SpinState, max_steps: int) -> RunResult:
         """Iterate step, feeding each output state back as the next input,
         until a step of this run is not Normal or max_steps steps are made.
-        The result reports this run's steps only, so a machine halted by an
-        earlier run or step is not reported as halted by a Normal step."""
+        The result reports this run's steps only: its halted, halt_reason
+        and death_step come from the last of them."""
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         records: list[StepRecord] = []
@@ -172,12 +158,11 @@ class ObserverAutomaton:
         return RunResult(records, reason != "max_steps", reason, death_step)
 
     def switch_world(self, new_pfn: BoolExpr, new_world_id: str) -> None:
-        """Replace the outcome policy; the axis, history and halt state are
-        untouched (the transition does not depend on the policy, so switching
-        cannot un-halt the machine)."""
+        """Move to another Everett world: replace the outcome policy and the
+        world_id that later step records carry.  The axis and history are
+        untouched, and the transition does not depend on the policy, so an
+        input that halted a step halts it again after the switch."""
         to_truth_table(new_pfn, self.memory_depth)  # arity check
-        self.world_switches.append(
-            WorldSwitch(self._step_count, self.world_id, new_world_id))
         self.pfn = new_pfn
         self.world_id = new_world_id
 

@@ -7,6 +7,8 @@ import math
 from .bloch import Axis, SpinState, axes_up_overlap, up_overlap_prob
 
 LN2 = math.log(2.0)
+# bisection width: far above an ulp of [0, 1/2], so no midpoint meets an end
+_BISECT_TOL = 1e-12
 
 
 def binary_entropy(p: float) -> float:
@@ -20,14 +22,12 @@ def binary_entropy(p: float) -> float:
     return term_p + term_q
 
 
-def entropy_pair_solutions(s: float, tol: float = 1e-12) -> tuple[float, float]:
+def entropy_pair_solutions(s: float) -> tuple[float, float]:
     """The two solutions (p, 1-p) of f(p) = s, with p <= 1/2.
 
     Bisection on [0, 1/2]; f is strictly increasing there.  It stops when
-    the bracket is at most tol wide, or when its ends are adjacent floats.
+    the bracket is at most 1e-12 wide.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be non-negative, not {tol}")
     if not 0.0 <= s <= LN2 + 1e-12:
         raise ValueError(f"entropy out of [0, ln 2]: {s}")
     if s >= LN2:
@@ -35,10 +35,8 @@ def entropy_pair_solutions(s: float, tol: float = 1e-12) -> tuple[float, float]:
     if s <= 0.0:
         return 0.0, 1.0
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
         if binary_entropy(mid) < s:
             lo = mid
         else:

@@ -15,7 +15,7 @@ import operator
 from collections import namedtuple
 from functools import reduce
 
-from ._values import Value
+from ._values import Value, check_integer
 from .bloch import Axis
 
 MAX_MEMORY_DEPTH = 4
@@ -196,14 +196,8 @@ class _Parser:
         self.error(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
 
-def _check_integer(name: str, value) -> None:
-    """A bool or a float is not read as a count: True would pass as 1."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
 def _check_memory_depth(n: int) -> None:
-    _check_integer("memory depth", n)
+    check_integer("memory depth", n)
     if not 0 <= n <= MAX_MEMORY_DEPTH:
         raise ValueError(f"memory depth must be in [0, {MAX_MEMORY_DEPTH}]")
 
@@ -413,8 +407,8 @@ def outcome_probability(e: BoolExpr, measure: Measure = CHART_UNIFORM,
     bits = to_truth_table(e, n).bits
     if method == "analytic":
         return sum(bits) / len(bits)
-    _check_integer("samples", samples)
-    _check_integer("seed", seed)
+    check_integer("samples", samples)
+    check_integer("seed", seed)
     if not 1 <= samples <= MC_SAMPLES_MAX:
         raise ValueError(f"samples must be in [1, {MC_SAMPLES_MAX}]")
     if seed < 0:

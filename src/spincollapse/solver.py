@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -35,7 +36,7 @@ from .bloch import (
     state_to_bloch,
     up_overlap_prob,
 )
-from ._values import Record, Value
+from ._values import Record, Value, check_integer
 from .contour import marching_squares
 from .entropy import binary_entropy
 
@@ -61,9 +62,8 @@ class SolverConfig(Value, namedtuple("SolverConfig", ("grid_n", "method"))):
     def __new__(cls, grid_n: int = 1024, method: str = "grid"):
         # a float or a string would pass or fail the range test by accident
         # and break the solve later; a bool is not a grid size
-        if (isinstance(grid_n, bool)
-                or not isinstance(grid_n, (int, np.integer))):
-            raise ValueError(f"grid_n must be an integer, not {grid_n!r}")
+        check_integer("grid_n", grid_n)
+        grid_n = operator.index(grid_n)
         if not 64 <= grid_n <= GRID_N_MAX:
             raise ValueError(f"grid_n must be in [64, {GRID_N_MAX}]")
         if method not in ("grid", "closed_form"):

@@ -16,10 +16,14 @@ from spincollapse.pfn import (
     HistoryError,
     P_AND,
     P_OR,
+    TruthTable,
     parse_expr,
     project_axis,
+    to_dnf,
 )
 from spincollapse.solver import SolverConfig, Status
+
+from conftest import random_instance
 
 PI = math.pi
 
@@ -43,14 +47,14 @@ class TestStep:
         assert out.tau == pytest.approx(1.197, abs=1e-3)
 
     def test_death_step_halts_and_passes_state_through(self):
-        m = ObserverAutomaton(canonicalize_axis(0.862, 1.197), P_OR,
-                              solver_cfg=CFG)
+        axis = canonicalize_axis(0.862, 1.197)
+        m = ObserverAutomaton(axis, P_OR, solver_cfg=CFG)
         state = SpinState(math.cos(PI / 8) ** 2, PI / 2)
         out, rec = m.step(state)
         assert rec.status is Status.DEATH_POINT
         assert rec.outcome is None
         assert out == state
-        assert m.halted and m.halt_reason == "death_point"
+        assert m.current_axis == axis
 
     def test_trivial_step_halts(self):
         m = machine()
@@ -58,7 +62,7 @@ class TestStep:
         out, rec = m.step(state)
         assert rec.status is Status.TRIVIAL
         assert out == state
-        assert m.halted and m.halt_reason == "trivial"
+        assert m.current_axis == START_AXIS
 
     def test_outcome_is_policy_dependent_but_axis_is_not(self):
         # this instance resolves to an axis projecting to (1, 0), where
@@ -73,6 +77,28 @@ class TestStep:
         assert rec_or.axis_after == rec_and.axis_after
         assert rec_or.outcome == 1 and rec_and.outcome == 0
         assert out_or != out_and
+        # one step from a fresh machine under each of the 16 memoryless
+        # truth tables, on seeded unfiltered draws: the status, the new axis
+        # and the entropies never depend on the table, and a Normal outcome
+        # does (tables 0 and f)
+        policies = [to_dnf(TruthTable.from_hex(f"{k:x}", 0))
+                    for k in range(16)]
+        rng = np.random.default_rng(29)
+        for cfg, draws in ((SolverConfig(method="closed_form"), 200),
+                           (CFG, 20)):
+            statuses = set()
+            for _ in range(draws):
+                axis, state = random_instance(rng)
+                recs = [ObserverAutomaton(axis, p, 0, cfg).step(state)[1]
+                        for p in policies]
+                first = recs[0]
+                for rec in recs[1:]:
+                    assert (rec.status, rec.axis_after, rec.s_i, rec.s_up) == \
+                        (first.status, first.axis_after, first.s_i, first.s_up)
+                if first.status is Status.NORMAL:
+                    assert {rec.outcome for rec in recs} == {0, 1}
+                statuses.add(first.status)
+            assert Status.NORMAL in statuses
 
 
 class TestRun:
@@ -193,16 +219,15 @@ class TestMemory:
 
 class TestWorldSwitch:
     def test_switch_changes_subsequent_outcomes(self):
-        axis = canonicalize_axis(1.0, 2.0)
-        state = SpinState(0.3, 5.0)
-        m = ObserverAutomaton(axis, P_OR, solver_cfg=CFG)
+        # under OR this step's outcome is up (test_normal_step_pinned)
+        m = machine()
         m.switch_world(Const(0), "world-down")
-        out, rec = m.step(state)
-        if rec.status is Status.NORMAL:
-            assert rec.outcome == 0
-            assert rec.world_id == "world-down"
-        assert m.world_switches[0].old_world_id == "world-0"
-        assert m.world_switches[0].new_world_id == "world-down"
+        result = m.run(START_STATE, max_steps=1)
+        rec = result.records[0]
+        assert rec.status is Status.NORMAL
+        assert rec.outcome == 0
+        assert rec.world_id == "world-down"
+        assert json.loads(result.to_jsonl())["world_id"] == "world-down"
 
     def test_switch_to_equivalent_policy_is_inert(self):
         m1 = machine()
@@ -217,13 +242,14 @@ class TestWorldSwitch:
         m = ObserverAutomaton(canonicalize_axis(0.862, 1.197), P_OR,
                               solver_cfg=CFG)
         state = SpinState(math.cos(PI / 8) ** 2, PI / 2)
-        m.step(state)
-        assert m.halted
+        _, rec = m.step(state)
+        assert rec.status is Status.DEATH_POINT
+        # replacing the policy does not revive the collapse
         m.switch_world(Const(1), "world-up")
-        assert m.halted  # replacing the policy does not revive the machine
         out, rec = m.step(state)
         assert rec.status is Status.DEATH_POINT
         assert out == state
+        assert rec.world_id == "world-up"
 
     def test_switch_arity_mismatch(self):
         m = machine()

@@ -73,19 +73,6 @@ class TestEntropyInverse:
         with pytest.raises(ValueError):
             entropy_pair_solutions(-1e-6)
 
-    def test_zero_tol_stops_at_adjacent_floats(self):
-        # the bracket cannot shrink below one ulp, so tol = 0 must end at
-        # adjacent floats
-        lo, hi = entropy_pair_solutions(0.5, 0.0)
-        assert binary_entropy(lo) == pytest.approx(0.5, abs=1e-15)
-        assert lo == pytest.approx(entropy_pair_solutions(0.5)[0], abs=1e-12)
-        assert hi == 1.0 - lo
-
-    @pytest.mark.parametrize("tol", [-1.0, math.nan])
-    def test_negative_or_nan_tol_is_value_error(self, tol):
-        with pytest.raises(ValueError, match="tol must be non-negative"):
-            entropy_pair_solutions(0.5, tol)
-
     def test_branch_ordering(self):
         for s in np.linspace(0.0, LN2, 100):
             lo, hi = entropy_pair_solutions(float(s))

@@ -1242,8 +1242,15 @@ class TestSolverConfig:
         for bad in (256.5, 300.0, "256", True, np.float64(256.0)):
             with pytest.raises(ValueError, match="grid_n must be an integer"):
                 SolverConfig(grid_n=bad)
-        for good in (256, np.int64(256), np.int32(256)):
-            assert SolverConfig(grid_n=good).grid_n == 256
+        # anything with __index__ is an integer, as for the policy counts,
+        # and is stored as the int it stands for
+        class Index:
+            def __index__(self):
+                return 256
+
+        for good in (256, np.int64(256), np.int32(256), Index()):
+            grid_n = SolverConfig(grid_n=good).grid_n
+            assert grid_n == 256 and type(grid_n) is int
 
     def test_defaults(self):
         cfg = SolverConfig()

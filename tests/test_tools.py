@@ -1,6 +1,6 @@
-"""tools/: one digest over a seeded corpus solved by both routes, the
-per-phase timing table with its closed-form row, and the CLI start-up
-table."""
+"""tools/: one digest over a seeded corpus solved by both routes and run by
+the automaton, the per-phase timing table with its closed-form row, and the
+CLI start-up table."""
 
 import importlib.util
 import math
@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from spincollapse import contour, solver
+from spincollapse import automaton, contour, solver
 from spincollapse.bloch import SpinState, canonicalize_axis
 
 from conftest import missed_rows, run_python
@@ -86,6 +86,22 @@ def test_digest_covers_the_label_swap(capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "solve_collapse", swapped)
     assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
+
+
+def test_digest_covers_the_automaton_jsonl(capsys, monkeypatch):
+    first = digest(capsys, "--seed", "3", "--grids", "64:4")
+    eigenstate = automaton.eigenstate_as_state
+    moved = []
+
+    def shifted(axis, outcome):
+        state = eigenstate(axis, outcome)
+        moved.append(state)
+        return state._replace(rho=math.nextafter(state.rho, 0.5))
+
+    # the runs' collapsed states move by one ulp; the solves are unchanged
+    monkeypatch.setattr(automaton, "eigenstate_as_state", shifted)
+    assert digest(capsys, "--seed", "3", "--grids", "64:4") != first
+    assert moved
 
 
 def splits(capsys, *argv, code=0) -> tuple[int, int]:

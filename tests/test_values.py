@@ -5,7 +5,7 @@ fields that go through validation."""
 import numpy as np
 import pytest
 
-from spincollapse.automaton import RunResult, StepRecord, WorldSwitch
+from spincollapse.automaton import RunResult, StepRecord
 from spincollapse.bloch import Axis, SpinState
 from spincollapse.pfn import (BoolProjection, Const, Measure, Not, Op,
                               TruthTable, Var)
@@ -39,7 +39,6 @@ RECORDS = [
                       world_id="world-0")),
     (RunResult, dict(records=[], halted=True, halt_reason="trivial",
                      death_step=None)),
-    (WorldSwitch, dict(step_index=3, old_world_id="a", new_world_id="b")),
 ]
 
 

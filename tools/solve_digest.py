@@ -1,4 +1,4 @@
-"""One SHA-256 over the results of both solver routes on a seeded corpus.
+"""One SHA-256 over both solver routes and the automaton on a seeded corpus.
 
     PYTHONPATH=src python tools/solve_digest.py --seed 7 --grids 256:300,1024:100,4096:12
 
@@ -26,6 +26,13 @@ zero-entropy mark and every vertex).  An axis goes in as its angles and its
 and 0.0 differ); a solve that raises contributes the exception's type and
 message instead.
 
+The digest also covers the automaton's JSONL trace: each instance is run
+once more, as `ObserverAutomaton(axis, policy, 0, SolverConfig(grid_n=G,
+method="closed_form")).run(state, 10)`, with the policy taken in turn from
+a fixed list of seven memoryless policies, and the bytes of the run's
+`to_jsonl()` go in.  A run that raises contributes its exception, and
+counts among the errors, like a solve.
+
 Two source trees give the same digest exactly when every compared output is
 bit-identical.  To compare a change with its parent, run this script once
 per tree, with the same flags:
@@ -50,12 +57,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import struct
 import sys
 import time
 
 import numpy as np
+
+# the outcome policies of the automaton runs, one per instance in turn
+POLICIES = ("x|y", "x&y", "x^y", "!x", "y", "0", "1")
 
 
 def parse_grids(text: str) -> list[tuple[int, int]]:
@@ -144,13 +155,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     import spincollapse
+    from spincollapse.automaton import ObserverAutomaton
     from spincollapse.bloch import SpinState, canonicalize_axis
+    from spincollapse.pfn import parse_expr
     from spincollapse.solver import (SolverConfig, Status, solve_collapse,
                                      solve_collapse_closed_form)
 
     digest = Digest()
     counts = {"instances": 0, "errors": 0, "curves": 0, "vertices": 0,
               "candidates": 0, "status_splits": 0, "value_splits": 0}
+    policies = itertools.cycle([parse_expr(text) for text in POLICIES])
     start = time.perf_counter()
     for grid, theta, phi, rho, tau in instances(args.seed,
                                                  parse_grids(args.grids)):
@@ -171,6 +185,14 @@ def main(argv: list[str] | None = None) -> int:
             counts["errors"] += 1
         else:
             add_solution(digest, closed, counts)
+        try:
+            run = ObserverAutomaton(axis, next(policies), 0, SolverConfig(
+                grid_n=grid, method="closed_form")).run(state, 10)
+        except Exception as exc:
+            digest.text(f"{type(exc).__name__}: {exc}")
+            counts["errors"] += 1
+        else:
+            digest.text(run.to_jsonl())
         if sol is not None and closed is not None:
             if sol.status is not closed.status:
                 counts["status_splits"] += 1
