@@ -14,7 +14,6 @@ from typing import Optional
 
 from ._values import Record
 from .bloch import Axis, SpinState, eigenstate_as_state
-from .entropy import collapse_entropies
 from .pfn import BoolExpr, BoolProjection, HistoryError, decide_outcome, \
     project_axis, to_truth_table
 from .solver import CollapseSolution, SolverConfig, Status, \
@@ -165,9 +164,3 @@ class ObserverAutomaton:
         to_truth_table(new_pfn, self.memory_depth)  # arity check
         self.pfn = new_pfn
         self.world_id = new_world_id
-
-
-def replay_entropies(record: StepRecord) -> tuple[float, float]:
-    """Recompute (S_i, S_f) of a record from first principles."""
-    return collapse_entropies(record.axis_before, record.axis_after,
-                              record.state_before)[:2]

@@ -118,21 +118,31 @@ def state_to_bloch(s: SpinState) -> tuple[float, float, float]:
     return (2.0 * r * math.cos(s.tau), 2.0 * r * math.sin(s.tau), 2.0 * s.rho - 1.0)
 
 
-def overlap_from_angles(theta: float, phi: float, rho: float, tau: float) -> float:
-    """|<up(theta,phi)|state(rho,tau)>|^2 = (1 + n . m) / 2 in [0, 1] for raw,
-    possibly off-chart angles: the one up-overlap formula, by the closed
-    form's operations in the same order, so both routes get its bits."""
+def overlap_terms(theta: float, phi: float, rho: float, tau: float) -> tuple:
+    """(n, m, c, p) of raw, possibly off-chart angles: the axis and state
+    Bloch vectors, c = n . m and the up overlap p = (1 + c) / 2 clamped to
+    [0, 1].  The one copy of the instance arithmetic, which both solver
+    routes, the trace and up_overlap_prob read; it repeats axis_to_bloch's
+    and state_to_bloch's formulas rather than calling them, which would
+    add two calls to every closed-form solve."""
     r = math.sqrt(rho * (1.0 - rho))
+    m0, m1, m2 = (2.0 * r * math.cos(tau), 2.0 * r * math.sin(tau),
+                  2.0 * rho - 1.0)
     st = math.sin(theta)
-    c = (st * math.cos(phi) * (2.0 * r * math.cos(tau))
-         + st * math.sin(phi) * (2.0 * r * math.sin(tau))
-         + math.cos(theta) * (2.0 * rho - 1.0))
-    return min(1.0, max(0.0, 0.5 * (1.0 + c)))
+    n0, n1, n2 = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+    c = n0 * m0 + n1 * m1 + n2 * m2
+    return (n0, n1, n2), (m0, m1, m2), c, min(1.0, max(0.0, 0.5 * (1.0 + c)))
+
+
+def overlap_from_angles(theta: float, phi: float, rho: float, tau: float) -> float:
+    """|<up(theta,phi)|state(rho,tau)>|^2 in [0, 1] for raw, possibly
+    off-chart angles: overlap_terms' p."""
+    return overlap_terms(theta, phi, rho, tau)[3]
 
 
 def up_overlap_prob(a: Axis, s: SpinState) -> float:
     """Probability of the up outcome when measuring state s along axis a."""
-    return overlap_from_angles(a.theta, a.phi, s.rho, s.tau)
+    return overlap_terms(a.theta, a.phi, s.rho, s.tau)[3]
 
 
 def axes_up_overlap(f: Axis, i: Axis) -> float:

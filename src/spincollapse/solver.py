@@ -31,9 +31,8 @@ import numpy as np
 from .bloch import (
     Axis,
     SpinState,
-    axis_to_bloch,
     canonicalize_axis,
-    state_to_bloch,
+    overlap_terms,
     up_overlap_prob,
 )
 from ._values import Record, Value, check_integer
@@ -225,7 +224,7 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     # slices of these arrays.  The angles are gathered column by column: a
     # (k, 2) temporary at grid 4096 is large enough that freeing it lets
     # malloc trim the heap, which is then paged in again
-    ni, m = axis_to_bloch(axis_i), state_to_bloch(s)
+    ni, m = overlap_terms(axis_i.theta, axis_i.phi, s.rho, s.tau)[:2]
     w = (ni[1] * m[2] - ni[2] * m[1], ni[2] * m[0] - ni[0] * m[2],
          ni[0] * m[1] - ni[1] * m[0])  # n_i x m
     th = np.concatenate([poly[:, 0] for _, poly in polys])
@@ -327,9 +326,7 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     curves of the answer are what `spincollapse trace` writes.
     """
     cfg = cfg or SolverConfig()
-    ni, m = axis_to_bloch(i), state_to_bloch(s)
-    c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
-    p_same = min(1.0, max(0.0, 0.5 * (1.0 + c)))  # up_overlap_prob(i, s)
+    ni, m, c, p_same = overlap_terms(i.theta, i.phi, s.rho, s.tau)
     s_i = binary_entropy(p_same)
     if is_trivial(p_same):
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i)
@@ -378,10 +375,11 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     (n_i . y = 0) with m in the plane of n_i and y, c^2 + m_y^2 = 1 exactly,
     and when c m_y < 0 the highest point is 2|c m_y| > 0, well inside the
     chart, while the float sum can round above 1.  The clause alone keeps
-    those instances Normal.  p_same = (1 + c) / 2 is up_overlap_prob's, so
-    s_i and the Trivial decision (is_trivial) are the grid route's bit for
-    bit.  The zero-entropy rule is the grid route's, EPS_Z: it drops the
-    component through n* then, and always the other circle
+    those instances Normal.  n_i, m, c and p_same = (1 + c) / 2 come from
+    bloch.overlap_terms, the one copy of that arithmetic, as in the grid
+    route, so s_i and the Trivial decision (is_trivial) are the grid
+    route's bit for bit.  The zero-entropy rule is the grid route's, EPS_Z:
+    it drops the component through n* then, and always the other circle
     {n : n . m = c}, whose extremum n_i has overlap 1.
 
     The answer is n*'s chart axis by _reflection: -n* with the labels
@@ -390,24 +388,16 @@ def solve_collapse_closed_form(i: Axis, s: SpinState,
     cfg is accepted so that one SolverConfig can be passed to either route;
     the closed form reads none of its fields.
     """
-    # state_to_bloch, axis_to_bloch, up_overlap_prob and is_trivial
-    # inlined: the same operations in the same order, so the same bits
-    rho = s.rho
-    r = math.sqrt(rho * (1.0 - rho))
-    m0, m1, m2 = (2.0 * r * math.cos(s.tau), 2.0 * r * math.sin(s.tau),
-                  2.0 * rho - 1.0)
-    st = math.sin(i.theta)
-    n0, n1, n2 = st * math.cos(i.phi), st * math.sin(i.phi), math.cos(i.theta)
-    c = n0 * m0 + n1 * m1 + n2 * m2
-    p_same = min(1.0, max(0.0, 0.5 * (1.0 + c)))
+    ni, m, c, p_same = overlap_terms(i.theta, i.phi, s.rho, s.tau)
     s_i = binary_entropy(p_same)
-    if min(p_same, 1.0 - p_same) <= EPS_TRIVIAL:
+    if is_trivial(p_same):
         return CollapseSolution(Status.TRIVIAL, i, 0.0, s_i, [], [])
 
     s_up = binary_entropy(min(1.0, max(0.0, c * c)))
-    if (c * m1 > 0.0 and c * c + m1 * m1 > 1.0) or s_up <= EPS_Z:
+    m_y = m[1]
+    if (c * m_y > 0.0 and c * c + m_y * m_y > 1.0) or s_up <= EPS_Z:
         return CollapseSolution(Status.DEATH_POINT, i, 0.0, s_i, [], [])
 
-    axis_f = _reflection((n0, n1, n2), (m0, m1, m2), c)
+    axis_f = _reflection(ni, m, c)
     return CollapseSolution(Status.NORMAL, axis_f, s_up, s_i,
                             [Candidate(axis_f, 1.0 - c * c, s_up, 0)], [])

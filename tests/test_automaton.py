@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from spincollapse.automaton import ObserverAutomaton, replay_entropies
+from spincollapse.automaton import ObserverAutomaton
 from spincollapse.bloch import SpinState, canonicalize_axis, eigenstate_as_state
+from spincollapse.entropy import collapse_entropies
 from spincollapse.pfn import (
     BoolProjection,
     Const,
@@ -158,7 +159,8 @@ class TestRun:
         result = machine().run(START_STATE, max_steps=10)
         for rec in result.records:
             if rec.status is Status.NORMAL:
-                s_i, s_f = replay_entropies(rec)
+                s_i, s_f = collapse_entropies(
+                    rec.axis_before, rec.axis_after, rec.state_before)[:2]
                 assert abs(s_f - s_i) <= 1e-6
 
     @pytest.mark.parametrize("method", ["grid", "closed_form"])
@@ -171,7 +173,9 @@ class TestRun:
                               rng.uniform(0.0, 2.0 * PI))
             m = ObserverAutomaton(START_AXIS, P_OR, solver_cfg=cfg)
             for rec in m.run(state, max_steps=10).records:
-                assert replay_entropies(rec)[0] == rec.s_i, rec
+                assert collapse_entropies(
+                    rec.axis_before, rec.axis_after,
+                    rec.state_before)[0] == rec.s_i, rec
                 records += 1
         assert records > 20
 
@@ -195,9 +199,11 @@ class TestTraceSchema:
 
 class TestMemory:
     def test_requires_seeded_history(self):
-        with pytest.raises(HistoryError):
-            ObserverAutomaton(START_AXIS, parse_expr("s1", 1),
-                              memory_depth=1, solver_cfg=CFG)
+        # the call cmd_run makes: it passes no seed_history, so a run
+        # config with memory_depth >= 1 cannot reach the memory window
+        with pytest.raises(HistoryError,
+                           match="^memory depth 1 requires seeded history$"):
+            ObserverAutomaton(START_AXIS, parse_expr("s1", 1), 1)
 
     def test_arity_checked_against_depth(self):
         with pytest.raises(ExprArityError):

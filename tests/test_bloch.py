@@ -3,6 +3,8 @@ overlap probabilities.  Eq.-level values are cross-checked against a raw
 complex-vector oracle built independently of the library code."""
 
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from spincollapse.bloch import (
     canonicalize_axis,
     eigenstate_as_state,
     eigenvectors,
+    overlap_from_angles,
+    overlap_terms,
     spin_operator,
     state_to_bloch,
     up_overlap_prob,
@@ -33,6 +37,8 @@ chart_theta = st.floats(min_value=1e-6, max_value=PI - 1e-6)
 chart_phi = st.floats(min_value=0.0, max_value=PI - 1e-9)
 prob = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
 phase = st.floats(min_value=0.0, max_value=2.0 * PI - 1e-9)
+# chart angles, edges included, or raw ones, off the chart
+chart_or_raw = st.one_of(st.floats(min_value=0.0, max_value=PI), finite_angle)
 
 
 class TestAxis:
@@ -305,10 +311,28 @@ class TestOverlaps:
         assert axes_up_overlap(f, i) == \
             pytest.approx(0.5 * (1.0 + dot), abs=1e-12)
 
+    @given(chart_or_raw, chart_or_raw, st.floats(min_value=0.0, max_value=1.0),
+           chart_or_raw)
+    @settings(max_examples=500, deadline=None)
+    def test_overlap_terms_is_the_helpers_bit_for_bit(self, theta, phi, rho,
+                                                      tau):
+        # overlap_terms repeats axis_to_bloch's and state_to_bloch's
+        # formulas rather than calling them; the helpers only read the
+        # angles, so raw off-chart ones reach them through a namespace
+        a = SimpleNamespace(theta=theta, phi=phi)
+        s = SimpleNamespace(rho=rho, tau=tau)
+        n, m, c, p = overlap_terms(theta, phi, rho, tau)
+        assert struct.pack("<6d", *n, *m) == \
+            struct.pack("<6d", *axis_to_bloch(a), *state_to_bloch(s))
+        assert struct.pack("<d", c) == struct.pack(
+            "<d", n[0] * m[0] + n[1] * m[1] + n[2] * m[2])
+        assert struct.pack("<3d", p, p, p) == struct.pack(
+            "<3d", overlap_from_angles(theta, phi, rho, tau),
+            up_overlap_prob(a, s), min(1.0, max(0.0, 0.5 * (1.0 + c))))
+
     @given(chart_theta, chart_phi, prob, phase)
     @settings(max_examples=300, deadline=None)
     def test_antipodal_swap_flips_probability(self, theta, phi, rho, tau):
-        from spincollapse.bloch import overlap_from_angles
         a = canonicalize_axis(theta, phi)
         p = overlap_from_angles(a.theta, a.phi, rho, tau)
         p_swapped = overlap_from_angles(PI - a.theta, a.phi + PI, rho, tau)

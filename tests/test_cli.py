@@ -716,6 +716,15 @@ class TestErrorExit:
         assert err == (f"error: cannot write {target}: [Errno 2] No such file "
                        f"or directory: '{target}'\n")
 
+    def test_memory_depth_needs_a_history_the_config_has_no_field_for(
+            self, capsys, tmp_path):
+        cfg_path, out_path = run_config(tmp_path, pfn="s1", memory_depth=1,
+                                        method="closed")
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == "error: memory depth 1 requires seeded history\n"
+        assert not os.path.exists(out_path)
+
     def test_policy_syntax_error_in_a_run_config(self, capsys, tmp_path):
         # no caret: the text is in a file, not on the command line
         cfg_path, _ = run_config(tmp_path, pfn="x||y")

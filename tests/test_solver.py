@@ -562,8 +562,8 @@ def trivial_threshold_states(axis: Axis) -> tuple[SpinState, SpinState]:
 
 
 class TestOneUpOverlap:
-    """Both routes take p_same from up_overlap_prob's formula, bit for bit,
-    so their s_i and their Trivial decisions agree."""
+    """Both routes take p_same from bloch.overlap_terms, as up_overlap_prob
+    does, so their s_i and their Trivial decisions agree bit for bit."""
 
     def test_routes_take_p_same_from_up_overlap_prob(self, monkeypatch):
         # the first entropy a solve takes is s_i = f(p_same): record its
@@ -731,8 +731,9 @@ class TestSignClause:
 
 def closed_form_by_helpers(axis, state) -> tuple:
     """The closed form written through the bloch helpers and is_trivial:
-    (status, axis_f, s_up, s_i, candidate overlap or None).  The inlined
-    algebra of solve_collapse_closed_form must reproduce it bit for bit."""
+    (status, axis_f, s_up, s_i, candidate overlap or None).
+    solve_collapse_closed_form, through overlap_terms and _reflection, must
+    reproduce it bit for bit."""
     m, ni = state_to_bloch(state), axis_to_bloch(axis)
     c = ni[0] * m[0] + ni[1] * m[1] + ni[2] * m[2]
     p_same = min(1.0, max(0.0, 0.5 * (1.0 + c)))
@@ -757,8 +758,9 @@ def result_bytes(status, axis_f, s_up, s_i, overlap) -> bytes:
 
 
 class TestClosedFormArithmetic:
-    """solve_collapse_closed_form inlines state_to_bloch, axis_to_bloch and
-    is_trivial, and hands n*'s raw acos/atan2 angles to canonicalize_axis,
+    """solve_collapse_closed_form takes n_i, m, c and p_same from
+    bloch.overlap_terms, which repeats the formulas of state_to_bloch and
+    axis_to_bloch, and hands n*'s raw atan2 angles to canonicalize_axis,
     whose reduction repeats bloch_to_axis_angles'; its answers must stay
     those of the helpers, by IEEE bytes."""
 

@@ -21,9 +21,7 @@ originals are put back when the measurement ends:
                      candidates)
     candidates       _curve_candidates over all curves: the sign scan of the
                      curves' tangency, and which of its circle's two known
-                     extrema each bracket holds (tables made before the
-                     extrema were taken in closed form count a Brent search
-                     per bracket)
+                     extrema each bracket holds
 
 Each round solves every grid --solves times, grid after grid, and keeps
 each phase's minimum over those solves; the table gives the median of each
@@ -52,7 +50,7 @@ import time
 
 import numpy as np
 
-MS, CANDIDATES = "marching squares (both levels)", "candidates and refinement"
+MS, CANDIDATES = "marching squares (both levels)", "candidates"
 PHASES = ("total", "field", MS, "rest of tracing", CANDIDATES)
 # solver binding -> the phase its time is added to
 WRAPPED = {"solve_collapse": "total", "_overlap_grid": "field",
