@@ -65,13 +65,17 @@ ranks, along the runs of the rows the lookup misses, and at the ends of the
 crossed edges.  A call costs O(m) once for the runs, then per level O(n
 log m) for the split ranks, O(m) more per missed row, plus O(crossings)
 for the rest, against O(n m) per level for a scan of the whole field.  On
-small grids the fixed cost of the numpy calls weighs most, and it is paid
-once per call, not once per level.
+small grids the fixed cost of the numpy calls weighs most, so it is paid
+once per call, not once per level, and only for arrays that grow with the
+grid or the crossings: the runs, the levels' starts, the missed rows and
+the few non-empty pieces, their end ids and partners, are Python ints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,6 +109,7 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
     tells whether that column is inside the run (s < split <= e) rather
     than at one of its sides."""
     runs = _runs(c)
+    n, r_n = a.size, len(runs)
     # every run in ascending order between -inf and +inf: rank t of run r is
     # at base[r] + t, so rank -1 reads -inf and rank size[r] reads +inf.
     # Rank t is node origin[r] + step[r] * t on a rising run and that minus
@@ -123,33 +128,36 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
     # analytic root and confirmed at ranks k - 1 and k; a row where the
     # lookup missed is scanned along the run.  Flat rows (b == 0) are
     # searched as if b were 1, then set to all true or false
-    flat = np.flatnonzero(b == 0.0)
-    b1 = b.copy()
-    b1[flat] = 1.0
+    flat = b == 0.0
+    b1 = np.where(flat, 1.0, b)
     lev = levels[:, None, None]
     root = (levels[:, None] - a) / b1
-    k = np.stack([np.searchsorted(pad[o:o + v.size], root)
-                  for o, v in zip(base[:, 0].tolist(), views)], axis=1)
+    k = np.empty((levels.size, r_n, n), dtype=np.intp)
+    for r, (o, m, _, _) in enumerate(meta):
+        k[:, r] = np.searchsorted(pad[o:o + m], root)
     at = k + base
     below = b1 * pad[at - 1] + a >= lev
     above = b1 * pad[at] + a >= lev
-    for l, r, i in zip(*np.nonzero(above <= below)):  # missed rows
-        o, m = base[r, 0], size[r, 0]
+    flat_k = k.reshape(-1)
+    for f in np.flatnonzero(above <= below).tolist():  # missed rows
+        l, r, i = f // (r_n * n), f // n % r_n, f % n
+        o, m = meta[r][:2]
         true = b1[i] * pad[o:o + m] + a[i] >= levels[l]
-        k[l, r, i] = true.argmax() if true[-1] else m
-    if flat.size:
-        k[:, :, flat] = np.where(a[flat] >= lev, 0, size)
+        flat_k[f] = true.argmax() if true[-1] else m
+    k[:, :, flat] = np.where(a[flat] >= lev, 0, size)
     # the later node of the two around the split; rank 0 or size means
     # the whole row has one sign in the run
     return origin + step * k, (k > 0) & (k < size)
 
 
 def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                   levels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(row, col, is_v, level_start, piece_start): the grid edge (row, col)
-    of every crossing of every level in emission order, whether it is a V
-    edge, where each level's emission starts, and where each piece starts
-    (some pieces are empty).
+                   levels: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray, list[int],
+                                                list[int]]:
+    """(row, col, is_v, level_start, bounds): the grid edge (row, col) of
+    every crossing of every level in emission order, whether it is a V
+    edge, where each level's emission starts, and the bounds of the
+    non-empty pieces, piece p spanning bounds[p]:bounds[p + 1].
 
     The (level, run, row) blocks are emitted levels in order, runs in
     column order and rows in order, so each level's emission is the one it
@@ -173,30 +181,36 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     col = np.where(gap.ravel()[block] > 0, at - 1 + u, at - np.maximum(u, 1))
     # cut at each run's row 0 and at every row whose split is not inner; a
     # level's first block is its first run's row 0, so no piece spans two
-    # levels
+    # levels.  An empty piece starts where the next one does
     cut = ~inner
     cut[..., 0] = True
-    return (row, col, is_v, start[::size.size // levels.size],
-            start[cut.ravel()])
+    starts = np.zeros(block.size + 1, dtype=bool)
+    starts[start[cut.ravel()]] = True
+    starts[-1] = True
+    return (row, col, is_v, start[::size.size // levels.size].tolist(),
+            np.flatnonzero(starts).tolist())
 
 
 def _crossings(a: np.ndarray, b: np.ndarray, c: np.ndarray, xs: np.ndarray,
-               ys: np.ndarray, levels: np.ndarray, level_start: np.ndarray,
+               ys: np.ndarray, levels: np.ndarray, level_start: list[int],
                row: np.ndarray, col: np.ndarray, is_v: np.ndarray
                ) -> np.ndarray:
     """The (k, 2) crossing points of the edges (row, col), each where the
     linear interpolation of values - level along it is zero, with level the
     level of the element's own emission.  An H edge joins (row, col) and
     (row + 1, col), a V edge joins (row, col) and (row, col + 1)."""
-    at_level = np.repeat(levels, np.diff(level_start, append=row.size))
+    stops = level_start[1:] + [row.size]
+    at_level = np.repeat(levels, [e - s for s, e in zip(level_start, stops)])
     is_h = ~is_v
     row1, col1 = row + is_h, col + is_v
     d0 = _offset(a, b, c, row, col, at_level)
     d1 = _offset(a, b, c, row1, col1, at_level)
     t = d0 / (d0 - d1)
     x, y = xs[row], ys[col]
-    return np.column_stack((np.where(is_h, x + t * (xs[row1] - x), x),
-                            np.where(is_v, y + t * (ys[col1] - y), y)))
+    xy = np.empty((row.size, 2))
+    xy[:, 0] = np.where(is_h, x + t * (xs[row1] - x), x)
+    xy[:, 1] = np.where(is_v, y + t * (ys[col1] - y), y)
+    return xy
 
 
 def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -225,40 +239,31 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     out: list[list[np.ndarray]] = [[] for _ in levels]
     if n < 2 or m < 2 or not levels.size:
         return out
-    row, col, is_v, level_start, piece_start = _crossed_edges(a, b, c, levels)
-    total = row.size
-    if total == 0:
+    row, col, is_v, level_start, bounds = _crossed_edges(a, b, c, levels)
+    if row.size == 0:
         return out
     xy = _crossings(a, b, c, xs, ys, levels, level_start, row, col, is_v)
 
-    # edge ids are offset by level, so no two levels share one and the
-    # levels keep their order in a sort by id
-    per_level = (n - 1) * m + n * (m - 1)
-
-    def edge_ids(k: np.ndarray) -> np.ndarray:
-        lev = np.searchsorted(level_start, k, side="right") - 1
-        return np.where(is_v[k], (n - 1) * m + row[k] * (m - 1) + col[k],
-                        row[k] * m + col[k]) + lev * per_level
-
-    bounds = np.append(piece_start, total)
-    nonempty = bounds[:-1] < bounds[1:]
-    lo, hi = bounds[:-1][nonempty], bounds[1:][nonempty]
-
     # piece p has end slots 2p (its first element) and 2p + 1 (its last).
     # An end is on the grid boundary or is an H edge on a shared column;
-    # the two slots that hold a shared edge are neighbours sorted by id
-    ends = np.column_stack((lo, hi - 1)).ravel()
-    ec = col[ends]
-    on_boundary = is_v[ends] | (ec == 0) | (ec == m - 1)
-    end_ids = edge_ids(ends)
-    by_id = np.argsort(end_ids)
-    shared = by_id[~on_boundary[by_id]]
-    partner = np.full(ends.size, -1)
-    partner[shared[0::2]] = shared[1::2]
-    partner[shared[1::2]] = shared[0::2]
-
-    lo, hi, partner = lo.tolist(), hi.tolist(), partner.tolist()
-    end_ids = end_ids.tolist()
+    # the two slots that hold a shared edge are neighbours sorted by id.
+    # Edge ids are offset by level, so no two levels share one and the
+    # levels keep their order in a sort by id
+    per_level = (n - 1) * m + n * (m - 1)
+    lo, hi = bounds[:-1], bounds[1:]
+    ends = [e for p in zip(lo, hi) for e in (p[0], p[1] - 1)]
+    at = np.array(ends)
+    end_ids, on_boundary = [], []
+    for e, i, j, v in zip(ends, row[at].tolist(), col[at].tolist(),
+                          is_v[at].tolist()):
+        end_ids.append((bisect_right(level_start, e) - 1) * per_level
+                       + ((n - 1) * m + i * (m - 1) + j if v else i * m + j))
+        on_boundary.append(v or j == 0 or j == m - 1)
+    by_id = sorted(range(len(ends)), key=end_ids.__getitem__)
+    shared = [s for s in by_id if not on_boundary[s]]
+    partner = [-1] * len(ends)
+    for s, t in zip(shared[0::2], shared[1::2]):
+        partner[s], partner[t] = t, s
     visited = bytearray(len(lo))
 
     def chain(slot: int) -> np.ndarray:
@@ -266,7 +271,7 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         curve reaches the boundary or its first piece again; a shared edge
         is kept once."""
         parts = []
-        while True:
+        while slot >= 0 and not visited[slot >> 1]:
             p = slot >> 1
             visited[p] = 1
             skip = 1 if parts else 0
@@ -275,32 +280,32 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
             else:
                 parts.append(np.arange(lo[p] + skip, hi[p]))
             slot = partner[slot ^ 1]
-            if slot < 0 or visited[slot >> 1]:
-                return np.concatenate(parts)
+        return np.concatenate(parts)
 
     # open chains from their smaller-id boundary end, keyed (level, 0, id)
     found = [(end_ids[s] // per_level, 0, end_ids[s], chain(s))
-             for s in by_id[on_boundary[by_id]].tolist()
-             if not visited[s >> 1]]
+             for s in by_id if on_boundary[s] and not visited[s >> 1]]
     # then the loops, keyed (level, 1, smallest id), each starting at that
     # edge and stepping first into its lower-column cell.  A loop already
     # runs that way: it is entered at the top piece of its lowest run,
     # where its inside lies toward the higher columns, and followed down
     # that piece, so it keeps its inside on that hand and passes its
-    # smallest edge (on its top row, inside below) toward the lower columns
+    # smallest edge (on its top row, inside below) toward the lower columns.
+    # That edge is an H edge, whose id is below every V edge's, so the ring's
+    # ids are taken within its level, with each V edge's as per_level
     p = visited.find(0)
     while p >= 0:
         ring = chain(2 * p)[:-1]  # its last element is its first again
-        ids = edge_ids(ring)
+        ids = row[ring] * m + col[ring]
+        ids[is_v[ring]] = per_level
         k = int(ids.argmin())
-        first = int(ids[k])
-        found.append((first // per_level, 1, first,
+        found.append((end_ids[2 * p] // per_level, 1, int(ids[k]),
                       np.concatenate((ring[k:], ring[:k + 1]))))
         p = visited.find(0, p + 1)
     # each level's open chains in id order, then its loops in id order
     found.sort(key=lambda f: f[:3])
 
-    stops = np.cumsum([len(f[3]) for f in found]).tolist()
+    stops = list(accumulate(len(f[3]) for f in found))
     xy = np.take(xy, np.concatenate([f[3] for f in found]), axis=0)
     for f, i, j in zip(found, [0, *stops], stops):
         out[f[0]].append(xy[i:j])

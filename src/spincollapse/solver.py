@@ -19,8 +19,10 @@ status, and a Normal answer of either route is the same axis.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -103,6 +105,14 @@ class LevelSetCurve(Record):
         qs = self.overlap.tolist()
         return list(zip(self.theta.tolist(), self.phi.tolist(), qs,
                         map(binary_entropy, qs)))
+
+
+class LevelSets(list):
+    """trace_level_sets' curves, in order.  arrays holds four arrays over
+    every vertex of the trace, (theta, phi, overlap, tangency), of which
+    each curve's arrays are consecutive slices; () when there are none."""
+
+    arrays = ()
 
 
 class Candidate(NamedTuple):
@@ -200,7 +210,7 @@ def on_chart_edge(theta, phi):
 
 
 def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
-                     axis_i: Axis) -> list[LevelSetCurve]:
+                     axis_i: Axis) -> LevelSets:
     """Extract the chart-restricted level curves of the up-overlap field.
 
     Every level is checked before any is traced, and all are traced in one
@@ -218,7 +228,7 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
              zip(levels, marching_squares(a, b, c, thetas, phis, levels))
              for poly in level_polys]
     if not polys:
-        return []
+        return LevelSets()
     # the overlap and tangency of every vertex of both levels at once, from
     # one evaluation of each sine and cosine; each curve holds contiguous
     # slices of these arrays.  The angles are gathered column by column: a
@@ -235,7 +245,8 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     qs *= 0.5
     np.minimum(1.0, np.maximum(0.0, qs, out=qs), out=qs)
     tangs = _axes_dot(st, ct, sp, cp, w)
-    curves: list[LevelSetCurve] = []
+    curves = LevelSets()
+    curves.arrays = (th, ph, qs, tangs)
     start = 0
     for cid, (level, poly) in enumerate(polys):
         end = start + len(poly)
@@ -245,48 +256,50 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
     return curves
 
 
-def _drop_repeats(th: np.ndarray, ph: np.ndarray, *more: np.ndarray
-                  ) -> tuple[np.ndarray, ...]:
-    """The vertices left when every vertex within SAME_VERTEX of its
-    predecessor is dropped (crossings collapsing onto a grid node): th and
-    ph, then each array of more filtered by the same mask."""
-    dth, dph = th[1:] - th[:-1], ph[1:] - ph[:-1]
-    far = dth * dth + dph * dph > SAME_VERTEX ** 2
-    if far.all():
-        return th, ph, *more
-    keep = np.concatenate(([True], far))
-    return th[keep], ph[keep], *(x[keep] for x in more)
+def _candidates(curves: LevelSets, extrema: list[tuple[Candidate, Candidate]]
+                ) -> list[Candidate]:
+    """Which of its level circle's two overlap extrema, extrema[k] =
+    (highest, lowest) for curves[k], lie on each curve, as candidates with
+    its component id: one pass over the trace's arrays, curve after curve.
 
-
-def _curve_candidates(curve: LevelSetCurve,
-                      extrema: tuple[Candidate, Candidate]) -> list[Candidate]:
-    """Which of its level circle's two overlap extrema, extrema = (highest,
-    lowest), lie on one curve, as candidates with its component id.
-
-    A segment between consecutive vertices brackets an extremum where the
-    tangency n . w changes sign along it (vertex overlap values alone are
-    too noisy to bracket one where the overlap is flat).  Along the circle
-    the overlap is affine in t . n, t the part of n_i orthogonal to m, and
-    largest at the highest extremum, so a bracket holds that one when its
-    end vertices' overlaps sum to at least the two extrema's.  Each
-    extremum is a candidate once, in the order of its first bracket.
+    A closed curve's repeated last vertex is dropped, and every vertex
+    within SAME_VERTEX of its predecessor (crossings collapsing onto a grid
+    node).  A segment between consecutive kept vertices (the last and the
+    first on a closed curve) brackets an extremum where the tangency n . w
+    changes sign along it, or leaves zero (vertex overlaps alone are too
+    noisy where the overlap is flat).  Along the circle the overlap is
+    affine in t . n, t the part of n_i orthogonal to m, so a bracket holds
+    the highest extremum when its end vertices' overlaps sum to at least
+    the two extrema's.  Each extremum is a candidate of a curve once, in
+    the order of its first bracket.
     """
-    th, ph, qs, tangs = curve.theta, curve.phi, curve.overlap, curve.tangency
-    closed = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
-    if closed:
-        th, ph, qs, tangs = th[:-1], ph[:-1], qs[:-1], tangs[:-1]
-    th, ph, qs, tangs = _drop_repeats(th, ph, qs, tangs)
-
-    # segment j joins vertices j and j + 1 (vertex 0 after the last one on a
-    # closed curve) and brackets an extremum when the tangency changes sign
-    # along it, or leaves zero
-    cur, nxt = (tangs, np.roll(tangs, -1)) if closed else (tangs[:-1], tangs[1:])
-    j = np.flatnonzero((cur * nxt < 0.0) | ((cur == 0.0) & (nxt != 0.0)))
-    high, low = extrema
-    ends = qs[j] + qs[(j + 1) % qs.size]
-    return [(high if above else low)._replace(component_id=curve.component_id)
-            for above in dict.fromkeys(
-                (ends >= high.overlap + low.overlap).tolist())]
+    if not curves:
+        return []
+    th, ph, qs, tangs = curves.arrays
+    stops = list(itertools.accumulate(len(curve.theta) for curve in curves))
+    # the test runs over consecutive vertices of the trace, a dropped vertex
+    # reading the tangency and overlap of the one before it and a closed
+    # curve's last those of its first, so a pair into a dropped vertex never
+    # brackets and a pair into a kept one is a segment
+    t, q = tangs.copy(), qs.copy()
+    dth, dph = th[1:] - th[:-1], ph[1:] - ph[:-1]
+    starts = set(stops)
+    for k in (dth * dth + dph * dph <= SAME_VERTEX ** 2).nonzero()[0].tolist():
+        if k + 1 not in starts:
+            t[k + 1], q[k + 1] = t[k], q[k]
+    for s, e in zip([0, *stops], stops):
+        if e - s > 2 and th[s] == th[e - 1] and ph[s] == ph[e - 1]:
+            t[e - 1], q[e - 1] = t[s], q[s]
+    found: dict[tuple[int, bool], None] = {}
+    for j in ((t[:-1] * t[1:] < 0.0) | ((t[:-1] == 0.0) & (t[1:] != 0.0))
+              ).nonzero()[0].tolist():
+        k = bisect.bisect_right(stops, j)
+        if j + 1 < stops[k]:  # not the pair of two curves
+            high, low = extrema[k]
+            found[k, q.item(j) + q.item(j + 1)
+                  >= high.overlap + low.overlap] = None
+    return [extrema[k][0 if above else 1]._replace(
+        component_id=curves[k].component_id) for k, above in found]
 
 
 def _reflection(ni: tuple[float, float, float], m: tuple[float, float, float],
@@ -315,7 +328,7 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     (overlap 0, s_up 0).  Both directions of a line carry its chart axis,
     (theta_i, phi_i) or _reflection's, with opposite labels_swapped.  The
     trace alone decides which extrema lie on the chart and on which
-    component (see _curve_candidates; a curve's open ends on the chart edge
+    component (see _candidates; a curve's open ends on the chart edge
     are never candidates), and so the drops and the status.  A component
     is dropped, and marked by LevelSetCurve.contains_zero_entropy, when
     one of its candidates has s_up <= EPS_Z, the rule the closed form
@@ -334,14 +347,14 @@ def solve_collapse(i: Axis, s: SpinState, cfg: SolverConfig | None = None
     curves = trace_level_sets(s, (p_same, 1.0 - p_same), cfg, axis_i=i)
     s_star = binary_entropy(min(1.0, max(0.0, c * c)))
     star = _reflection(ni, m, c)
-    # (highest, lowest) per circle; _curve_candidates sets component ids
+    # (highest, lowest) per circle; _candidates sets component ids
     same = (Candidate(Axis(i.theta, i.phi), 1.0, 0.0, -1),
             Candidate(Axis(star.theta, star.phi, not star.labels_swapped),
                       c * c, s_star, -1))
     flip = (Candidate(star, 1.0 - c * c, s_star, -1),
             Candidate(Axis(i.theta, i.phi, True), 0.0, 0.0, -1))
-    all_cands = [cand for curve in curves for cand in _curve_candidates(
-        curve, same if curve.level == p_same else flip)]
+    all_cands = _candidates(curves, [same if curve.level == p_same else flip
+                                     for curve in curves])
     zero_ids = {cand.component_id for cand in all_cands
                 if cand.s_up <= EPS_Z}
     for curve in curves:

@@ -322,10 +322,123 @@ def _drop_repeats_loop(th, ph):
     return pts
 
 
+def _drop_repeats(th, ph, *more):
+    """The vertices left when every vertex within SAME_VERTEX of its
+    predecessor is dropped: th and ph, then each array of more filtered by
+    the same mask.  The per-curve form of the solver's drop, kept as the
+    reference of _curve_candidates."""
+    dth, dph = th[1:] - th[:-1], ph[1:] - ph[:-1]
+    far = dth * dth + dph * dph > solver.SAME_VERTEX ** 2
+    if far.all():
+        return th, ph, *more
+    keep = np.concatenate(([True], far))
+    return th[keep], ph[keep], *(x[keep] for x in more)
+
+
+def _curve_candidates(curve, extrema):
+    """Which of its level circle's two overlap extrema, extrema = (highest,
+    lowest), lie on one curve, one curve at a time: the reference of
+    solver._candidates, which takes every curve of a trace in one pass."""
+    th, ph, qs, tangs = curve.theta, curve.phi, curve.overlap, curve.tangency
+    closed = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
+    if closed:
+        th, ph, qs, tangs = th[:-1], ph[:-1], qs[:-1], tangs[:-1]
+    th, ph, qs, tangs = _drop_repeats(th, ph, qs, tangs)
+
+    # segment j joins vertices j and j + 1 (vertex 0 after the last one on a
+    # closed curve) and brackets an extremum when the tangency changes sign
+    # along it, or leaves zero
+    cur, nxt = (tangs, np.roll(tangs, -1)) if closed else (tangs[:-1], tangs[1:])
+    j = np.flatnonzero((cur * nxt < 0.0) | ((cur == 0.0) & (nxt != 0.0)))
+    high, low = extrema
+    ends = qs[j] + qs[(j + 1) % qs.size]
+    return [(high if above else low)._replace(component_id=curve.component_id)
+            for above in dict.fromkeys(
+                (ends >= high.overlap + low.overlap).tolist())]
+
+
+def level_sets(curves):
+    """A LevelSets as trace_level_sets builds it, from one (level, theta,
+    phi, overlap, tangency) tuple per curve, component ids in order."""
+    out = solver.LevelSets()
+    out.arrays = arrays = tuple(np.concatenate(x)
+                                for x in zip(*(c[1:] for c in curves)))
+    start = 0
+    for cid, (level, theta, *_) in enumerate(curves):
+        end = start + len(theta)
+        out.append(solver.LevelSetCurve(
+            level, *(x[start:end] for x in arrays), cid))
+        start = end
+    return out
+
+
+def reference_candidates(curves, extrema):
+    return [cand for curve, pair in zip(curves, extrema)
+            for cand in _curve_candidates(curve, pair)]
+
+
+class TestCandidatePass:
+    """solver._candidates, one pass over a trace, against the per-curve
+    reference, candidate for candidate and so curve by curve."""
+
+    def test_solver_traces(self, monkeypatch):
+        # the pinned instances and unfiltered draws, as the solve passes
+        # them: their curves and the extrema of each curve's circle
+        calls = []
+        candidates = solver._candidates
+
+        def recorded(curves, extrema):
+            out = candidates(curves, extrema)
+            calls.append((curves, extrema, out))
+            return out
+
+        monkeypatch.setattr(solver, "_candidates", recorded)
+        rng = np.random.default_rng(11)
+        instances = [(GENERIC_AXIS, GENERIC_STATE), (DEATH_AXIS, DEATH_STATE),
+                     *(random_instance(rng) for _ in range(20))]
+        for grid in (64, 256):
+            for axis, state in instances:
+                solve_collapse(axis, state, SolverConfig(grid_n=grid))
+        kinds = {"closed": 0, "open": 0, "repeats": 0, "candidates": 0}
+        for curves, extrema, out in calls:
+            assert out == reference_candidates(curves, extrema)
+            kinds["candidates"] += len(out)
+            for curve in curves:
+                th, ph = curve.theta, curve.phi
+                loop = th.size > 2 and th[0] == th[-1] and ph[0] == ph[-1]
+                kinds["closed" if loop else "open"] += 1
+                kinds["repeats"] += len(_drop_repeats(th, ph)[0]) < th.size
+        assert min(kinds.values()) > 0, kinds
+
+    def test_synthetic_curves(self):
+        # random walks with near repeats, some closed (with a random
+        # tangency at the repeated last vertex, which must not be read),
+        # tangencies that are often zero, one to five curves a trace
+        rng = np.random.default_rng(21)
+        axis = Axis(1.0, 2.0)
+        for _ in range(300):
+            curves, extrema = [], []
+            for _ in range(rng.integers(1, 6)):
+                size = int(rng.integers(1, 12))
+                steps = rng.choice([0.0, 3e-13, 9e-13, 1.1e-12, 1e-3],
+                                   size=(size, 2))
+                th, ph = 0.5 + np.cumsum(steps, axis=0).T
+                if size > 2 and rng.random() < 0.5:
+                    th[-1], ph[-1] = th[0], ph[0]
+                tang = rng.choice([-1.0, -1e-3, 0.0, 1e-3, 1.0], size=size)
+                curves.append((0.3, th, ph, rng.uniform(0.0, 1.0, size), tang))
+                high = solver.Candidate(axis, rng.uniform(0.5, 1.0), 0.1, -1)
+                extrema.append((high, high._replace(overlap=1.0 - high.overlap,
+                                                    s_up=0.2)))
+            traced = level_sets(curves)
+            assert solver._candidates(traced, extrema) == \
+                reference_candidates(traced, extrema)
+
+
 class TestDropRepeats:
     @staticmethod
     def kept(th, ph):
-        th, ph = solver._drop_repeats(np.array(th), np.array(ph))
+        th, ph = _drop_repeats(np.array(th), np.array(ph))
         return list(zip(th.tolist(), ph.tolist()))
 
     def test_chain_of_sub_threshold_steps(self):
@@ -364,7 +477,7 @@ class TestDropRepeats:
         th, ph = th[:-1], ph[:-1]
         index = np.arange(th.size, dtype=float)
         tang = np.sin(7.0 * index)
-        kth, kph, kindex, ktang = solver._drop_repeats(th, ph, index, tang)
+        kth, kph, kindex, ktang = _drop_repeats(th, ph, index, tang)
         assert list(zip(kth.tolist(), kph.tolist())) == _drop_repeats_loop(th, ph)
         assert kindex.tolist() == [0, 1, 2, 3, *range(5, 13)]
         keep = kindex.astype(int)
@@ -374,7 +487,7 @@ class TestDropRepeats:
     def test_more_arrays_pass_through_without_repeats(self):
         th, ph = np.linspace(0.1, 1.0, 8), np.linspace(2.0, 1.0, 8)
         tang = np.cos(th)
-        out = solver._drop_repeats(th, ph, tang)
+        out = _drop_repeats(th, ph, tang)
         assert len(out) == 3
         assert all(x is y for x, y in zip(out, (th, ph, tang)))
 
@@ -946,7 +1059,9 @@ class TestTangentPoints:
             curve = solver.LevelSetCurve(
                 level, theta, phi, overlap,
                 np.array([1.0, -1.0, 1.0, -1.0, 1.0]), 3)
-            assert solver._curve_candidates(curve, (high, low)) == \
+            traced = solver.LevelSets([curve])
+            traced.arrays = (theta, phi, overlap, curve.tangency)
+            assert solver._candidates(traced, [(high, low)]) == \
                 [extremum._replace(component_id=3)]
         # n* is the middle vertex of its five, on the chart
         assert np.linalg.norm(np.array(axis_to_bloch(nstar)) - k * np.array(m)

@@ -4,6 +4,7 @@ CLI start-up table."""
 
 import importlib.util
 import math
+import os
 import pathlib
 import re
 
@@ -240,6 +241,16 @@ def test_phase_times_prints_one_row_per_grid(capsys):
     assert solver.marching_squares is contour.marching_squares
 
 
+def test_every_phase_takes_time():
+    # a wrapped binding that the solve no longer calls through would read
+    # 0 s, a stale column, rather than fail
+    phases = phase_times.solve_phases(
+        solver, canonicalize_axis(math.pi / 4, math.pi / 2),
+        SpinState(0.4, 0.0), solver.SolverConfig(grid_n=64))
+    assert set(phases) == set(phase_times.PHASES)
+    assert all(seconds > 0.0 for seconds in phases.values()), phases
+
+
 def test_cli_times_prints_one_row_per_request():
     # a fresh process, since the tool pins itself to one CPU
     src = str(TOOLS.parent / "src")
@@ -247,9 +258,11 @@ def test_cli_times_prints_one_row_per_request():
                                 "--src", src, "--src", src)
     assert code == 0, err.decode()
     lines = out.decode().splitlines()
-    assert re.fullmatch(r"# \d+ CPUs, (cpu \d+|unpinned), Python \S+; "
-                        r"median \[quartiles\] of 1 rounds, ms, and median "
-                        r"peak RSS", lines[0])
+    # the requests inherit this process's environment
+    cache = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
+    assert re.fullmatch(r"# \d+ CPUs, (cpu \d+|unpinned), Python \S+, "
+                        rf"bytecode cache {cache}; median \[quartiles\] of 1 "
+                        r"rounds, ms, and median peak RSS", lines[0])
     assert lines[1] == f"| command | {src} | {src} |"
     assert [line.split(" | ")[0] for line in lines[3:]] == [
         "| bare python", "| import numpy", "| solve",

@@ -30,7 +30,9 @@ this process may run on, where the platform allows.  Each cell is the
 median over --rounds rounds, with the quartiles in brackets, in
 milliseconds, then the median peak RSS in MB (ru_maxrss / 1024, as the
 benchmark's peak_rss_mb).  Every request must exit 0.  The first line
-names the machine.
+names the machine and says whether the bytecode cache is on: off when the
+PYTHONDONTWRITEBYTECODE that the requests inherit is set, so that each
+request compiles the package from source unless a cache is already there.
 """
 
 from __future__ import annotations
@@ -144,9 +146,10 @@ def main(argv: list[str] | None = None) -> int:
                 for column, src in zip(runs[name], srcs):
                     column.append(run_once(flags, src))
 
+    cache = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
     print(f"# {os.cpu_count()} CPUs, {pinned}, Python "
-          f"{platform.python_version()}; median [quartiles] of "
-          f"{args.rounds} rounds, ms, and median peak RSS")
+          f"{platform.python_version()}, bytecode cache {cache}; median "
+          f"[quartiles] of {args.rounds} rounds, ms, and median peak RSS")
     print("| command | " + " | ".join(srcs) + " |")
     print("|---|" + "---|" * len(srcs))
     for name, _ in rows:

@@ -19,9 +19,11 @@ originals are put back when the measurement ends:
                      levels its overlap and its tangency (tables made
                      before that pass was shared count the tangency under
                      candidates)
-    candidates       _curve_candidates over all curves: the sign scan of the
-                     curves' tangency, and which of its circle's two known
-                     extrema each bracket holds
+    candidates       _candidates: one pass over the vertices of all curves,
+                     the sign scan of their tangency, and which of its
+                     circle's two known extrema each bracket holds (tables
+                     made before that pass summed _curve_candidates, one
+                     call per curve)
 
 Each round solves every grid --solves times, grid after grid, and keeps
 each phase's minimum over those solves; the table gives the median of each
@@ -55,7 +57,7 @@ PHASES = ("total", "field", MS, "rest of tracing", CANDIDATES)
 # solver binding -> the phase its time is added to
 WRAPPED = {"solve_collapse": "total", "_overlap_grid": "field",
            "marching_squares": MS, "trace_level_sets": "tracing",
-           "_curve_candidates": CANDIDATES}
+           "_candidates": CANDIDATES}
 CLOSED_SEED, CLOSED_SWEEP = 0, 2000
 
 
