@@ -27,9 +27,16 @@ S_UP_AGREE_TOL = 1e-6
 METHODS = {"grid": "grid", "closed": "closed_form", "closed_form": "closed_form"}
 
 
+def _one_line(text: str) -> str:
+    """text with every whitespace character but the space escaped, so that
+    the user's text inside a diagnostic cannot break its line."""
+    return "".join(ch.encode("unicode_escape").decode()
+                   if ch.isspace() and ch != " " else ch for ch in text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors: one stderr line, exit code 1
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {_one_line(message)}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -89,8 +96,6 @@ def cmd_trace(args) -> int:
 
     axis, state = _instance(args)
     sol = solve_collapse(axis, state, SolverConfig(grid_n=args.grid))
-    if sol.status is Status.TRIVIAL:
-        print("warning: trivial instance, no level curves", file=sys.stderr)
     rows = []
     for cv in sol.curves:
         for th, ph, overlap, s_up in cv.vertices:
@@ -104,7 +109,11 @@ def cmd_trace(args) -> int:
                              "overlap", "s_up", "is_boundary"])
             writer.writerows(rows)
     except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc}") from None
+        raise ValueError(f"cannot write {_one_line(args.out)}: {exc}") \
+            from None
+    # after the write, so that a failed one prints its error line alone
+    if sol.status is Status.TRIVIAL:
+        print("warning: trivial instance, no level curves", file=sys.stderr)
     return 0
 
 
@@ -187,7 +196,8 @@ def cmd_run(args) -> int:
         with open(cfgd["out"], "w") as fh:
             fh.write(result.to_jsonl())
     except OSError as exc:
-        raise ValueError(f"cannot write {cfgd['out']}: {exc}") from None
+        raise ValueError(f"cannot write {_one_line(cfgd['out'])}: {exc}") \
+            from None
     print(json.dumps({
         "steps": len(result.records),
         "halted": result.halted,
@@ -198,14 +208,15 @@ def cmd_run(args) -> int:
 
 
 def _parse_or_diagnose(text: str, n: int):
-    """parse_expr, with a syntax error's message followed by the text and a
-    caret under the failing position."""
+    """parse_expr, with a syntax error's message followed by the text, its
+    whitespace shown as spaces, and a caret under the failing position."""
     from .pfn import ExprSyntaxError, parse_expr
 
     try:
         return parse_expr(text, n)
     except ExprSyntaxError as exc:
-        raise ValueError(f"{exc}\n  {text}\n  {' ' * exc.position}^") \
+        shown = "".join(" " if ch.isspace() else ch for ch in text)
+        raise ValueError(f"{exc}\n  {shown}\n  {' ' * exc.position}^") \
             from None
 
 

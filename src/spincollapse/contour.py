@@ -94,9 +94,9 @@ def _offset(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: np.ndarray,
 def _runs(c: np.ndarray) -> list[tuple[int, int, bool]]:
     """(s, e, rising) of each maximal run of nodes s..e along which c never
     decreases (rising) or never increases; consecutive runs share a node."""
-    steps = np.flatnonzero(c[1:] != c[:-1])
+    steps = (c[1:] != c[:-1]).nonzero()[0]
     rising = c[steps + 1] > c[steps]
-    turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
+    turns = (rising[1:] != rising[:-1]).nonzero()[0] + 1
     bounds = [0, *steps[turns].tolist(), c.size - 1]
     ups = rising[:1].tolist() + rising[turns].tolist() or [True]
     return list(zip(bounds, bounds[1:], ups))
@@ -134,12 +134,12 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
     root = (levels[:, None] - a) / b1
     k = np.empty((levels.size, r_n, n), dtype=np.intp)
     for r, (o, m, _, _) in enumerate(meta):
-        k[:, r] = np.searchsorted(pad[o:o + m], root)
+        k[:, r] = pad[o:o + m].searchsorted(root)
     at = k + base
     below = b1 * pad[at - 1] + a >= lev
     above = b1 * pad[at] + a >= lev
     flat_k = k.reshape(-1)
-    for f in np.flatnonzero(above <= below).tolist():  # missed rows
+    for f in (above <= below).ravel().nonzero()[0].tolist():  # missed rows
         l, r, i = f // (r_n * n), f // n % r_n, f % n
         o, m = meta[r][:2]
         true = b1[i] * pad[o:o + m] + a[i] >= levels[l]
@@ -166,11 +166,11 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     split[l, r, i] toward split[l, r, i + 1].
     """
     split, inner = _splits(a, b, c, levels)
-    gap = np.zeros_like(split)
+    gap = np.zeros(split.shape, split.dtype)
     gap[..., :-1] = split[..., 1:] - split[..., :-1]
     size = (inner + np.abs(gap)).ravel()
-    start = np.cumsum(size) - size
-    block = np.repeat(np.arange(size.size), size)
+    start = size.cumsum() - size
+    block = np.arange(size.size).repeat(size)
     # an element's rank in its block, counted as if every block began with
     # its V edge: rank 0 is the V edge at column at - 1, ranks 1.. the H
     # edges at columns at, at + 1, .. going up and at - 1, at - 2, .. not
@@ -188,7 +188,7 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     starts[start[cut.ravel()]] = True
     starts[-1] = True
     return (row, col, is_v, start[::size.size // levels.size].tolist(),
-            np.flatnonzero(starts).tolist())
+            starts.nonzero()[0].tolist())
 
 
 def _crossings(a: np.ndarray, b: np.ndarray, c: np.ndarray, xs: np.ndarray,
@@ -200,7 +200,7 @@ def _crossings(a: np.ndarray, b: np.ndarray, c: np.ndarray, xs: np.ndarray,
     level of the element's own emission.  An H edge joins (row, col) and
     (row + 1, col), a V edge joins (row, col) and (row, col + 1)."""
     stops = level_start[1:] + [row.size]
-    at_level = np.repeat(levels, [e - s for s, e in zip(level_start, stops)])
+    at_level = levels.repeat([e - s for s, e in zip(level_start, stops)])
     is_h = ~is_v
     row1, col1 = row + is_h, col + is_v
     d0 = _offset(a, b, c, row, col, at_level)
@@ -306,7 +306,7 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     found.sort(key=lambda f: f[:3])
 
     stops = list(accumulate(len(f[3]) for f in found))
-    xy = np.take(xy, np.concatenate([f[3] for f in found]), axis=0)
+    xy = xy.take(np.concatenate([f[3] for f in found]), axis=0)
     for f, i, j in zip(found, [0, *stops], stops):
         out[f[0]].append(xy[i:j])
     return out

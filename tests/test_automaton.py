@@ -112,6 +112,28 @@ class TestRun:
         assert result.records[1].status in (Status.TRIVIAL,
                                             Status.DEATH_POINT)
 
+    @pytest.mark.parametrize("cfg, runs", [
+        (SolverConfig(method="closed_form"), 300),
+        (SolverConfig(grid_n=64), 40)])
+    def test_run_without_inputs_halts_by_step_two(self, cfg, runs):
+        # each collapse feeds back an eigenstate of the new axis, so a run
+        # that does not die at step 1 is Trivial at step 2 (c = +-1): no
+        # run cycles or reaches max_steps
+        policies = [parse_expr(t) for t in ("x|y", "x&y", "x^y", "!x",
+                                            "x|!y")]
+        rng = np.random.default_rng(5)
+        halts = set()
+        for k in range(runs):
+            axis, state = random_instance(rng)
+            result = ObserverAutomaton(axis, policies[k % len(policies)], 0,
+                                       cfg).run(state, max_steps=50)
+            statuses = [rec.status for rec in result.records]
+            assert statuses in ([Status.DEATH_POINT],
+                                [Status.NORMAL, Status.TRIVIAL]), statuses
+            assert result.halted
+            halts.add(result.halt_reason)
+        assert halts == {"death_point", "trivial"}
+
     def test_trivial_start_halts_at_step_one(self):
         result = machine().run(eigenstate_as_state(START_AXIS, 1),
                                max_steps=5)

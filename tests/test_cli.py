@@ -2,16 +2,22 @@
 diagnostics.  main() is invoked in-process with an argv list;
 TestProcessEntry holds fresh processes to the same bytes."""
 
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spincollapse
 from spincollapse import cli
@@ -716,6 +722,37 @@ class TestErrorExit:
         assert err == (f"error: cannot write {target}: [Errno 2] No such file "
                        f"or directory: '{target}'\n")
 
+    def test_unwritable_trace_csv_of_a_trivial_instance(self, capsys,
+                                                         tmp_path):
+        # the trivial-instance warning is for a CSV that was written
+        target = tmp_path / "missing" / "trace.csv"
+        code, out, err = run_cli(capsys, "trace", "--theta-i", "0",
+                                 "--phi-i", "0", "--rho", "1", "--tau", "0",
+                                 "--grid", "64", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot write {target}: [Errno 2] No such file "
+                       f"or directory: '{target}'\n")
+
+    def test_line_breaks_in_the_input_stay_inside_the_error_line(
+            self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "pfn", "dnf", "--table", "e",
+                                 "--expr", "x\n|")
+        assert (code, out) == (1, "")
+        assert err == "error: unrecognized arguments: --expr x\\n|\n"
+        target = tmp_path / "missing\n" / "trace.csv"
+        code, out, err = run_cli(capsys, "trace", *GENERIC, "--grid", "64",
+                                 "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {tmp_path}/missing\\n/")
+        assert err.count("\n") == 1
+        # a syntax error's expression shows its whitespace as spaces, so
+        # the caret stands under the failing position
+        code, out, err = run_cli(capsys, "pfn", "table", "--expr", "x\t&\n")
+        assert (code, out) == (1, "")
+        assert err == ("error: unexpected end of input at position 4\n"
+                       "  x & \n"
+                       "      ^\n")
+
     def test_memory_depth_needs_a_history_the_config_has_no_field_for(
             self, capsys, tmp_path):
         cfg_path, out_path = run_config(tmp_path, pfn="s1", memory_depth=1,
@@ -905,3 +942,174 @@ class TestProcessEntry:
             assert main(argv) == code
             assert (gc.isenabled(), gc.get_freeze_count()) == collector
         capsys.readouterr()
+
+
+# any number the CLI may be handed where it reads one: non-finite, huge,
+# negative, and plain ones; then strings that are not numbers at all
+ANY_FLOAT = st.one_of(
+    st.floats(), st.integers(-10 ** 20, 10 ** 20),
+    st.sampled_from([0.0, 1.0, -0.0, 2.0 * PI, -1.0, 1e308, 10 ** 400,
+                     -10 ** 400]))
+BAD_WORDS = st.sampled_from(["", "abc", "nan", "-inf", "1e999", "0x10",
+                             "1_0", "--", "∞", " 1", "１", "1,5", "1\n"])
+NOT_NUMBERS = st.one_of(ANY_FLOAT, BAD_WORDS)
+# (valid, misused) values of each input.  The instance fields are valid in
+# range, theta and phi at any finite angle.  A grid is valid in
+# 64..8192, but 300..8192 is slow, so only 64..256 is drawn.  An output
+# path is misused only inside the temporary directory, since any word is
+# a path the CLI would write to
+INSTANCE = {"theta_i": ("--theta-i", st.floats(-10.0, 10.0), NOT_NUMBERS),
+            "phi_i": ("--phi-i", st.floats(-10.0, 10.0), NOT_NUMBERS),
+            "rho": ("--rho", st.floats(0.0, 1.0), NOT_NUMBERS),
+            "tau": ("--tau", st.floats(0.0, 2.0 * PI, exclude_max=True),
+                    NOT_NUMBERS)}
+GRID = (st.integers(64, 256),
+        st.one_of(st.integers(max_value=63), st.integers(min_value=8193),
+                  BAD_WORDS))
+EXPR = (st.sampled_from(["x|y", "x&y", "x^y", "!x", "(x|!y)&1", "0"]),
+        st.one_of(st.sampled_from(["s1", "x1&y1|s1", "s", "x & (y", "x||y",
+                                   "!" * 300 + "x", "x2", ""]),
+                  st.text("xys0123!&|^() \t\n", max_size=20)))
+PFN_FLAGS = {
+    "table": ("--expr", "--n"), "dnf": ("--table", "--n"),
+    "cnf": ("--table", "--n"),
+    "prob": ("--expr", "--n", "--measure", "--method", "--samples",
+             "--seed")}
+PFN_VALUES = {
+    "--expr": EXPR,
+    "--n": (st.integers(0, 4),
+            st.one_of(st.sampled_from([-1, 5, 10 ** 30]), BAD_WORDS)),
+    "--table": (st.sampled_from(["e", "8", "0", "ffff", "1" * 16]),
+                st.one_of(st.sampled_from(["-1", "1" * 40, "0x1"]),
+                          st.text("0123456789abcdefx-+ ", max_size=6))),
+    "--measure": (st.sampled_from(["chart", "sphere"]),
+                  st.one_of(st.just("area"), BAD_WORDS)),
+    "--method": (st.sampled_from(["analytic", "mc"]),
+                 st.one_of(st.just("monte_carlo"), BAD_WORDS)),
+    # at most 10^4 samples, or a count that is misuse
+    "--samples": (st.integers(1, 10 ** 4),
+                  st.one_of(st.integers(max_value=0),
+                            st.integers(min_value=10 ** 7 + 1), BAD_WORDS)),
+    "--seed": (st.integers(0, 2 ** 70),
+               st.one_of(st.integers(-5, -1), BAD_WORDS))}
+
+
+def one_misused(draw, values):
+    """(name, value) of each (name, valid, misused) of values, but one in
+    forty left out: all valid in half the draws, else all but one, drawn
+    from its misused values, so that each misuse meets the rest valid."""
+    bad = draw(st.integers(0, 2 * len(values)))  # none from len(values) on
+    return [(name, draw(misused if k == bad else valid))
+            for k, (name, valid, misused) in enumerate(values)
+            if draw(st.integers(0, 39))]
+
+
+@st.composite
+def argvs(draw, tmp):
+    """argv for solve, trace or pfn: the flags of the command, one at most
+    misused and each now and then left out, and now and then one more
+    that the command does not take."""
+    command = draw(st.sampled_from(["solve", "trace", "pfn", "bogus"]))
+    if command in ("solve", "trace"):
+        values = [*INSTANCE.values(), ("--grid", *GRID)]
+        if command == "solve":
+            values.append(("--method", st.sampled_from(
+                ["grid", "closed", "both"]),
+                st.one_of(st.just("closed_form"), BAD_WORDS)))
+        else:
+            values.append(("--out", st.just(f"{tmp}/trace.csv"),
+                           st.sampled_from([f"{tmp}/missing/trace.csv",
+                                            f"{tmp}/missing\n/trace.csv",
+                                            tmp, ""])))
+    else:
+        if command == "pfn":
+            command += " " + draw(st.sampled_from([*PFN_FLAGS, "bogus"]))
+        names = PFN_FLAGS.get(command.split()[-1], ())
+        if not draw(st.integers(0, 9)):  # a flag it may not take
+            names += (draw(st.sampled_from(sorted(PFN_VALUES))),)
+        values = [(name, *PFN_VALUES[name]) for name in names]
+    argv = command.split()
+    for flag, value in one_misused(draw, values):
+        argv += [flag, str(value)]
+    return argv
+
+
+@st.composite
+def run_configs(draw, tmp):
+    """The text of a run config: mostly a valid config, with now and then
+    a field of the wrong kind or value, missing or unknown, or not JSON at
+    all."""
+    if not draw(st.integers(0, 19)):
+        return draw(st.sampled_from(["", "{", "[]", "null", '{"a": 1,}',
+                                     "NaN", '"x"']))
+    fields = [(name, valid, bad) for name, (_, valid, bad)
+              in INSTANCE.items()] + [
+        ("pfn", *EXPR), ("memory_depth", st.just(0), st.integers(1, 5)),
+        ("max_steps", st.integers(1, 5), st.integers(-2, 0)),
+        ("grid_n", *GRID),
+        ("method", st.sampled_from(["grid", "closed", "closed_form"]),
+         st.one_of(st.just("both"), BAD_WORDS)),
+        ("seed", st.integers(-5, 2 ** 70), BAD_WORDS),
+        ("out", st.just(f"{tmp}/trace.jsonl"),
+         st.one_of(st.sampled_from([f"{tmp}/missing\n/trace.jsonl", tmp]),
+                   ANY_FLOAT))]
+    # and values of a JSON kind that no field takes
+    junk = st.sampled_from([True, None, [1.0], {"a": 1}])
+    cfg = dict(one_misused(draw, [(name, valid, st.one_of(bad, junk))
+                                  for name, valid, bad in fields]))
+    if not draw(st.integers(0, 19)):
+        cfg["extra"] = 1
+    return json.dumps(cfg)
+
+
+class TestInputProperty:
+    """Whatever argv or run config it is given, main returns, or raises
+    SystemExit with, 0, 1 or 2, and raises nothing else; an exit 1 leaves
+    stdout empty and stderr one error line, followed by the expression and
+    a caret under it when a pfn policy does not parse."""
+
+    @staticmethod
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def check(self, argv, codes):
+        code, out, err = self.call(argv)
+        assert code in codes, (argv, code, err)
+        if code == 1:
+            lines = err.split("\n")
+            assert out == "", (argv, out)
+            assert lines[0].startswith("error: ") and lines[-1] == "", \
+                (argv, err)
+            if len(lines) == 4:  # a syntax error: its expression, a caret
+                assert argv[:2] in (["pfn", "table"], ["pfn", "prob"])
+                # argparse keeps the last of a repeated flag
+                expr = argv[len(argv) - argv[::-1].index("--expr")]
+                # whitespace is shown as spaces, so the caret lines up
+                assert lines[1] == "  " + re.sub(r"\s", " ", expr), (argv, err)
+                assert lines[2].rstrip("^") == " " * (len(lines[2]) - 1)
+                assert 3 <= len(lines[2]) <= len(expr) + 3, (argv, err)
+            else:
+                assert len(lines) == 2, (argv, err)
+            assert err.count("error:") == 1, (argv, err)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_argv(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = data.draw(argvs(tmp))
+            codes = (0, 1, 2) if argv[:1] == ["solve"] else (0, 1)
+            self.check(argv, codes)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_run_config(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "run.json")
+            path.write_text(data.draw(run_configs(tmp)))
+            self.check(["run", str(path)], (0, 1))

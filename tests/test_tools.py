@@ -231,9 +231,12 @@ def test_phase_times_prints_one_row_per_grid(capsys):
                              "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"# \d+ CPUs, Python \S+, numpy \S+; .*", lines[0])
-    assert lines[1] == "| `grid_n` | " + " | ".join(phase_times.PHASES) + " |"
-    assert re.fullmatch(r"\| 64 \|( \d+\.\d+ ms \|){5}", lines[3])
-    assert re.fullmatch(r"\| closed form \| \d+\.\d\d µs \|( – \|){4}",
+    assert lines[1] == ("| `grid_n` | " + " | ".join(phase_times.PHASES)
+                        + " | minor faults |")
+    # five phase times, then the median minor page faults per solve
+    assert re.fullmatch(r"\| 64 \|( \d+\.\d+ ms \|){5} \d+(\.\d+)? \|",
+                        lines[3])
+    assert re.fullmatch(r"\| closed form \| \d+\.\d\d µs \|( – \|){5}",
                         lines[4])
     assert len(lines) == 5
     # the solver's bindings are the originals again

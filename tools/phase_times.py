@@ -28,7 +28,11 @@ originals are put back when the measurement ends:
 Each round solves every grid --solves times, grid after grid, and keeps
 each phase's minimum over those solves; the table gives the median of each
 phase over --rounds rounds.  Phases are minimised separately, so they need
-not add up to the total.
+not add up to the total.  The column `minor faults` is the median, over
+all solves of a grid, of the minor page faults the process took during one
+solve: `resource.getrusage(RUSAGE_SELF).ru_minflt` read before and after
+it, the process's own counter.  A grid whose temporaries the allocator
+hands back to the OS after each solve pages them in again on the next.
 
 The last row, `closed form`, is the time per
 `solve_collapse_closed_form(axis, state)` over a fixed sweep of
@@ -46,6 +50,7 @@ import contextlib
 import math
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -54,6 +59,7 @@ import numpy as np
 
 MS, CANDIDATES = "marching squares (both levels)", "candidates"
 PHASES = ("total", "field", MS, "rest of tracing", CANDIDATES)
+FAULTS = "minor faults"
 # solver binding -> the phase its time is added to
 WRAPPED = {"solve_collapse": "total", "_overlap_grid": "field",
            "marching_squares": MS, "trace_level_sets": "tracing",
@@ -94,21 +100,30 @@ def solve_phases(solver, axis, state, cfg) -> dict[str, float]:
     return sink
 
 
+def minor_faults() -> int:
+    """The minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def measure(grids: list[int], solves: int, rounds: int
             ) -> dict[int, dict[str, float]]:
-    """grid -> phase -> median over rounds of the best of solves, in s."""
+    """grid -> phase -> median over rounds of the best of solves, in s, and
+    grid -> FAULTS -> median over all solves of the faults per solve."""
     from spincollapse import solver
     from spincollapse.bloch import SpinState, canonicalize_axis
 
     axis = canonicalize_axis(math.pi / 4, math.pi / 2)
     state = SpinState(0.4, 0.0)
     best: dict[int, dict[str, list[float]]] = {
-        g: {p: [] for p in PHASES} for g in grids}
+        g: {p: [] for p in (*PHASES, FAULTS)} for g in grids}
     for _ in range(rounds):
         for grid in grids:
             cfg = solver.SolverConfig(grid_n=grid)
-            runs = [solve_phases(solver, axis, state, cfg)
-                    for _ in range(solves)]
+            runs = []
+            for _ in range(solves):
+                before = minor_faults()
+                runs.append(solve_phases(solver, axis, state, cfg))
+                best[grid][FAULTS].append(minor_faults() - before)
             for phase in PHASES:
                 best[grid][phase].append(min(r[phase] for r in runs))
     return {g: {p: statistics.median(v) for p, v in phases.items()}
@@ -168,13 +183,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# {os.cpu_count()} CPUs, Python {platform.python_version()}, "
           f"numpy {np.__version__}; generic instance; best of "
           f"{args.solves} solves, median of {args.rounds} rounds")
-    print("| `grid_n` | " + " | ".join(PHASES) + " |")
-    print("|---" * (len(PHASES) + 1) + "|")
+    print("| `grid_n` | " + " | ".join((*PHASES, FAULTS)) + " |")
+    print("|---" * (len(PHASES) + 2) + "|")
     for grid, phases in table.items():
         print(f"| {grid} | "
-              + " | ".join(fmt_ms(phases[p]) for p in PHASES) + " |")
+              + " | ".join(fmt_ms(phases[p]) for p in PHASES)
+              + f" | {phases[FAULTS]:g} |")
     print(f"| closed form | {closed * 1e6:.2f} µs |"
-          + " – |" * (len(PHASES) - 1))
+          + " – |" * len(PHASES))
     return 0
 
 
