@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from ._values import Record
+from ._values import Record, check_integer
 from .bloch import Axis, SpinState, eigenstate_as_state
 from .pfn import BoolExpr, BoolProjection, HistoryError, decide_outcome, \
     project_axis, to_truth_table
@@ -83,6 +83,7 @@ class ObserverAutomaton:
     def __init__(self, axis: Axis, pfn: BoolExpr, memory_depth: int = 0,
                  solver_cfg: SolverConfig | None = None,
                  seed_history: list[tuple[BoolProjection, int]] | None = None):
+        check_integer("memory depth", memory_depth)
         if memory_depth > 0 and len(seed_history or []) < memory_depth:
             raise HistoryError(
                 f"memory depth {memory_depth} requires seeded history")
@@ -141,6 +142,7 @@ class ObserverAutomaton:
         until a step of this run is not Normal or max_steps steps are made.
         The result reports this run's steps only: its halted, halt_reason
         and death_step come from the last of them."""
+        check_integer("max_steps", max_steps)
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         records: list[StepRecord] = []

@@ -39,7 +39,8 @@ theta_i in [0, pi]:
   it.  Only the pieces are chained in Python, never the edges.
 - A crossing lies where the linear interpolation of values - level along
   its edge is zero; an offset of exactly zero is taken as 1e-30.  The
-  crossings are interpolated once, in emission order.
+  crossings are interpolated once, in chain order: the crossed edges are
+  gathered into the order of the polylines first.
 - Grid edges carry integer ids: H edge (i, j), joining nodes (i, j) and
   (i+1, j), is i*m + j; V edge (i, j), joining (i, j) and (i, j+1), is
   (n-1)*m + i*(m-1) + j.  Open chains come first, each starting at its
@@ -49,7 +50,7 @@ theta_i in [0, pi]:
   on its lower-column side, and repeats its first vertex at the end.  So
   the output is bit-reproducible.
 - The polylines come back as (k, 2) arrays of (x, y) vertices, views into
-  one array gathered from the crossing points.
+  the one array of the crossing points.
 - All levels are traced in one pass.  What does not depend on the level
   is done once: the runs of c, their padded ascending copy and the flat
   rows (b == 0).  Everything else carries a leading level axis: the split
@@ -69,6 +70,19 @@ small grids the fixed cost of the numpy calls weighs most, so it is paid
 once per call, not once per level, and only for arrays that grow with the
 grid or the crossings: the runs, the levels' starts, the missed rows and
 the few non-empty pieces, their end ids and partners, are Python ints.
+
+A call's transient memory is what the allocator may hand back to the OS
+when the call ends, and page in again on the next, so the passes keep few
+arrays alive at once.  The rule: an array is computed in place, into a
+temporary of its own pass, where it can be (out=, -=, *=), and is dropped
+after its last read.  Over the crossings that leaves at most six 8-byte
+numbers per crossing alive at once, besides masks of one byte: while the
+points are interpolated, the edges (row, col), the parameter t, both
+far-end coordinates and one near-end one; then the edges, the two
+coordinates and the (k, 2) points.  The arrays of the split ranks, which
+grow with levels x runs x rows and not with the crossings, follow the
+same rule: the rank array is also the index of the probed nodes.  No pass
+builds a field, and the points are built once, in chain order.
 """
 
 from __future__ import annotations
@@ -84,9 +98,17 @@ _HIGH = np.array([np.inf])
 
 
 def _offset(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: np.ndarray,
-            j: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """values[i, j] - level, with an exact zero taken as 1e-30."""
-    d = b[i] * c[j] + a[i] - level
+            j: np.ndarray, levels: np.ndarray, level_start: list[int]
+            ) -> np.ndarray:
+    """values[i, j] - level, level being levels[l] for the elements from
+    level_start[l] on, with an exact zero taken as 1e-30; each operation
+    rounded once, as b[i] * c[j] + a[i] - level would round it."""
+    d = b[i]
+    d *= c[j]
+    d += a[i]
+    for level, s, e in zip(levels.tolist(), level_start,
+                           [*level_start[1:], d.size]):
+        d[s:e] -= level
     d[d == 0.0] = 1e-30
     return d
 
@@ -135,9 +157,20 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
     k = np.empty((levels.size, r_n, n), dtype=np.intp)
     for r, (o, m, _, _) in enumerate(meta):
         k[:, r] = pad[o:o + m].searchsorted(root)
-    at = k + base
-    below = b1 * pad[at - 1] + a >= lev
-    above = b1 * pad[at] + a >= lev
+    del root
+    k += base - 1  # where rank k - 1 is in pad
+    node = pad[k]
+    node *= b1
+    node += a
+    below = node >= lev
+    del node
+    k += 1
+    node = pad[k]
+    k -= base
+    node *= b1
+    node += a
+    above = node >= lev
+    del node
     flat_k = k.reshape(-1)
     for f in (above <= below).ravel().nonzero()[0].tolist():  # missed rows
         l, r, i = f // (r_n * n), f // n % r_n, f % n
@@ -147,7 +180,10 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
     k[:, :, flat] = np.where(a[flat] >= lev, 0, size)
     # the later node of the two around the split; rank 0 or size means
     # the whole row has one sign in the run
-    return origin + step * k, (k > 0) & (k < size)
+    inner = (k > 0) & (k < size)
+    k *= step
+    k += origin
+    return k, inner
 
 
 def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -166,29 +202,54 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     split[l, r, i] toward split[l, r, i + 1].
     """
     split, inner = _splits(a, b, c, levels)
-    gap = np.zeros(split.shape, split.dtype)
-    gap[..., :-1] = split[..., 1:] - split[..., :-1]
-    size = (inner + np.abs(gap)).ravel()
-    start = size.cumsum() - size
-    block = np.arange(size.size).repeat(size)
-    # an element's rank in its block, counted as if every block began with
-    # its V edge: rank 0 is the V edge at column at - 1, ranks 1.. the H
-    # edges at columns at, at + 1, .. going up and at - 1, at - 2, .. not
-    u = np.arange(block.size) - (start - 1 + inner.ravel())[block]
-    at = split.ravel()[block]
-    row = block % a.size
-    is_v = u == 0
-    col = np.where(gap.ravel()[block] > 0, at - 1 + u, at - np.maximum(u, 1))
+    n = a.size
+    at = split.ravel()
+    inner = inner.ravel()
+    # gap[l, r, i] = split[l, r, i + 1] - split[l, r, i], 0 on the last row
+    gap = np.empty_like(at)
+    np.subtract(at[1:], at[:-1], out=gap[:-1])
+    gap[n - 1::n] = 0
+    up = gap > 0
+    size = np.abs(gap, out=gap)
+    size += inner
+    start = size.cumsum()
+    start -= size
+    total = int(start[-1] + size[-1])
     # cut at each run's row 0 and at every row whose split is not inner; a
     # level's first block is its first run's row 0, so no piece spans two
     # levels.  An empty piece starts where the next one does
     cut = ~inner
-    cut[..., 0] = True
-    starts = np.zeros(block.size + 1, dtype=bool)
-    starts[start[cut.ravel()]] = True
+    cut[::n] = True
+    starts = np.zeros(total + 1, dtype=bool)
+    starts[start[cut]] = True
     starts[-1] = True
-    return (row, col, is_v, start[::size.size // levels.size].tolist(),
-            starts.nonzero()[0].tolist())
+    bounds = starts.nonzero()[0].tolist()
+    del cut, starts
+    level_start = start[::size.size // levels.size].tolist()
+    # an element's rank u in its block, counted as if every block began
+    # with its V edge: rank 0 is the V edge at column at - 1, ranks 1.. the
+    # H edges at columns at, at + 1, .. going up and at - 1, at - 2, .. not.
+    # So col = at - 1 + u going up and at - u not, except at the V edge of
+    # a block that goes down.  A block's own values are repeated over its
+    # elements
+    down_v = start[inner & ~up]
+    first = start
+    first -= 1
+    first += inner
+    del start, inner
+    u = np.arange(total)
+    u -= first.repeat(size)
+    del first
+    is_v = u == 0
+    u *= np.where(up, 1, -1).repeat(size)
+    col = (at - up).repeat(size)
+    del at, up
+    col += u
+    del u
+    col[down_v] -= 1
+    row = np.empty(split.shape, np.intp)
+    row[...] = np.arange(n)
+    return (row.ravel().repeat(size), col, is_v, level_start, bounds)
 
 
 def _crossings(a: np.ndarray, b: np.ndarray, c: np.ndarray, xs: np.ndarray,
@@ -196,20 +257,38 @@ def _crossings(a: np.ndarray, b: np.ndarray, c: np.ndarray, xs: np.ndarray,
                row: np.ndarray, col: np.ndarray, is_v: np.ndarray
                ) -> np.ndarray:
     """The (k, 2) crossing points of the edges (row, col), each where the
-    linear interpolation of values - level along it is zero, with level the
-    level of the element's own emission.  An H edge joins (row, col) and
-    (row + 1, col), a V edge joins (row, col) and (row, col + 1)."""
-    stops = level_start[1:] + [row.size]
-    at_level = levels.repeat([e - s for s, e in zip(level_start, stops)])
+    linear interpolation of values - level along it is zero, with level
+    levels[l] for the elements from level_start[l] on.  An H edge joins
+    (row, col) and (row + 1, col), a V edge joins (row, col) and
+    (row, col + 1).  row and col are read and written in place, and left
+    as they came.
+
+    Each coordinate is interpolated as x + t * (x1 - x): along an edge the
+    other coordinate's difference is an exact 0, and t, whose denominator
+    d0 - d1 is at least |d0| since the two ends lie on opposite sides of
+    the level, is finite for finite node values, so that coordinate comes
+    out exactly x."""
+    d0 = _offset(a, b, c, row, col, levels, level_start)
     is_h = ~is_v
-    row1, col1 = row + is_h, col + is_v
-    d0 = _offset(a, b, c, row, col, at_level)
-    d1 = _offset(a, b, c, row1, col1, at_level)
-    t = d0 / (d0 - d1)
-    x, y = xs[row], ys[col]
+    row += is_h
+    col += is_v
+    t = _offset(a, b, c, row, col, levels, level_start)
+    # t = d0 / (d0 - d1), in the buffer of d1
+    np.subtract(d0, t, out=t)
+    np.divide(d0, t, out=t)
+    del d0
+    far = xs[row], ys[col]
+    row -= is_h
+    col -= is_v
+    for coords, near, x1 in zip((xs, ys), (row, col), far):
+        x = coords[near]
+        x1 -= x
+        x1 *= t
+        x1 += x
+        del x
+    del t
     xy = np.empty((row.size, 2))
-    xy[:, 0] = np.where(is_h, x + t * (xs[row1] - x), x)
-    xy[:, 1] = np.where(is_v, y + t * (ys[col1] - y), y)
+    xy[:, 0], xy[:, 1] = far
     return xy
 
 
@@ -225,11 +304,11 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     others.  Each polyline is a (k, 2) float array of (x, y) vertices, and
     all are views into one array.  Open polylines end on the grid boundary;
     a closed loop repeats its first vertex at the end.  Raises ValueError
-    when some b[i] < 0.
+    when some b[i] < 0 or is NaN.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if (b < 0.0).any():
+    if not (b >= 0.0).all():  # also false at a NaN
         raise ValueError("marching_squares needs b >= 0 on every row")
     c = np.asarray(c, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -242,7 +321,6 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     row, col, is_v, level_start, bounds = _crossed_edges(a, b, c, levels)
     if row.size == 0:
         return out
-    xy = _crossings(a, b, c, xs, ys, levels, level_start, row, col, is_v)
 
     # piece p has end slots 2p (its first element) and 2p + 1 (its last).
     # An end is on the grid boundary or is an H edge on a shared column;
@@ -293,20 +371,37 @@ def marching_squares(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     # smallest edge (on its top row, inside below) toward the lower columns.
     # That edge is an H edge, whose id is below every V edge's, so the ring's
     # ids are taken within its level, with each V edge's as per_level
-    p = visited.find(0)
-    while p >= 0:
+    def loop(p: int) -> tuple[int, int, int, np.ndarray]:
+        """The key and emission positions of the loop through piece p."""
         ring = chain(2 * p)[:-1]  # its last element is its first again
         ids = row[ring] * m + col[ring]
         ids[is_v[ring]] = per_level
         k = int(ids.argmin())
-        found.append((end_ids[2 * p] // per_level, 1, int(ids[k]),
-                      np.concatenate((ring[k:], ring[:k + 1]))))
+        return (end_ids[2 * p] // per_level, 1, int(ids[k]),
+                np.concatenate((ring[k:], ring[:k + 1])))
+
+    p = visited.find(0)
+    while p >= 0:
+        found.append(loop(p))
         p = visited.find(0, p + 1)
     # each level's open chains in id order, then its loops in id order
     found.sort(key=lambda f: f[:3])
 
-    stops = list(accumulate(len(f[3]) for f in found))
-    xy = xy.take(np.concatenate([f[3] for f in found]), axis=0)
-    for f, i, j in zip(found, [0, *stops], stops):
-        out[f[0]].append(xy[i:j])
+    # the edges are gathered into chain order and the crossings
+    # interpolated there, so that no emission-order copy of the points is
+    # built
+    order = np.concatenate([f[3] for f in found])
+    found = [(f[0], f[3].size) for f in found]
+    row = row[order]
+    col = col[order]
+    is_v = is_v[order]
+    del order
+    per_level_size = [0] * levels.size
+    for level, size in found:
+        per_level_size[level] += size
+    xy = _crossings(a, b, c, xs, ys, levels,
+                    [0, *accumulate(per_level_size)][:-1], row, col, is_v)
+    stops = list(accumulate(size for _, size in found))
+    for (level, _), i, j in zip(found, [0, *stops], stops):
+        out[level].append(xy[i:j])
     return out

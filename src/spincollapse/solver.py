@@ -186,20 +186,15 @@ def _overlap_grid(s: SpinState, n: int) -> tuple[np.ndarray, ...]:
 # On the Bloch sphere a level set is the circle n . m = 2 level - 1, and the
 # overlap (1 + n . n_i) / 2 is extremal on it where n, n_i and m are
 # coplanar: where the tangency n . w, with w = n_i x m, changes sign.  So
-# every vertex quantity is a dot product n . v.  _axes_dot forms it for
-# vertex arrays from their sines and cosines (st, ct, sp, cp).  Each sum is
-# accumulated in place into its first product, so the pass allocates fewer
-# temporaries.
+# both vertex quantities are dot products n . v, summed term by term:
+# n_x v[0] + n_y v[1] + n_z v[2], in that order.
 
-def _axes_dot(st, ct, sp, cp, v: tuple[float, float, float]):
-    """n(theta, phi) . v = st cp v[0] + st sp v[1] + ct v[2]."""
-    dot = st * cp
-    dot *= v[0]
-    term = st * sp
-    term *= v[1]
-    dot += term
-    dot += ct * v[2]
-    return dot
+def _add_terms(qs, tangs, n, vq: float, vt: float, term) -> None:
+    """qs += n vq and tangs += n vt, each product formed in term."""
+    np.multiply(n, vq, out=term)
+    qs += term
+    np.multiply(n, vt, out=term)
+    tangs += term
 
 
 def on_chart_edge(theta, phi):
@@ -224,32 +219,44 @@ def trace_level_sets(s: SpinState, levels: tuple[float, ...], cfg: SolverConfig,
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0,1): {level}")
     thetas, phis, a, b, c = _overlap_grid(s, cfg.grid_n)
-    polys = [(level, poly) for level, level_polys in
-             zip(levels, marching_squares(a, b, c, thetas, phis, levels))
-             for poly in level_polys]
-    if not polys:
+    traced = marching_squares(a, b, c, thetas, phis, levels)
+    sizes = [(level, len(poly)) for level, polys in zip(levels, traced)
+             for poly in polys]
+    if not sizes:
         return LevelSets()
+    th = np.concatenate([poly[:, 0] for polys in traced for poly in polys])
+    ph = np.concatenate([poly[:, 1] for polys in traced for poly in polys])
+    del traced, a, b, c
     # the overlap and tangency of every vertex of both levels at once, from
     # one evaluation of each sine and cosine; each curve holds contiguous
-    # slices of these arrays.  The angles are gathered column by column: a
-    # (k, 2) temporary at grid 4096 is large enough that freeing it lets
-    # malloc trim the heap, which is then paged in again
+    # slices of these arrays.  A solve's transient peak is memory that the
+    # allocator may hand back to the OS when the solve ends and page in
+    # again on the next.  So the polylines and the field's factors are
+    # dropped above, and each component of n = (sin theta cos phi, sin
+    # theta sin phi, cos theta) is formed in one array, added into both
+    # dot products and overwritten by the next: six vertex arrays are alive
+    # at most, four of them the ones returned
     ni, m = overlap_terms(axis_i.theta, axis_i.phi, s.rho, s.tau)[:2]
     w = (ni[1] * m[2] - ni[2] * m[1], ni[2] * m[0] - ni[0] * m[2],
          ni[0] * m[1] - ni[1] * m[0])  # n_i x m
-    th = np.concatenate([poly[:, 0] for _, poly in polys])
-    ph = np.concatenate([poly[:, 1] for _, poly in polys])
-    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-    qs = _axes_dot(st, ct, sp, cp, ni)
+    st = np.sin(th)
+    n = np.cos(ph)
+    n *= st
+    qs, tangs = n * ni[0], n * w[0]
+    np.sin(ph, out=n)
+    n *= st
+    _add_terms(qs, tangs, n, ni[1], w[1], st)  # sin theta is read no more
+    np.cos(th, out=n)
+    _add_terms(qs, tangs, n, ni[2], w[2], st)
+    del st, n
     qs += 1.0
     qs *= 0.5
     np.minimum(1.0, np.maximum(0.0, qs, out=qs), out=qs)
-    tangs = _axes_dot(st, ct, sp, cp, w)
     curves = LevelSets()
     curves.arrays = (th, ph, qs, tangs)
     start = 0
-    for cid, (level, poly) in enumerate(polys):
-        end = start + len(poly)
+    for cid, (level, size) in enumerate(sizes):
+        end = start + size
         curves.append(LevelSetCurve(level, th[start:end], ph[start:end],
                                     qs[start:end], tangs[start:end], cid))
         start = end
@@ -281,14 +288,24 @@ def _candidates(curves: LevelSets, extrema: list[tuple[Candidate, Candidate]]
     # reading the tangency and overlap of the one before it and a closed
     # curve's last those of its first, so a pair into a dropped vertex never
     # brackets and a pair into a kept one is a segment
-    t, q = tangs.copy(), qs.copy()
-    dth, dph = th[1:] - th[:-1], ph[1:] - ph[:-1]
+    dth = th[1:] - th[:-1]
+    dth *= dth
+    dph = ph[1:] - ph[:-1]
+    dph *= dph
+    dth += dph
+    del dph
     starts = set(stops)
-    for k in (dth * dth + dph * dph <= SAME_VERTEX ** 2).nonzero()[0].tolist():
-        if k + 1 not in starts:
-            t[k + 1], q[k + 1] = t[k], q[k]
-    for s, e in zip([0, *stops], stops):
-        if e - s > 2 and th[s] == th[e - 1] and ph[s] == ph[e - 1]:
+    repeats = [k + 1 for k in (dth <= SAME_VERTEX ** 2).nonzero()[0].tolist()
+               if k + 1 not in starts]
+    del dth
+    closed = [(s, e) for s, e in zip([0, *stops], stops)
+              if e - s > 2 and th[s] == th[e - 1] and ph[s] == ph[e - 1]]
+    t, q = tangs, qs
+    if repeats or closed:  # edited on copies; the curves keep their arrays
+        t, q = tangs.copy(), qs.copy()
+        for k in repeats:
+            t[k], q[k] = t[k - 1], q[k - 1]
+        for s, e in closed:
             t[e - 1], q[e - 1] = t[s], q[s]
     found: dict[tuple[int, bool], None] = {}
     for j in ((t[:-1] * t[1:] < 0.0) | ((t[:-1] == 0.0) & (t[1:] != 0.0))

@@ -171,6 +171,17 @@ class TestRun:
     def test_max_steps_validation(self):
         with pytest.raises(ValueError):
             machine().run(START_STATE, max_steps=0)
+        # a bool or a float is not a count: True ran one step, 2.0 raised
+        # TypeError from range
+        for steps in (True, 2.0):
+            with pytest.raises(ValueError, match="^max_steps must be an "
+                                                 "integer"):
+                machine().run(START_STATE, max_steps=steps)
+        for depth in (True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="^memory depth must be an "
+                                                 "integer"):
+                machine(memory_depth=depth)
+        assert len(machine().run(START_STATE, np.int64(1)).records) == 1
 
     def test_replay_is_identical(self):
         r1 = machine().run(START_STATE, max_steps=10)

@@ -16,7 +16,7 @@ from spincollapse.solver import (
     SolverConfig,
     _overlap_grid,
     constraint_levels,
-    trace_level_sets,
+    solve_collapse,
 )
 
 from conftest import missed_rows, random_instance
@@ -343,10 +343,12 @@ class TestLevels:
 
     def test_level_without_crossings_beside_one_with(self):
         a, b, c, xs, ys = _triple(lambda x: x * x - 1.0, _one, lambda y: y * y)
-        for levels in ((-2.0, 0.0), (0.0, -2.0), (-2.0, 0.0, 9.0)):
+        # an empty level between two traced ones starts where the next begins
+        for levels in ((-2.0, 0.0), (0.0, -2.0), (-2.0, 0.0, 9.0),
+                       (0.0, -2.0, 0.5)):
             traced = _levels_agree_with_reference(a, b, c, xs, ys, levels)
             assert [len(polys) for polys in traced] == \
-                [1 if level == 0.0 else 0 for level in levels]
+                [0 if level in (-2.0, 9.0) else 1 for level in levels]
         assert marching_squares(a, b, c, xs, ys, (9.0, -2.0)) == [[], []]
         assert marching_squares(a, b, c, xs, ys, ()) == []
 
@@ -414,6 +416,16 @@ class TestEdgeCases:
                                  np.arange(len(b), dtype=float), self.XS,
                                  (0.0,))
 
+    def test_nan_b_is_rejected(self):
+        # a NaN row is neither below nor at or above 0; let through, it
+        # traced NaN vertices and split the curve
+        a, b, c, xs, ys = _triple(lambda x: x * x - 1.0, _one,
+                                  lambda y: y * y, n=32)
+        assert len(marching_squares(a, b, c, xs, ys, (0.0,))[0]) == 1
+        b[10] = np.nan
+        with pytest.raises(ValueError, match="b >= 0"):
+            marching_squares(a, b, c, xs, ys, (0.0,))
+
     def test_level_equals_shifted_field(self):
         # tracing at a level is tracing the field minus the level at 0,
         # also at levels equal to node values
@@ -428,11 +440,13 @@ class TestEdgeCases:
         a, b, c, xs, ys = _triple(lambda x: 0.0,
                                   lambda x: np.abs(np.round(2 * x)),
                                   lambda y: np.round(2 * y))
-        before = [arr.copy() for arr in (a, b, c)]
-        for arr in (a, b, c):
+        levels = np.array([0.0, 0.25])
+        inputs = (a, b, c, xs, ys, levels)
+        before = [arr.copy() for arr in inputs]
+        for arr in inputs:
             arr.flags.writeable = False
-        marching_squares(a, b, c, xs, ys, (0.0, 0.25))
-        assert all(np.array_equal(x, y) for x, y in zip((a, b, c), before))
+        assert marching_squares(*inputs)[1]
+        assert all(np.array_equal(x, y) for x, y in zip(inputs, before))
 
     def test_strided_and_int_input(self):
         a, b, c, xs, ys = _triple(lambda x: -1.0,
@@ -449,18 +463,28 @@ class TestEdgeCases:
 
 
 def test_fine_grid_tracing_builds_no_field():
-    # a (4096 + 1)^2 float64 field alone would be 134 MB
+    # a (4096 + 1)^2 float64 field alone would be 134 MB.  A solve's
+    # transient peak, its growth of traced memory beyond what it started
+    # with, is held to 80 bytes per traced vertex: the four vertex arrays
+    # it returns take 32, and the grid's cached node factors are built by
+    # the first solve, before the measured one
     axis, state = PINNED[0]
-    levels = constraint_levels(axis, state)
     cfg = SolverConfig(grid_n=4096)
-    tracemalloc.start()
+    solve_collapse(axis, state, cfg)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
     try:
-        curves = trace_level_sets(state, levels, cfg, axis)
-        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        curves = solve_collapse(axis, state, cfg).curves
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
-        tracemalloc.stop()
-    assert curves
-    assert peak < 16 * 2 ** 20
+        if started:
+            tracemalloc.stop()
+    vertices = sum(len(curve.theta) for curve in curves)
+    assert vertices > 10_000
+    assert peak <= 80 * vertices
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi, exclude_max=True),

@@ -120,6 +120,20 @@ class TestTraceLevelSets:
                 b, math.sqrt(rho * (1.0 - rho)) * np.sin(thetas))
             assert np.array_equal(c, np.cos(phis - tau))
 
+    def test_node_factors_are_unchanged_by_solves(self):
+        # the grid route writes in place only into its own temporaries; the
+        # factors that every solve at a grid shares stay read-only and
+        # bit for bit as they were built
+        for n in (256, 1024):
+            before = [x.copy() for x in solver._node_factors(n)]
+            for axis, state in ((GENERIC_AXIS, GENERIC_STATE),
+                                (DEATH_AXIS, DEATH_STATE)):
+                solve_collapse(axis, state, SolverConfig(grid_n=n))
+            after = solver._node_factors(n)
+            assert not any(x.flags.writeable for x in after)
+            assert [x.tobytes() for x in after] == \
+                [x.tobytes() for x in before]
+
     def test_polar_state_level_half_is_the_equator(self):
         curves = trace_level_sets(SpinState(1.0, 0.0), (0.5,), self.CFG,
                                   axis_i=GENERIC_AXIS)

@@ -232,11 +232,12 @@ def test_phase_times_prints_one_row_per_grid(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"# \d+ CPUs, Python \S+, numpy \S+; .*", lines[0])
     assert lines[1] == ("| `grid_n` | " + " | ".join(phase_times.PHASES)
-                        + " | minor faults |")
-    # five phase times, then the median minor page faults per solve
-    assert re.fullmatch(r"\| 64 \|( \d+\.\d+ ms \|){5} \d+(\.\d+)? \|",
-                        lines[3])
-    assert re.fullmatch(r"\| closed form \| \d+\.\d\d µs \|( – \|){5}",
+                        + " | minor faults | peak KiB |")
+    # five phase times, the median minor page faults per solve, then the
+    # transient peak of one solve
+    assert re.fullmatch(r"\| 64 \|( \d+\.\d+ ms \|){5} \d+(\.\d+)? \| "
+                        r"[1-9]\d* \|", lines[3])
+    assert re.fullmatch(r"\| closed form \| \d+\.\d\d µs \|( – \|){6}",
                         lines[4])
     assert len(lines) == 5
     # the solver's bindings are the originals again

@@ -33,6 +33,10 @@ all solves of a grid, of the minor page faults the process took during one
 solve: `resource.getrusage(RUSAGE_SELF).ru_minflt` read before and after
 it, the process's own counter.  A grid whose temporaries the allocator
 hands back to the OS after each solve pages them in again on the next.
+The column `peak KiB` is a solve's transient peak: how far the memory
+that `tracemalloc` traces rises above where it stood when the solve
+began.  It comes from one extra solve per grid, made after the timed ones
+and not timed itself, so that no timed solve is traced.
 
 The last row, `closed form`, is the time per
 `solve_collapse_closed_form(axis, state)` over a fixed sweep of
@@ -54,12 +58,13 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 MS, CANDIDATES = "marching squares (both levels)", "candidates"
 PHASES = ("total", "field", MS, "rest of tracing", CANDIDATES)
-FAULTS = "minor faults"
+FAULTS, PEAK = "minor faults", "peak KiB"
 # solver binding -> the phase its time is added to
 WRAPPED = {"solve_collapse": "total", "_overlap_grid": "field",
            "marching_squares": MS, "trace_level_sets": "tracing",
@@ -105,10 +110,28 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def solve_peak(solver, axis, state, cfg) -> int:
+    """The bytes by which traced memory rises, at its peak, above where it
+    stood when one solve began.  A tracemalloc session already running is
+    used and left running."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        solver.solve_collapse(axis, state, cfg)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def measure(grids: list[int], solves: int, rounds: int
             ) -> dict[int, dict[str, float]]:
-    """grid -> phase -> median over rounds of the best of solves, in s, and
-    grid -> FAULTS -> median over all solves of the faults per solve."""
+    """grid -> phase -> median over rounds of the best of solves, in s,
+    grid -> FAULTS -> median over all solves of the faults per solve, and
+    grid -> PEAK -> the transient peak of one untimed solve, in KiB."""
     from spincollapse import solver
     from spincollapse.bloch import SpinState, canonicalize_axis
 
@@ -126,8 +149,12 @@ def measure(grids: list[int], solves: int, rounds: int
                 best[grid][FAULTS].append(minor_faults() - before)
             for phase in PHASES:
                 best[grid][phase].append(min(r[phase] for r in runs))
-    return {g: {p: statistics.median(v) for p, v in phases.items()}
-            for g, phases in best.items()}
+    table = {g: {p: statistics.median(v) for p, v in phases.items()}
+             for g, phases in best.items()}
+    for grid in grids:
+        table[grid][PEAK] = solve_peak(solver, axis, state,
+                                       solver.SolverConfig(grid_n=grid)) / 1024
+    return table
 
 
 def closed_form_sweep() -> list[tuple]:
@@ -183,14 +210,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# {os.cpu_count()} CPUs, Python {platform.python_version()}, "
           f"numpy {np.__version__}; generic instance; best of "
           f"{args.solves} solves, median of {args.rounds} rounds")
-    print("| `grid_n` | " + " | ".join((*PHASES, FAULTS)) + " |")
-    print("|---" * (len(PHASES) + 2) + "|")
+    print("| `grid_n` | " + " | ".join((*PHASES, FAULTS, PEAK)) + " |")
+    print("|---" * (len(PHASES) + 3) + "|")
     for grid, phases in table.items():
         print(f"| {grid} | "
               + " | ".join(fmt_ms(phases[p]) for p in PHASES)
-              + f" | {phases[FAULTS]:g} |")
+              + f" | {phases[FAULTS]:g} | {phases[PEAK]:.0f} |")
     print(f"| closed form | {closed * 1e6:.2f} µs |"
-          + " – |" * len(PHASES))
+          + " – |" * (len(PHASES) + 1))
     return 0
 
 
