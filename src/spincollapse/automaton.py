@@ -83,11 +83,11 @@ class ObserverAutomaton:
     def __init__(self, axis: Axis, pfn: BoolExpr, memory_depth: int = 0,
                  solver_cfg: SolverConfig | None = None,
                  seed_history: list[tuple[BoolProjection, int]] | None = None):
-        check_integer("memory depth", memory_depth)
+        # validates the depth and the variable arity before the depth is used
+        to_truth_table(pfn, memory_depth)
         if memory_depth > 0 and len(seed_history or []) < memory_depth:
             raise HistoryError(
                 f"memory depth {memory_depth} requires seeded history")
-        to_truth_table(pfn, memory_depth)  # validates variable arity
         self.current_axis = axis
         self.pfn = pfn
         self.memory_depth = memory_depth

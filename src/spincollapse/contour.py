@@ -74,15 +74,19 @@ the few non-empty pieces, their end ids and partners, are Python ints.
 A call's transient memory is what the allocator may hand back to the OS
 when the call ends, and page in again on the next, so the passes keep few
 arrays alive at once.  The rule: an array is computed in place, into a
-temporary of its own pass, where it can be (out=, -=, *=), and is dropped
-after its last read.  Over the crossings that leaves at most six 8-byte
-numbers per crossing alive at once, besides masks of one byte: while the
-points are interpolated, the edges (row, col), the parameter t, both
-far-end coordinates and one near-end one; then the edges, the two
-coordinates and the (k, 2) points.  The arrays of the split ranks, which
-grow with levels x runs x rows and not with the crossings, follow the
-same rule: the rank array is also the index of the probed nodes.  No pass
-builds a field, and the points are built once, in chain order.
+temporary of its own pass, where that takes no more numpy calls than a
+new array would, and is dropped after its last read.  A numpy call costs
+about a microsecond whatever its size, which is felt on small grids, so an
+extra call is made only where it lowers the peak at fine grids.  Over the
+crossings that leaves at most six 8-byte numbers per crossing alive at
+once, besides masks of one byte: while the far ends' offsets are formed,
+the edges (row, col), the near ends' offsets, each crossing's level and
+two gathered node factors; while the points are interpolated, the edges,
+the parameter t, both far-end coordinates and one near-end one.  The
+arrays of the split ranks grow with levels x runs x rows and not with the
+crossings; when c has two runs they set the call's peak, so the rank
+array is also the index of the probed nodes.  No pass builds a field, and
+the points are built once, in chain order.
 """
 
 from __future__ import annotations
@@ -98,17 +102,13 @@ _HIGH = np.array([np.inf])
 
 
 def _offset(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: np.ndarray,
-            j: np.ndarray, levels: np.ndarray, level_start: list[int]
-            ) -> np.ndarray:
-    """values[i, j] - level, level being levels[l] for the elements from
-    level_start[l] on, with an exact zero taken as 1e-30; each operation
-    rounded once, as b[i] * c[j] + a[i] - level would round it."""
+            j: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """values[i, j] - level, with an exact zero taken as 1e-30; each
+    operation rounded once, as b[i] * c[j] + a[i] - level would round it."""
     d = b[i]
     d *= c[j]
     d += a[i]
-    for level, s, e in zip(levels.tolist(), level_start,
-                           [*level_start[1:], d.size]):
-        d[s:e] -= level
+    d -= level
     d[d == 0.0] = 1e-30
     return d
 
@@ -117,11 +117,13 @@ def _runs(c: np.ndarray) -> list[tuple[int, int, bool]]:
     """(s, e, rising) of each maximal run of nodes s..e along which c never
     decreases (rising) or never increases; consecutive runs share a node."""
     steps = (c[1:] != c[:-1]).nonzero()[0]
-    rising = c[steps + 1] > c[steps]
+    rising = (c[1:] > c[:-1])[steps]
     turns = (rising[1:] != rising[:-1]).nonzero()[0] + 1
     bounds = [0, *steps[turns].tolist(), c.size - 1]
-    ups = rising[:1].tolist() + rising[turns].tolist() or [True]
-    return list(zip(bounds, bounds[1:], ups))
+    # the direction changes at every turn
+    first = bool(rising[0]) if rising.size else True
+    return [(s, e, first != k % 2) for k, (s, e) in
+            enumerate(zip(bounds, bounds[1:]))]
 
 
 def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
@@ -158,13 +160,12 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
     for r, (o, m, _, _) in enumerate(meta):
         k[:, r] = pad[o:o + m].searchsorted(root)
     del root
-    k += base - 1  # where rank k - 1 is in pad
-    node = pad[k]
+    k += base  # where rank k is in pad
+    node = pad[k - 1]
     node *= b1
     node += a
     below = node >= lev
     del node
-    k += 1
     node = pad[k]
     k -= base
     node *= b1
@@ -177,6 +178,7 @@ def _splits(a: np.ndarray, b: np.ndarray, c: np.ndarray, levels: np.ndarray
         o, m = meta[r][:2]
         true = b1[i] * pad[o:o + m] + a[i] >= levels[l]
         flat_k[f] = true.argmax() if true[-1] else m
+    flat = flat.nonzero()[0]  # by index, which is quicker than by mask here
     k[:, :, flat] = np.where(a[flat] >= lev, 0, size)
     # the later node of the two around the split; rank 0 or size means
     # the whole row has one sign in the run
@@ -201,10 +203,8 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     when it is inner, then the H edges between rows i and i + 1 from
     split[l, r, i] toward split[l, r, i + 1].
     """
-    split, inner = _splits(a, b, c, levels)
+    at, inner = (x.ravel() for x in _splits(a, b, c, levels))
     n = a.size
-    at = split.ravel()
-    inner = inner.ravel()
     # gap[l, r, i] = split[l, r, i + 1] - split[l, r, i], 0 on the last row
     gap = np.empty_like(at)
     np.subtract(at[1:], at[:-1], out=gap[:-1])
@@ -213,8 +213,8 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     size = np.abs(gap, out=gap)
     size += inner
     start = size.cumsum()
+    total = start.item(-1)
     start -= size
-    total = int(start[-1] + size[-1])
     # cut at each run's row 0 and at every row whose split is not inner; a
     # level's first block is its first run's row 0, so no piece spans two
     # levels.  An empty piece starts where the next one does
@@ -232,22 +232,21 @@ def _crossed_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     # So col = at - 1 + u going up and at - u not, except at the V edge of
     # a block that goes down.  A block's own values are repeated over its
     # elements
-    down_v = start[inner & ~up]
-    first = start
-    first -= 1
-    first += inner
-    del start, inner
-    u = np.arange(total)
-    u -= first.repeat(size)
-    del first
+    start += inner  # where the block's rank 1 is
+    del inner
+    u = np.arange(1, total + 1)
+    u -= start.repeat(size)
+    del start
     is_v = u == 0
     u *= np.where(up, 1, -1).repeat(size)
-    col = (at - up).repeat(size)
-    del at, up
+    at -= up
+    col = at.repeat(size)
+    del at
     col += u
     del u
-    col[down_v] -= 1
-    row = np.empty(split.shape, np.intp)
+    col -= is_v > up.repeat(size)  # the V edge of a block going down
+    del up
+    row = np.empty((size.size // n, n), np.intp)
     row[...] = np.arange(n)
     return (row.ravel().repeat(size), col, is_v, level_start, bounds)
 
@@ -268,11 +267,14 @@ def _crossings(a: np.ndarray, b: np.ndarray, c: np.ndarray, xs: np.ndarray,
     d0 - d1 is at least |d0| since the two ends lie on opposite sides of
     the level, is finite for finite node values, so that coordinate comes
     out exactly x."""
-    d0 = _offset(a, b, c, row, col, levels, level_start)
+    stops = level_start[1:] + [row.size]
+    at_level = levels.repeat([e - s for s, e in zip(level_start, stops)])
+    d0 = _offset(a, b, c, row, col, at_level)
     is_h = ~is_v
     row += is_h
     col += is_v
-    t = _offset(a, b, c, row, col, levels, level_start)
+    t = _offset(a, b, c, row, col, at_level)
+    del at_level
     # t = d0 / (d0 - d1), in the buffer of d1
     np.subtract(d0, t, out=t)
     np.divide(d0, t, out=t)
